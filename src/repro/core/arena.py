@@ -2,21 +2,19 @@
 
 The fused kernel's steady state touches the same intermediate shapes on
 every block — one ``(block_m, block_n)`` distance tile, one boolean
-survivor mask, the ``(m, k)`` running neighbor lists — yet the one-shot
-path allocates them fresh per block and per call. A
+survivor mask, the ``(m, k)`` running neighbor lists. A
 :class:`WorkspaceArena` keeps one grow-only buffer per *role* and hands
-out right-sized views, so a plan's repeated executions perform no large
-allocations after the first call (the property the tracemalloc
-regression test pins down).
+out right-sized views, so blocks after the first allocate nothing, and
+a plan's repeated executions perform no large allocations after the
+first call (the property the tracemalloc regression test pins down).
+A one-shot kernel call borrows one arena from its ephemeral plan's
+pool and drops it with the plan, so nothing is retained past the call.
 
-Three pieces:
+Two pieces:
 
 * :class:`WorkspaceArena` — keyed, grow-only buffers; ``take`` returns
   an uninitialized view of exactly the requested shape. Not thread-safe
   by design (an arena belongs to one execution at a time).
-* :class:`NullArena` — same interface, always allocates. The ephemeral
-  one-shot kernel path uses it so its behavior (and memory profile)
-  stays exactly the seed's.
 * :class:`ArenaPool` — a thread-safe borrow/return pool of arenas.
   Concurrent executions (thread backends, task-parallel group solves)
   each borrow a private arena, so reuse never races.
@@ -33,7 +31,7 @@ import numpy as np
 from ..errors import ValidationError
 from .membudget import MemoryBudget
 
-__all__ = ["WorkspaceArena", "NullArena", "ArenaPool"]
+__all__ = ["WorkspaceArena", "ArenaPool"]
 
 
 class WorkspaceArena:
@@ -151,38 +149,6 @@ class WorkspaceArena:
         self._buffers.clear()
 
 
-class NullArena:
-    """Arena interface that always allocates — the ephemeral path.
-
-    One-shot kernel calls run through a plan too, but must keep the
-    seed's exact allocation behavior (nothing retained after the call);
-    they get this arena.
-    """
-
-    budget = None
-    peak_nbytes = 0
-
-    def take(
-        self,
-        key: str,
-        shape: tuple[int, ...],
-        dtype: np.dtype | type = np.float64,
-    ) -> np.ndarray:
-        return np.empty(tuple(int(s) for s in shape), dtype=np.dtype(dtype))
-
-    take_c = take
-
-    @property
-    def nbytes(self) -> int:
-        return 0
-
-    def __len__(self) -> int:
-        return 0
-
-    def clear(self) -> None:
-        return None
-
-
 class ArenaPool:
     """Thread-safe borrow/return pool of workspace arenas.
 
@@ -200,7 +166,7 @@ class ArenaPool:
 
     def __init__(
         self,
-        factory: Callable[[], WorkspaceArena | NullArena] | None = None,
+        factory: Callable[[], WorkspaceArena] | None = None,
         *,
         budget: MemoryBudget | None = None,
     ) -> None:
@@ -214,12 +180,12 @@ class ArenaPool:
         self.budget = budget
         self._factory = factory
         self._lock = threading.Lock()
-        self._free: list[WorkspaceArena | NullArena] = []
+        self._free: list[WorkspaceArena] = []
         self._created = 0
-        self._all: list[WorkspaceArena | NullArena] = []
+        self._all: list[WorkspaceArena] = []
 
     @contextmanager
-    def borrow(self) -> Iterator[WorkspaceArena | NullArena]:
+    def borrow(self) -> Iterator[WorkspaceArena]:
         with self._lock:
             if self._free:
                 arena = self._free.pop()
@@ -249,7 +215,3 @@ class ArenaPool:
         with self._lock:
             return sum(a.peak_nbytes for a in self._all)
 
-
-def null_arena_pool() -> ArenaPool:
-    """A pool whose arenas never retain memory (ephemeral plan calls)."""
-    return ArenaPool(factory=NullArena)

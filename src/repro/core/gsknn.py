@@ -242,8 +242,9 @@ def gsknn(
         merged list if it beats the initial list's k-th distance, so
         the root filter starts warm instead of accepting everything;
         the returned lists are the dedup-merge of ``initial`` with the
-        new candidates. Ids in ``initial`` must be globally consistent
-        with ``r_idx``'s id space.
+        new candidates (a re-found pair's distance may differ from the
+        seed's by an ulp; see docs/PERF.md). Ids in ``initial`` must be
+        globally consistent with ``r_idx``'s id space.
     return_stats:
         Also return a :class:`GsknnStats` with early-discard counters.
     request:
@@ -270,87 +271,48 @@ def gsknn(
     q_idx = as_index_array(q_idx, X.shape[0], name="q_idx")
     r_idx = as_index_array(r_idx, X.shape[0], name="r_idx")
     k = check_k(k, r_idx.size)
-    norm = resolve_norm(norm)
-    block_m, block_n, tuned_switch_k = _apply_blocking(
-        blocking, block_m, block_n
-    )
-    if block_m < 1 or block_n < 1:
-        raise ValidationError("block_m and block_n must be >= 1")
     if initial is not None:
         if initial.distances.shape != (q_idx.size, k):
             raise ValidationError(
                 f"initial lists must be shape ({q_idx.size}, {k}), got "
                 f"{initial.distances.shape}"
             )
-    var = _resolve_auto_variant(
-        variant, q_idx.size, r_idx.size, X.shape[1], k,
-        switch_k=tuned_switch_k,
-    )
-    info = VARIANT_INFO[var]
-    if var not in (Variant.VAR1, Variant.VAR5, Variant.VAR6):
-        raise ValidationError(
-            f"Var#{int(var)} is not executable: {info.notes}"
-        )
-
-    m, n = q_idx.size, r_idx.size
 
     # One-shot calls run through an *ephemeral* plan (lazy import: the
-    # plan module imports this one at load time). Panels are gathered
-    # per block as before and the NullArena allocates fresh buffers, so
-    # this path's work, spans and memory profile are exactly the
-    # historical fast path's; the plan layer just owns the loop nest.
-    # Callers with repeated queries build a GsknnPlan and keep it.
-    from .arena import NullArena
-    from .membudget import MemoryBudget
-    from .plan import GsknnPlan
+    # plan module imports this one at load time): panels are gathered
+    # per block into an arena borrowed for this call only, so nothing
+    # outlives the call. Callers with repeated queries build a
+    # GsknnPlan and keep it.
+    from ..obs.context import coerce_request, request_scope
+    from .plan import GsknnPlan, _record_kernel_stats
 
-    budget = MemoryBudget.coerce(memory_budget)
     plan = GsknnPlan(
         X,
         r_idx,
         norm=norm,
+        variant=variant,
         X2=X2,
         block_m=block_m,
         block_n=block_n,
+        blocking=blocking,
         cache_panels=False,
-        track_staleness=False,
         validate=False,
-        memory_budget=budget,
+        memory_budget=memory_budget,
     )
-    if budget is not None:
-        var = plan._budget_variant(var, m, variant)
+    m, n = q_idx.size, r_idx.size
+    var = plan._resolve_variant(m, k, None)
     stats = GsknnStats(variant=var, m=m, n=n, d=X.shape[1])
-    from ..obs.context import coerce_request, request_scope
 
     with request_scope(coerce_request(request)):
         t0 = time.perf_counter()
         with _trace.span(
             "gsknn", variant=int(var), m=m, n=n, d=X.shape[1], k=k
         ):
-            if budget is None:
+            with plan.arena_pool.borrow() as arena:
                 result = plan._execute_impl(
-                    q_idx, k, var, initial, "legacy", NullArena(), stats
+                    q_idx, k, var, initial, arena, stats
                 )
-            else:
-                # Budgeted one-shot: a real (budget-charging) arena and
-                # the masked select — panels stream from X per tile, so
-                # a memmapped table never materializes in RAM.
-                with plan.arena_pool.borrow() as arena:
-                    result = plan._execute_impl(
-                        q_idx, k, var, initial, "masked", arena, stats
-                    )
-
-        registry = _get_registry()
-        if registry.enabled:
-            from ..obs.adapters import absorb_gsknn_stats
-            from ..obs.efficiency import record_solve_efficiency
-
-            absorb_gsknn_stats(stats, registry)
-            record_solve_efficiency(
-                m, n, X.shape[1], k, int(var),
-                time.perf_counter() - t0,
-                scope="kernel", registry=registry,
-            )
+        _record_kernel_stats(stats, k, t0)
     if return_stats:
         return result, stats
     return result

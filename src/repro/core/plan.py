@@ -20,15 +20,13 @@ A :class:`GsknnPlan` hoists all of that to construction time:
 * **resolved blocking/variant decisions** — tuned block sizes load
   once; the Var#1/Var#6 choice is memoized per ``(m, k)``.
 
-Two selection modes share one loop nest. ``select="legacy"`` replicates
-the historical one-shot path operation-for-operation (it is what
-:func:`repro.core.gsknn.gsknn` runs through, via an ephemeral plan with
-a :class:`~repro.core.arena.NullArena`). ``select="masked"`` is the
-plan path: a threshold mask extracts only the candidates that can
-possibly enter a list, so warm calls touch a few survivors per row
-instead of copying and partitioning whole tiles. Both produce identical
-results whenever distances are tie-free (ties are broken arbitrarily,
-exactly as the heaps document).
+Every caller runs one loop nest with one selection structure. Plan
+executes, batches, serving and shards use a long-lived plan; the
+one-shot :func:`repro.core.gsknn.gsknn` builds an ephemeral plan that
+caches nothing and borrows one arena for the call. Selection is
+threshold-masked: once a row is warm, one compare pass extracts only
+the candidates that can possibly enter its list, so warm tiles touch a
+few survivors per row instead of copying and partitioning whole tiles.
 
 Repeated executes against the *same* queries warm-start automatically:
 the previous result seeds the root filter, and when nothing beats it
@@ -51,9 +49,9 @@ from ..config import iter_blocks
 from ..errors import MemoryBudgetError, ValidationError
 from ..obs import trace as _trace
 from ..obs.metrics import get_registry as _get_registry
-from ..select.vectorized import ArenaNeighborLists, BatchedNeighborLists
+from ..select.vectorized import ArenaNeighborLists
 from ..validation import as_coordinate_table, as_index_array, check_finite, check_k
-from .arena import ArenaPool, NullArena
+from .arena import ArenaPool
 from .membudget import MemoryBudget
 from .gsknn import (
     GsknnStats,
@@ -92,8 +90,9 @@ class GsknnPlan:
         Defaults to a private pool.
     cache_panels:
         Gather the reference panels at construction (default). ``False``
-        gathers lazily per block on every execute — the ephemeral
-        one-shot configuration, preserving that path's memory profile.
+        gathers each panel into the execute's arena on every execute —
+        the ephemeral one-shot configuration, which retains nothing
+        between calls.
     memory_budget:
         A :class:`~repro.core.membudget.MemoryBudget` (or byte count /
         spec like ``"64MiB"``) capping the plan's workspace. A budgeted
@@ -104,11 +103,11 @@ class GsknnPlan:
         budget, and refuses Var#6 when its full scores matrix cannot
         fit. Streamed and cached executions are bit-identical at equal
         block sizes. See docs/MEMORY.md.
-    track_staleness:
-        Fingerprint ``X`` on every execute and rebuild cached panels on
-        mismatch (default). The check is O(d); see
-        :func:`repro.core.norm_cache.array_fingerprint` for what it can
-        and cannot catch.
+
+    Every execute fingerprints ``X`` and rebuilds cached panels on a
+    mismatch. The check is O(d); see
+    :func:`repro.core.norm_cache.array_fingerprint` for what it can and
+    cannot catch.
     """
 
     def __init__(
@@ -124,7 +123,6 @@ class GsknnPlan:
         blocking: str | object | None = None,
         arena_pool: ArenaPool | None = None,
         cache_panels: bool = True,
-        track_staleness: bool = True,
         validate: bool = True,
         memory_budget: MemoryBudget | int | str | None = None,
     ) -> None:
@@ -185,11 +183,11 @@ class GsknnPlan:
                 self.block_m, self.block_n
             )
         self._cache_panels = cache_panels
-        self._track_staleness = bool(track_staleness)
         self._panels: list | None = None
         self._panels_nbytes = 0
         self._fingerprint: tuple | None = None
         self._variant_memo: dict[tuple[int, int], Variant] = {}
+        self._r_unique: bool | None = None
         self._lock = threading.Lock()
         self._executes = 0
         self.stale_rebuilds = 0
@@ -271,9 +269,7 @@ class GsknnPlan:
                 panel_nbytes += Rc.nbytes + (
                     R2c.nbytes if R2c is not None else 0
                 )
-            fingerprint = (
-                array_fingerprint(self.X) if self._track_staleness else None
-            )
+            fingerprint = array_fingerprint(self.X)
         with self._lock:
             if self.memory_budget is not None:
                 if self._panels_nbytes:
@@ -304,7 +300,7 @@ class GsknnPlan:
 
     def _maybe_rebuild(self, registry) -> None:
         """Rebuild cached panels when ``X``'s content fingerprint moved."""
-        if self._panels is None or self._fingerprint is None:
+        if self._panels is None:
             return
         if array_fingerprint(self.X) == self._fingerprint:
             return
@@ -384,7 +380,6 @@ class GsknnPlan:
         initial: KnnResult | None = None,
         warm_start: bool = True,
         variant: int | str | Variant | None = None,
-        select: str = "masked",
         return_stats: bool = False,
         validate: bool = True,
     ) -> KnnResult | tuple[KnnResult, GsknnStats]:
@@ -395,12 +390,7 @@ class GsknnPlan:
         lossless, and when nothing in the reference set beats it the
         call returns without selection work. Pass ``initial`` to seed
         from caller-held lists instead (the kernel's update semantics).
-        ``select="legacy"`` forces the historical unmasked selection.
         """
-        if select not in ("masked", "legacy"):
-            raise ValidationError(
-                f"select must be 'masked' or 'legacy', got {select!r}"
-            )
         if validate:
             q_idx = as_index_array(q_idx, self.X.shape[0], name="q_idx")
             k = check_k(k, self.r_idx.size)
@@ -415,8 +405,7 @@ class GsknnPlan:
         else:
             q_idx = np.asarray(q_idx, dtype=np.intp)
         registry = _get_registry()
-        if self._track_staleness:
-            self._maybe_rebuild(registry)
+        self._maybe_rebuild(registry)
         auto_warm = False
         if initial is None and warm_start:
             with self._lock:
@@ -447,7 +436,7 @@ class GsknnPlan:
         ):
             with self.arena_pool.borrow() as arena:
                 result = self._execute_impl(
-                    q_idx, k, var, initial, select, arena, stats
+                    q_idx, k, var, initial, arena, stats
                 )
         if warm_start:
             with self._lock:
@@ -458,15 +447,7 @@ class GsknnPlan:
                 registry.inc("plan.reuse_hits")
             if auto_warm:
                 registry.inc("plan.warm_starts")
-            from ..obs.adapters import absorb_gsknn_stats
-            from ..obs.efficiency import record_solve_efficiency
-
-            absorb_gsknn_stats(stats, registry)
-            record_solve_efficiency(
-                m, self.n, self.d, k, int(var),
-                time.perf_counter() - t0,
-                scope="kernel", registry=registry,
-            )
+        _record_kernel_stats(stats, k, t0)
         if return_stats:
             return result, stats
         return result
@@ -477,7 +458,6 @@ class GsknnPlan:
         k: int,
         *,
         variant: int | str | Variant | None = None,
-        select: str = "masked",
         return_stats: bool = False,
         validate: bool = True,
     ) -> KnnResult | tuple[KnnResult, GsknnStats]:
@@ -492,10 +472,6 @@ class GsknnPlan:
         caller-provided ``(m, d)`` rows. No warm-start: row identity is
         not tracked across calls.
         """
-        if select not in ("masked", "legacy"):
-            raise ValidationError(
-                f"select must be 'masked' or 'legacy', got {select!r}"
-            )
         Q = np.ascontiguousarray(np.asarray(Q), dtype=np.float64)
         if validate:
             if Q.ndim != 2 or Q.shape[1] != self.d:
@@ -508,8 +484,7 @@ class GsknnPlan:
             check_finite(Q, name="Q")
             k = check_k(k, self.r_idx.size)
         registry = _get_registry()
-        if self._track_staleness:
-            self._maybe_rebuild(registry)
+        self._maybe_rebuild(registry)
         m = Q.shape[0]
         var = self._resolve_variant(m, k, variant)
         stats = GsknnStats(variant=var, m=m, n=self.n, d=self.d)
@@ -532,23 +507,13 @@ class GsknnPlan:
                     Q2 = squared_norms(Q)
                 else:
                     Q2 = None
-                result = self._dispatch(
-                    Q, Q2, k, var, None, select, arena, stats
-                )
+                result = self._dispatch(Q, Q2, k, var, None, arena, stats)
         if registry.enabled:
             registry.inc("plan.executes")
             registry.inc("plan.row_executes")
             if not first:
                 registry.inc("plan.reuse_hits")
-            from ..obs.adapters import absorb_gsknn_stats
-            from ..obs.efficiency import record_solve_efficiency
-
-            absorb_gsknn_stats(stats, registry)
-            record_solve_efficiency(
-                m, self.n, self.d, k, int(var),
-                time.perf_counter() - t0,
-                scope="kernel", registry=registry,
-            )
+        _record_kernel_stats(stats, k, t0)
         if return_stats:
             return result, stats
         return result
@@ -559,7 +524,6 @@ class GsknnPlan:
         k: int,
         var: Variant,
         initial: KnnResult | None,
-        select: str,
         arena,
         stats: GsknnStats,
     ) -> KnnResult:
@@ -572,8 +536,7 @@ class GsknnPlan:
         m = q_idx.size
         panels = self._panels
         if (
-            select != "legacy"
-            and panels is not None
+            panels is not None
             and len(panels) == 1
             and m == self.n
             and (q_idx is self.r_idx or np.array_equal(q_idx, self.r_idx))
@@ -584,24 +547,19 @@ class GsknnPlan:
             # same einsum — reuse both, bit-identically, gather-free.
             with _trace.span("pack", which="Q", rows=m, cached=True):
                 Q, Q2 = panels[0][3], panels[0][4]
-            return self._dispatch(Q, Q2, k, var, initial, select, arena, stats)
+            return self._dispatch(Q, Q2, k, var, initial, arena, stats)
         with _trace.span("pack", which="Q", rows=m):
-            if select == "legacy":
-                Q = X[q_idx]
-            else:
-                Q = arena.take_c("Q", (m, X.shape[1]), np.float64)
-                np.take(X, q_idx, axis=0, out=Q)
+            Q = arena.take_c("Q", (m, X.shape[1]), np.float64)
+            np.take(X, q_idx, axis=0, out=Q)
             if norm.is_l2 or norm.is_cosine:
                 if X2 is not None:
                     Q2 = X2[q_idx]
-                elif select == "legacy":
-                    Q2 = squared_norms(Q)
                 else:
                     Q2 = arena.take_c("Q2", (m,), np.float64)
                     np.einsum("ij,ij->i", Q, Q, out=Q2)
             else:
                 Q2 = None
-        return self._dispatch(Q, Q2, k, var, initial, select, arena, stats)
+        return self._dispatch(Q, Q2, k, var, initial, arena, stats)
 
     def _dispatch(
         self,
@@ -610,7 +568,6 @@ class GsknnPlan:
         k: int,
         var: Variant,
         initial: KnnResult | None,
-        select: str,
         arena,
         stats: GsknnStats,
     ) -> KnnResult:
@@ -619,22 +576,23 @@ class GsknnPlan:
             shortcut = False
         else:
             result, shortcut = self._run_blocked(
-                Q, Q2, k, var is Variant.VAR1, initial, select, arena, stats
+                Q, Q2, k, var is Variant.VAR1, initial, arena, stats
             )
         if initial is not None and not shortcut:
             with _trace.span("heap", stage="warm_merge"):
                 result = merge_neighbor_lists_fast(result, initial)
         return result
 
-    def _iter_panels(self, arena=None):
-        """Yield ``(j_c, n_b, r_block, Rc, R2c)`` — cached, gathered, or streamed.
+    def _iter_panels(self, arena):
+        """Yield ``(j_c, n_b, r_block, Rc, R2c)`` — cached or streamed.
 
-        A budgeted plan with a real arena *streams*: each pass's panels
-        are gathered into two reusable arena buffers (``np.take`` /
-        ``einsum`` with ``out=``), so a memmapped table is read one
-        sequential panel at a time and steady-state executes allocate
-        nothing. The gather math is element-for-element the fancy-index
-        path's, so streamed results stay bit-identical.
+        An uncached plan (one-shot, budgeted, or released) *streams*:
+        each pass's panels are gathered into two reusable arena buffers
+        (``np.take`` / ``einsum`` with ``out=``), so a memmapped table is
+        read one sequential panel at a time and steady-state executes
+        allocate nothing. The gather math is element-for-element the
+        fancy-index path's, so streamed results stay bit-identical to
+        cached ones.
         """
         if self._panels is not None:
             for j_c, n_b, r_block, Rc, R2c in self._panels:
@@ -644,31 +602,19 @@ class GsknnPlan:
                     pass
                 yield j_c, n_b, r_block, Rc, R2c
             return
-        stream = (
-            self.memory_budget is not None
-            and arena is not None
-            and not isinstance(arena, NullArena)
-        )
         needs_norms = self.norm.is_l2 or self.norm.is_cosine
         for j_c, n_b in iter_blocks(self.n, self.block_n):
             r_block = self.r_idx[j_c : j_c + n_b]
-            with _trace.span(
-                "pack", which="R", rows=n_b, j_c=j_c, streamed=stream
-            ):
-                if stream:
-                    Rc = arena.take_c("Rc", (n_b, self.d), np.float64)
-                    np.take(self.X, r_block, axis=0, out=Rc)
-                    if not needs_norms:
-                        R2c = None
-                    elif self.X2 is not None:
-                        R2c = self.X2[r_block]
-                    else:
-                        R2c = arena.take_c("R2c", (n_b,), np.float64)
-                        np.einsum("ij,ij->i", Rc, Rc, out=R2c)
+            with _trace.span("pack", which="R", rows=n_b, j_c=j_c):
+                Rc = arena.take_c("Rc", (n_b, self.d), np.float64)
+                np.take(self.X, r_block, axis=0, out=Rc)
+                if not needs_norms:
+                    R2c = None
+                elif self.X2 is not None:
+                    R2c = self.X2[r_block]
                 else:
-                    Rc, R2c = _reference_block(
-                        self.X, r_block, self.norm, self.X2
-                    )
+                    R2c = arena.take_c("R2c", (n_b,), np.float64)
+                    np.einsum("ij,ij->i", Rc, Rc, out=R2c)
             yield j_c, n_b, r_block, Rc, R2c
 
     def _run_blocked(
@@ -678,7 +624,6 @@ class GsknnPlan:
         k: int,
         use_filter: bool,
         initial: KnnResult | None,
-        select: str,
         arena,
         stats: GsknnStats,
     ) -> tuple[KnnResult, bool]:
@@ -690,20 +635,21 @@ class GsknnPlan:
         be merged with it again.
         """
         m = Q.shape[0]
-        if select == "legacy":
-            lists = BatchedNeighborLists(m, k)
-        else:
-            lists = ArenaNeighborLists(m, k, arena)
+        lists = ArenaNeighborLists(m, k, arena)
         folded = False
         if use_filter and initial is not None:
             finite = np.isfinite(initial.distances)
-            if select != "legacy" and finite.all():
+            # Folding is lossless only when each reference id appears
+            # once: the fold dedups candidates against the retained list,
+            # not two copies of one id inside a tile. With repeats, the
+            # final dedup-merge keeps each id once instead.
+            if self._refs_unique() and finite.all():
                 # Fold the seed into the lists themselves: every update
                 # then merges candidates directly against it (with id
                 # dedup), and the final warm-merge pass disappears.
                 lists.seed(initial.distances, initial.indices)
                 folded = True
-            elif select != "legacy" and not finite.any():
+            elif self._refs_unique() and not finite.any():
                 # an empty seed (all +inf) can never change the answer;
                 # skip the identity merge too
                 folded = True
@@ -723,14 +669,9 @@ class GsknnPlan:
             for i_c, m_b in iter_blocks(m, self.block_m):  # 4th loop
                 q2c = Q2[i_c : i_c + m_b] if Q2 is not None else None
                 with _trace.span("rank_update", rows=m_b, cols=n_b):
-                    if select == "legacy":
-                        tile = pairwise_block(
-                            Q[i_c : i_c + m_b], Rc, self.norm, q2c, R2c
-                        )
-                    else:
-                        tile = self._tile_into_arena(
-                            Q[i_c : i_c + m_b], q2c, Rc, R2c, arena
-                        )
+                    tile = self._tile_into_arena(
+                        Q[i_c : i_c + m_b], q2c, Rc, R2c, arena
+                    )
                 stats.blocks += 1
                 with _trace.span("heap", rows=m_b, cols=n_b):
                     lists.update(i_c, tile, r_block)
@@ -742,8 +683,7 @@ class GsknnPlan:
             lists.stats.candidates_offered - lists.stats.candidates_surviving
         )
         if (
-            select != "legacy"
-            and use_filter
+            use_filter
             and initial is not None
             and lists.stats.rows_merged == 0
             and not lists._seed_dirty
@@ -765,6 +705,12 @@ class GsknnPlan:
         with _trace.span("heap", stage="final_sort"):
             dist, idx = lists.sorted()
         return KnnResult(dist, idx), folded
+
+    def _refs_unique(self) -> bool:
+        """True when no reference id repeats (computed once per plan)."""
+        if self._r_unique is None:
+            self._r_unique = bool(np.unique(self.r_idx).size == self.n)
+        return self._r_unique
 
     def _run_var6(
         self,
@@ -867,6 +813,22 @@ class GsknnPlan:
         else:
             np.sum(np.power(diff, norm.p), axis=2, out=T)
         return finalize_tile(T, None, None, norm, out=T)
+
+
+def _record_kernel_stats(stats: GsknnStats, k: int, t0: float) -> None:
+    """Absorb one solve's counters and efficiency into the registry."""
+    registry = _get_registry()
+    if not registry.enabled:
+        return
+    from ..obs.adapters import absorb_gsknn_stats
+    from ..obs.efficiency import record_solve_efficiency
+
+    absorb_gsknn_stats(stats, registry)
+    record_solve_efficiency(
+        stats.m, stats.n, stats.d, k, int(stats.variant),
+        time.perf_counter() - t0,
+        scope="kernel", registry=registry,
+    )
 
 
 class PlanCache:

@@ -216,12 +216,14 @@ class BatchedNeighborLists:
 class ArenaNeighborLists(BatchedNeighborLists):
     """Arena-backed lists with threshold-masked survivor extraction.
 
-    The plan path's selection structure. Two differences from the base
-    class, neither observable in the results:
+    The kernel's selection structure: plan executes and one-shot
+    :func:`~repro.core.gsknn.gsknn` calls (an ephemeral plan) both run
+    it. Two differences from the base class, neither observable in the
+    results on tie-free data:
 
     * all state (``values``/``ids``/``row_max``/``_touched``) lives in a
-      :class:`~repro.core.arena.WorkspaceArena`, so repeated executions
-      reuse the same buffers instead of reallocating per call;
+      :class:`~repro.core.arena.WorkspaceArena`, so a plan's repeated
+      executions reuse the same buffers instead of reallocating per call;
     * when *every* target row of a tile is warm (touched, with a finite
       threshold), ``update`` switches from the copy-and-partition path
       to a masked one: a single vectorized ``tile < threshold`` compare
@@ -267,8 +269,11 @@ class ArenaNeighborLists(BatchedNeighborLists):
         final dedup-merge pass against the seed becomes unnecessary —
         the merge happens incrementally, only on rows a tile actually
         improves. Requires every seeded distance finite (every row a
-        complete list) and unique reference ids per tile, the solvers'
-        case; seeding switches the masked path into dedup mode, because
+        complete list) and no repeated reference id across the whole
+        pass — the dedup below compares candidates with the retained
+        list, never two copies inside one tile, so the plan folds a seed
+        only after checking its ``r_idx`` has no repeats. Seeding
+        switches the masked path into dedup mode, because
         a candidate that already sits in a row's list (same id, same
         distance — both produced by the exact kernel over one table)
         must not enter twice.
@@ -345,7 +350,7 @@ class ArenaNeighborLists(BatchedNeighborLists):
             # not enter the merge twice. Its freshly computed distance
             # overwrites the seed's copy in place (recomputing a pair in
             # a different block can shift the BLAS reduction order by an
-            # ulp; the legacy dedup-merge keeps the fresh value, so the
+            # ulp; a final dedup-merge would keep the fresh value, so the
             # fold does too), then the candidate is dropped. Done before
             # the row grouping so rows_merged stays an honest count and
             # the caller's zero-survivor shortcut keeps firing.

@@ -5,7 +5,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from repro.core.arena import ArenaPool, NullArena, WorkspaceArena, null_arena_pool
+from repro.core.arena import ArenaPool, WorkspaceArena
 from repro.errors import ValidationError
 
 
@@ -59,16 +59,6 @@ class TestWorkspaceArena:
             WorkspaceArena().take("x", (-1, 2))
 
 
-class TestNullArena:
-    def test_always_allocates(self):
-        arena = NullArena()
-        a = arena.take("tile", (4, 4))
-        b = arena.take("tile", (4, 4))
-        assert a.shape == b.shape == (4, 4)
-        assert not np.shares_memory(a, b)
-        assert arena.nbytes == 0
-
-
 class TestArenaPool:
     def test_serial_borrow_reuses_one_arena(self):
         pool = ArenaPool()
@@ -83,12 +73,6 @@ class TestArenaPool:
         with pool.borrow() as a, pool.borrow() as b:
             assert a is not b
         assert pool.created == 2
-
-    def test_null_pool_never_retains(self):
-        pool = null_arena_pool()
-        with pool.borrow() as a:
-            a.take("t", (100,))
-        assert pool.nbytes == 0
 
 
 class TestBudgetedArena:

@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 from repro.core.gsknn import gsknn
-from repro.core.neighbors import KnnResult
+from repro.core.neighbors import KnnResult, merge_neighbor_lists_fast
 from repro.core.plan import GsknnPlan, PlanCache
 from repro.errors import ValidationError
 from repro.obs.metrics import MetricsRegistry, get_registry, set_registry
@@ -48,14 +48,6 @@ class TestPlanEquivalence:
         got = plan.execute(q, 7)
         truth_d, _ = brute_force_knn(X, q, r, 7, p=p)
         np.testing.assert_allclose(got.distances, truth_d, atol=1e-9)
-
-    def test_legacy_select_matches_masked(self, problem):
-        X, q, r = problem
-        plan = GsknnPlan(X, r)
-        masked = plan.execute(q, 6, select="masked", warm_start=False)
-        legacy = plan.execute(q, 6, select="legacy", warm_start=False)
-        np.testing.assert_array_equal(masked.distances, legacy.distances)
-        np.testing.assert_array_equal(masked.indices, legacy.indices)
 
     def test_initial_lists_match_gsknn(self, problem):
         X, q, r = problem
@@ -157,13 +149,35 @@ class TestWarmStart:
         np.testing.assert_array_equal(got.indices, initial.indices)
         assert got.distances is not initial.distances  # no aliasing
         assert got.indices is not initial.indices
-        # the legacy one-shot path agrees on the merged answer (ids within
-        # an all-tied row are permuted arbitrarily, as the heaps document)
+        # the one-shot kernel runs the same path, so it agrees exactly
         want = gsknn(X, q, r, k, initial=initial)
         np.testing.assert_array_equal(got.distances, want.distances)
-        np.testing.assert_array_equal(
-            np.sort(got.indices, axis=1), np.sort(want.indices, axis=1)
-        )
+        np.testing.assert_array_equal(got.indices, want.indices)
+
+
+class TestRepeatedReferenceIds:
+    """A fully finite seed with an ``r_idx`` that repeats ids must still
+    return each id at most once per row, on both entry points."""
+
+    @pytest.fixture
+    def repeated(self, small_cloud, rng):
+        perm = rng.permutation(300)
+        q, ids60, others = perm[:40], perm[40:100], perm[100:]
+        seed = gsknn(small_cloud, q, others, 6)
+        assert np.isfinite(seed.distances).all()
+        return small_cloud, q, np.concatenate([ids60, ids60]), seed
+
+    def test_one_shot_and_plan_keep_ids_unique(self, repeated):
+        X, q, r, seed = repeated
+        got = gsknn(X, q, r, 6, initial=seed)
+        from_plan = GsknnPlan(X, r).execute(q, 6, initial=seed)
+        # the update is the dedup-merge of the fresh lists with the seed
+        want = merge_neighbor_lists_fast(gsknn(X, q, r, 6), seed)
+        for res in (got, from_plan):
+            for row in res.indices:
+                assert np.unique(row).size == row.size
+            np.testing.assert_array_equal(res.distances, want.distances)
+            np.testing.assert_array_equal(res.indices, want.indices)
 
 
 class TestStaleness:
@@ -198,22 +212,8 @@ class TestStaleness:
         want = gsknn(X, q, r, 6)
         np.testing.assert_array_equal(got.distances, want.distances)
 
-    def test_tracking_disabled_skips_check(self, problem):
-        X, q, r = problem
-        X = X.copy()
-        plan = GsknnPlan(X, r, track_staleness=False)
-        plan.execute(q, 6)
-        X[0] += 1.0
-        plan.execute(q, 6)
-        assert plan.stale_rebuilds == 0
-
 
 class TestValidation:
-    def test_bad_select_rejected(self, problem):
-        X, q, r = problem
-        with pytest.raises(ValidationError, match="select"):
-            GsknnPlan(X, r).execute(q, 3, select="bogus")
-
     def test_bad_initial_shape_rejected(self, problem):
         X, q, r = problem
         bad = KnnResult(np.zeros((2, 3)), np.zeros((2, 3), dtype=np.intp))
