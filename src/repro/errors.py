@@ -66,7 +66,7 @@ class KernelTimeoutError(ReproError, TimeoutError):
         Seconds elapsed on the deadline's clock when the budget was
         found exhausted.
     site:
-        Where the expiry was detected (e.g. ``"processes chunk wait"``,
+        Where the expiry was detected (e.g. ``"processes wait"``,
         ``"comm.recv"``, ``"schedule task"``).
     partial:
         Free-form progress metadata — for chunked solves a dict with

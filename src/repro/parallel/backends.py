@@ -4,10 +4,12 @@ The paper's §2.5 parallelizes the 4th loop: query chunks go to cores,
 each core updates a disjoint slice of the neighbor lists. *How* those
 chunks reach the cores is an execution-policy question this module makes
 explicit — one :class:`ExecutionBackend` contract, three interchangeable
-implementations:
+implementations, each of which contributes one rung to the chunk ladder
+that :func:`repro.resilience.executor.run_ladder` runs:
 
-* :class:`SerialBackend` — runs the chunk list in-process, in order.
-  The reference point every other backend must be bit-identical to.
+* :class:`SerialBackend` — the chunk list in-process, in order, never
+  fault-injected. The reference point every other backend must be
+  bit-identical to, and the last rung of every ladder.
 * :class:`ThreadBackend` — a ``ThreadPoolExecutor``. The right choice
   when runtime is dominated by BLAS blocks that release the GIL
   (Var#6, large d).
@@ -25,17 +27,17 @@ All three backends consume the *same* chunk list (produced by
 are bit-identical by construction — the cross-backend equivalence suite
 asserts exactly that.
 
-A dead worker process surfaces as :class:`repro.errors.BackendError`
-(a :class:`ReproError`), never a hang: the pool's ``BrokenProcessPool``
-is caught and translated, and the shared segments are unlinked by a
-:class:`_SharedOperands` context manager so neither a crash, a pool
-startup failure, nor a ``KeyboardInterrupt`` mid-map can leak
-``/dev/shm`` space.
+Retry, fallback, deadlines and the translation of a dead worker
+(``BrokenProcessPool``) into :class:`repro.errors.BackendError` live in
+the ladder loop, not here. A rung only builds its workers on entry,
+submits one chunk, rebuilds a pool whose worker died, and releases
+everything on exit — the processes rung unlinks its shared segments
+however it is left, so neither a crash, a pool startup failure, nor a
+``KeyboardInterrupt`` can leak ``/dev/shm`` space.
 
-Chunk-level recovery (retry a failed chunk, degrade
-``processes -> threads -> serial``) lives one layer up, in
-:mod:`repro.resilience.executor`, which reuses this module's
-shared-memory session and worker entry points.
+:class:`SharedSegments` / :func:`attach_segments` are the one
+shared-memory export/attach protocol, also used by the shard
+transport's long-lived workers (:mod:`repro.shard.transport`).
 """
 
 from __future__ import annotations
@@ -43,11 +45,12 @@ from __future__ import annotations
 import os
 import pickle
 from concurrent.futures import ThreadPoolExecutor
-from typing import Any, Callable, Iterable, Sequence
+from functools import partial
+from typing import Any, Callable, Sequence
 
 import numpy as np
 
-from ..errors import BackendError, ValidationError
+from ..errors import ValidationError
 from ..obs.context import (
     RequestContext,
     bind_request,
@@ -58,6 +61,7 @@ from ..obs.metrics import MetricsRegistry, get_registry as _get_registry
 from ..obs.metrics import set_registry as _set_registry
 from ..obs.trace import Tracer, get_tracer as _get_tracer
 from ..obs.trace import set_tracer as _set_tracer
+from ..resilience.executor import InlineRung, Rung, ThreadRung
 
 __all__ = [
     "ExecutionBackend",
@@ -66,8 +70,8 @@ __all__ = [
     "ProcessBackend",
     "resolve_backend",
     "BACKENDS",
-    "shm_export",
-    "shm_attach",
+    "SharedSegments",
+    "attach_segments",
 ]
 
 #: Legacy environment hook: a worker whose chunk start matches this
@@ -78,23 +82,13 @@ __all__ = [
 _CRASH_ENV = "REPRO_BACKEND_TEST_CRASH_AT"
 
 
-#: kernel_kwargs keys that map one-to-one onto GsknnPlan configuration;
-#: anything else (e.g. initial=, return_stats=) falls back to plain
-#: per-chunk gsknn calls.
-_PLAN_KWARGS = frozenset(
-    {"norm", "variant", "X2", "block_m", "block_n", "blocking", "memory_budget"}
-)
-
-
 def _plan_for(X, r_idx, kernel_kwargs):
-    """One reusable plan per backend run (or worker attach), or ``None``.
+    """One reusable plan per rung (or worker attach).
 
     Every chunk of a data-parallel solve shares the same reference set,
     so the gathered panels and workspace buffers are built once and
     reused across chunks instead of once per chunk.
     """
-    if set(kernel_kwargs) - _PLAN_KWARGS:
-        return None
     from ..core.plan import GsknnPlan
 
     return GsknnPlan(X, r_idx, **kernel_kwargs)
@@ -188,37 +182,50 @@ def _absorb_worker_obs(
 
 
 def _solve_chunk(
-    X: np.ndarray,
-    q_idx: np.ndarray,
-    r_idx: np.ndarray,
-    k: int,
-    chunk: tuple[int, int],
-    kernel_kwargs: dict[str, Any],
-    plan=None,
-) -> tuple[int, np.ndarray, np.ndarray]:
+    plan, q_idx: np.ndarray, k: int, chunk: tuple[int, int]
+) -> tuple[np.ndarray, np.ndarray]:
     """Solve one query chunk; shared by every backend."""
     start, size = chunk
-    if plan is not None:
-        # warm_start off: chunks are disjoint query slices, never repeats
-        res = plan.execute(q_idx[start : start + size], k, warm_start=False)
-    else:
-        from ..core.gsknn import gsknn
+    # warm_start off: chunks are disjoint query slices, never repeats
+    res = plan.execute(q_idx[start : start + size], k, warm_start=False)
+    return res.distances, res.indices
 
-        res = gsknn(X, q_idx[start : start + size], r_idx, k, **kernel_kwargs)
-    return start, res.distances, res.indices
+
+def _chunk_solver(X, q_idx, r_idx, k, kernel_kwargs):
+    """Open the in-process chunk solver of the serial and threads rungs.
+
+    Runs once as the rung is entered: one plan serves every chunk (its
+    arena pool gives concurrent executes private buffers), and each
+    chunk's span is parented under the span open here, since pool
+    threads start with an empty span stack.
+    """
+    plan = _plan_for(X, r_idx, kernel_kwargs)
+    tracer = _get_tracer()
+    parent_id = tracer.current_span_id()
+
+    def solve(start: int, chunk: tuple[int, int]):
+        with tracer.span_under(
+            parent_id, "worker.chunk", chunk=chunk[0], size=chunk[1]
+        ):
+            return _solve_chunk(plan, q_idx, k, chunk)
+
+    return solve
 
 
 class ExecutionBackend:
-    """Contract: run the query-chunk decomposition and map generic tasks.
+    """Contract: run query chunks as one rung of the chunk ladder, and
+    map generic tasks.
 
-    ``solve_chunks`` is the GSKNN-specific entry point (assembles the
-    full ``(m, k)`` result from per-chunk pieces); ``map`` is the
-    generic fan-out the LPT schedule executor uses.
+    ``rung`` is the GSKNN-specific entry point:
+    :func:`repro.parallel.data_parallel.gsknn_data_parallel` runs the
+    chunk list on a ladder of backend rungs through
+    :func:`repro.resilience.executor.run_ladder`. ``map`` is the generic
+    fan-out the LPT schedule executor uses.
     """
 
     name = "abstract"
 
-    def solve_chunks(
+    def rung(
         self,
         X: np.ndarray,
         q_idx: np.ndarray,
@@ -226,38 +233,10 @@ class ExecutionBackend:
         k: int,
         chunks: Sequence[tuple[int, int]],
         kernel_kwargs: dict[str, Any],
-    ):
-        from ..core.neighbors import KnnResult
-
-        m = q_idx.size
-        dist = np.empty((m, k), dtype=np.float64)
-        idx = np.empty((m, k), dtype=np.intp)
-        runs = self._run(X, q_idx, r_idx, k, chunks, kernel_kwargs)
-        try:
-            for start, d_chunk, i_chunk in runs:
-                dist[start : start + d_chunk.shape[0]] = d_chunk
-                idx[start : start + i_chunk.shape[0]] = i_chunk
-        finally:
-            # close the generator NOW, not at garbage collection: its
-            # finally blocks unlink shared-memory segments, and a
-            # KeyboardInterrupt (or an assembly error above) must not
-            # leave /dev/shm space pinned until the GC gets around to it
-            runs.close()
-        registry = _get_registry()
-        if registry.enabled:
-            registry.inc(f"backend.{self.name}.solves")
-            registry.inc(f"backend.{self.name}.chunks", len(chunks))
-        return KnnResult(dist, idx)
-
-    def _run(
-        self,
-        X: np.ndarray,
-        q_idx: np.ndarray,
-        r_idx: np.ndarray,
-        k: int,
-        chunks: Sequence[tuple[int, int]],
-        kernel_kwargs: dict[str, Any],
-    ) -> Iterable[tuple[int, np.ndarray, np.ndarray]]:
+        fault_plan=None,
+    ) -> Rung:
+        """This backend's rung for the chunk list; items are keyed by
+        chunk start, ``fault_plan`` fires in scope ``"chunk"``."""
         raise NotImplementedError
 
     def map(self, fn: Callable[[Any], Any], items: Sequence[Any]) -> list[Any]:
@@ -274,10 +253,10 @@ class SerialBackend(ExecutionBackend):
         # p accepted (and ignored) so backends are constructor-compatible
         self.p = 1
 
-    def _run(self, X, q_idx, r_idx, k, chunks, kernel_kwargs):
-        plan = _plan_for(X, r_idx, kernel_kwargs)
-        for chunk in chunks:
-            yield _solve_chunk(X, q_idx, r_idx, k, chunk, kernel_kwargs, plan)
+    def rung(self, X, q_idx, r_idx, k, chunks, kernel_kwargs, fault_plan=None):
+        return InlineRung(
+            partial(_chunk_solver, X, q_idx, r_idx, k, kernel_kwargs)
+        )
 
     def map(self, fn, items):
         return [fn(item) for item in items]
@@ -293,30 +272,14 @@ class ThreadBackend(ExecutionBackend):
             raise ValidationError(f"need p >= 1 workers, got {p}")
         self.p = int(p)
 
-    def _run(self, X, q_idx, r_idx, k, chunks, kernel_kwargs):
-        from .chunking import resolve_workers
-
-        workers = resolve_workers(self.p, len(chunks))
-        # one shared plan: concurrent executes each borrow a private
-        # arena from its pool, so reuse never races
-        plan = _plan_for(X, r_idx, kernel_kwargs)
-        # pool threads inherit neither the request ContextVar nor the
-        # caller's span stack: capture both at submission time
-        ctx = current_request()
-        tracer = _get_tracer()
-        parent_id = tracer.current_span_id()
-
-        def run_one(c):
-            with request_scope(ctx):
-                with tracer.span_under(
-                    parent_id, "worker.chunk", chunk=c[0], size=c[1]
-                ):
-                    return _solve_chunk(
-                        X, q_idx, r_idx, k, c, kernel_kwargs, plan
-                    )
-
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            yield from pool.map(run_one, chunks)
+    def rung(self, X, q_idx, r_idx, k, chunks, kernel_kwargs, fault_plan=None):
+        return ThreadRung(
+            partial(_chunk_solver, X, q_idx, r_idx, k, kernel_kwargs),
+            self.p,
+            fault=None if fault_plan is None else partial(
+                fault_plan.apply, "chunk"
+            ),
+        )
 
     def map(self, fn, items):
         from .chunking import resolve_workers
@@ -334,13 +297,11 @@ class ThreadBackend(ExecutionBackend):
             return list(pool.map(run_one, items))
 
 
-# -- process backend ---------------------------------------------------------
+# -- shared-memory segments --------------------------------------------------
 #
-# Worker-side state: one attach per worker process (via the pool
-# initializer), reused across every chunk that worker executes. The
-# arrays are ndarray views over the shared segments — zero-copy.
-
-_WORKER_STATE: dict[str, Any] = {}
+# The one export/attach protocol of both process-worker stacks: this
+# module's per-solve chunk pools and the shard transport's long-lived
+# workers (src/repro/shard/transport.py).
 
 
 def _shm_export(arr: np.ndarray):
@@ -367,17 +328,70 @@ def _shm_export(arr: np.ndarray):
     return shm, (shm.name, arr.shape, arr.dtype.str)
 
 
-class _SharedOperands:
-    """One solve's shared-memory session: export on enter, unlink on exit.
+class SharedSegments:
+    """Named arrays exported to shared memory: export on construction,
+    unlink on :meth:`unlink`.
 
-    Owns the ``X`` / ``q_idx`` / ``r_idx`` / ``X2`` segments plus the
-    pickled kernel kwargs, so both :class:`ProcessBackend` and the
-    resilient executor (which may rebuild the worker pool several times
-    against the *same* segments) manage the lifecycle identically: no
-    matter how the block is left — clean finish, worker crash, pool
-    startup failure, deadline expiry, ``KeyboardInterrupt`` — the
-    segments are unlinked exactly once.
+    ``specs`` maps each name to what a worker passes to
+    :func:`attach_segments` (``None`` for an absent array). However the
+    owner is left — clean finish, worker crash, pool startup failure,
+    deadline expiry, ``KeyboardInterrupt``, or an export that fails
+    midway — the segments are unlinked exactly once.
     """
+
+    def __init__(self, arrays: dict[str, np.ndarray | None]) -> None:
+        self._segments: list[Any] = []
+        self.specs: dict[str, Any] = {}
+        try:
+            for key, arr in arrays.items():
+                if arr is None:
+                    self.specs[key] = None
+                    continue
+                shm, spec = _shm_export(np.asarray(arr))
+                self._segments.append(shm)
+                self.specs[key] = spec
+        except BaseException:
+            self.unlink()
+            raise
+
+    @property
+    def nbytes(self) -> int:
+        return sum(s.size for s in self._segments)
+
+    def unlink(self) -> None:
+        segments, self._segments = self._segments, []
+        for shm in segments:
+            try:
+                shm.close()
+                shm.unlink()
+            except OSError:  # pragma: no cover - already gone
+                pass
+
+
+def attach_segments(specs: dict[str, Any]) -> tuple[dict, dict]:
+    """Worker side of :class:`SharedSegments`: ``(handles, arrays)``.
+
+    The arrays are zero-copy views; keep the handles alive as long as
+    the views are used.
+    """
+    from multiprocessing import shared_memory
+
+    handles: dict[str, Any] = {}
+    arrays: dict[str, np.ndarray | None] = {}
+    for key, spec in specs.items():
+        if spec is None:
+            arrays[key] = None
+            continue
+        name, shape, dtype = spec
+        handles[key] = shm = shared_memory.SharedMemory(name=name)
+        arrays[key] = np.ndarray(shape, dtype=np.dtype(dtype), buffer=shm.buf)
+    return handles, arrays
+
+
+class _SharedOperands(SharedSegments):
+    """One chunk solve's operands in shared memory: the ``X`` /
+    ``q_idx`` / ``r_idx`` / ``X2`` segments plus the pickled kernel
+    kwargs, shared by every pool the processes rung builds."""
 
     def __init__(
         self,
@@ -395,63 +409,20 @@ class _SharedOperands:
         norm = resolve_norm(kwargs.get("norm", "l2"))
         if (norm.is_l2 or norm.is_cosine) and X2 is None:
             X2 = squared_norms(np.ascontiguousarray(X, dtype=np.float64))
-        self._segments: list[Any] = []
-        self.specs: dict[str, Any] = {}
-        try:
-            for key, arr in (
-                ("X", X),
-                ("q_idx", q_idx),
-                ("r_idx", r_idx),
-                ("X2", X2),
-            ):
-                if arr is None:
-                    self.specs[key] = None
-                    continue
-                shm, spec = _shm_export(np.asarray(arr))
-                self._segments.append(shm)
-                self.specs[key] = spec
-        except BaseException:
-            self.unlink()
-            raise
+        super().__init__({"X": X, "q_idx": q_idx, "r_idx": r_idx, "X2": X2})
         self.blob = pickle.dumps(kwargs)
         registry = _get_registry()
         if registry.enabled:
-            registry.inc(
-                "backend.processes.shm_bytes",
-                sum(s.size for s in self._segments),
-            )
-
-    def __enter__(self) -> "_SharedOperands":
-        return self
-
-    def __exit__(self, *exc: object) -> None:
-        self.unlink()
-
-    def unlink(self) -> None:
-        segments, self._segments = self._segments, []
-        for shm in segments:
-            try:
-                shm.close()
-                shm.unlink()
-            except OSError:  # pragma: no cover - already gone
-                pass
+            registry.inc("backend.processes.shm_bytes", self.nbytes)
 
 
-def _shm_attach(spec):
-    """Attach to an exported segment; returns (shm, zero-copy ndarray view)."""
-    from multiprocessing import shared_memory
+# -- process backend ---------------------------------------------------------
+#
+# Worker-side state: one attach per worker process (via the pool
+# initializer), reused across every chunk that worker executes. The
+# arrays are ndarray views over the shared segments — zero-copy.
 
-    name, shape, dtype = spec
-    shm = shared_memory.SharedMemory(name=name)
-    return shm, np.ndarray(shape, dtype=np.dtype(dtype), buffer=shm.buf)
-
-
-# Public aliases: the shard transport (src/repro/shard/) builds its
-# long-lived worker processes on the same zero-copy segment protocol the
-# per-solve ProcessBackend uses, so the export/attach pair is part of the
-# module's supported surface, not an implementation detail.
-shm_export = _shm_export
-shm_attach = _shm_attach
+_WORKER_STATE: dict[str, Any] = {}
 
 
 def _worker_fault_plan(fault_spec: str | None):
@@ -485,17 +456,8 @@ def _process_worker_init(
     obs_spec: dict[str, Any] | None = None,
 ) -> None:
     _install_worker_obs(obs_spec)
-    segments = {}
-    arrays = {}
-    for key, spec in specs.items():
-        if spec is None:
-            arrays[key] = None
-            continue
-        shm, view = _shm_attach(spec)
-        segments[key] = shm  # keep the handle alive for the view's lifetime
-        arrays[key] = view
-    _WORKER_STATE["segments"] = segments
-    _WORKER_STATE["arrays"] = arrays
+    # keep the handles alive for the views' lifetime
+    _WORKER_STATE["segments"], _WORKER_STATE["arrays"] = attach_segments(specs)
     _WORKER_STATE["kernel_kwargs"] = pickle.loads(kernel_blob)
     _WORKER_STATE["fault_plan"] = _worker_fault_plan(fault_spec)
     # a fork-started worker inherits the parent's module state; drop any
@@ -504,10 +466,9 @@ def _process_worker_init(
 
 
 def _process_worker_solve(
-    task: tuple[tuple[int, int], int] | tuple[tuple[int, int], int, int]
-) -> tuple[int, np.ndarray, np.ndarray, dict[str, Any] | None]:
-    chunk, k = task[0], task[1]
-    attempt = task[2] if len(task) > 2 else 0
+    task: tuple[tuple[int, int], int, int]
+) -> tuple[np.ndarray, np.ndarray, dict[str, Any] | None]:
+    chunk, k, attempt = task
     fault_plan = _WORKER_STATE.get("fault_plan")
     if fault_plan is not None:
         # hard_exit: in a pool worker an injected crash must be a real
@@ -523,18 +484,96 @@ def _process_worker_solve(
         # chunk, reused for every later chunk this worker executes
         _WORKER_STATE["plan"] = _plan_for(arrays["X"], arrays["r_idx"], kwargs)
     with _get_tracer().span("worker.chunk", chunk=chunk[0], size=chunk[1]):
-        start, dist, idx = _solve_chunk(
-            arrays["X"],
-            arrays["q_idx"],
-            arrays["r_idx"],
-            k,
-            chunk,
-            kwargs,
-            _WORKER_STATE["plan"],
+        dist, idx = _solve_chunk(
+            _WORKER_STATE["plan"], arrays["q_idx"], k, chunk
         )
     # span/metric deltas ride back with the chunk result; ``None`` when
     # observability was off (the common path ships nothing extra)
-    return start, dist, idx, _drain_worker_obs()
+    return dist, idx, _drain_worker_obs()
+
+
+def _reap_pool(pool) -> None:
+    """Stop a process pool *now*: cancel queued work, terminate workers.
+
+    ``shutdown(wait=False)`` alone leaves a worker grinding on its
+    current chunk past the deadline; the contract is "workers reaped",
+    so the pool's processes are terminated directly.
+    """
+    pool.shutdown(wait=False, cancel_futures=True)
+    procs = getattr(pool, "_processes", None)
+    if procs:
+        for proc in list(procs.values()):
+            try:
+                proc.terminate()
+            except Exception:  # pragma: no cover - already dead
+                pass
+
+
+class _ProcessRung(Rung):
+    """Chunks on a process pool over one solve's shared operands.
+
+    Entering exports the operands; a worker death drops the broken pool
+    and the next submit builds a fresh one against the same segments;
+    leaving reaps the pool (joins it after a clean finish) and unlinks
+    the segments.
+    """
+
+    name = "processes"
+
+    def __init__(
+        self, X, q_idx, r_idx, k, kernel_kwargs, workers, mp_context,
+        fault_plan,
+    ) -> None:
+        import multiprocessing
+
+        self._operands = (X, q_idx, r_idx, kernel_kwargs)
+        self._k = k
+        self._workers = workers
+        self._ctx = multiprocessing.get_context(mp_context)
+        self._fault_spec = None if fault_plan is None else fault_plan.spec()
+
+    def __enter__(self) -> "_ProcessRung":
+        self._ops = _SharedOperands(*self._operands)
+        self._pool = None
+        self._pools_built = 0
+        return self
+
+    def submit(self, key, chunk, attempt):
+        from concurrent.futures import ProcessPoolExecutor
+
+        if self._pool is None:
+            if self._pools_built:
+                registry = _get_registry()
+                if registry.enabled:
+                    registry.inc("resilience.pool_rebuilds")
+            self._pool = ProcessPoolExecutor(
+                max_workers=self._workers,
+                mp_context=self._ctx,
+                initializer=_process_worker_init,
+                initargs=(
+                    self._ops.specs, self._ops.blob, self._fault_spec,
+                    _obs_spec(),
+                ),
+            )
+            self._pools_built += 1
+        return self._pool.submit(
+            _process_worker_solve, (chunk, self._k, attempt)
+        )
+
+    def recover(self, keys) -> None:
+        # the executor marks itself unusable after a worker death
+        _reap_pool(self._pool)
+        self._pool = None
+
+    def __exit__(self, exc_type, *exc: object) -> None:
+        try:
+            if self._pool is not None:
+                if exc_type is None:
+                    self._pool.shutdown(wait=True)
+                else:
+                    _reap_pool(self._pool)
+        finally:
+            self._ops.unlink()
 
 
 class ProcessBackend(ExecutionBackend):
@@ -564,38 +603,14 @@ class ProcessBackend(ExecutionBackend):
             mp_context = "fork" if "fork" in methods else "spawn"
         self.mp_context = mp_context
 
-    def _run(self, X, q_idx, r_idx, k, chunks, kernel_kwargs):
-        import multiprocessing
-        from concurrent.futures import ProcessPoolExecutor
-        from concurrent.futures.process import BrokenProcessPool
-
+    def rung(self, X, q_idx, r_idx, k, chunks, kernel_kwargs, fault_plan=None):
         from .chunking import resolve_workers
 
-        with _SharedOperands(X, q_idx, r_idx, kernel_kwargs) as ops:
-            workers = resolve_workers(self.p, len(chunks))
-            ctx = multiprocessing.get_context(self.mp_context)
-            # re-parent shipped worker spans under the caller's current
-            # span (the driver span of this solve)
-            parent_id = _get_tracer().current_span_id()
-            try:
-                with ProcessPoolExecutor(
-                    max_workers=workers,
-                    mp_context=ctx,
-                    initializer=_process_worker_init,
-                    initargs=(ops.specs, ops.blob, None, _obs_spec()),
-                ) as pool:
-                    for start, dist, idx, obs in pool.map(
-                        _process_worker_solve, [(c, k) for c in chunks]
-                    ):
-                        _absorb_worker_obs(obs, parent_id)
-                        yield start, dist, idx
-            except BrokenProcessPool as exc:
-                raise BackendError(
-                    "processes backend: a worker process died before "
-                    "returning its chunk (killed, out-of-memory, or a "
-                    "crash in native code); partial results were "
-                    "discarded"
-                ) from exc
+        return _ProcessRung(
+            X, q_idx, r_idx, k, kernel_kwargs,
+            resolve_workers(self.p, max(len(chunks), 1)),
+            self.mp_context, fault_plan,
+        )
 
     def map(self, fn, items):
         raise ValidationError(

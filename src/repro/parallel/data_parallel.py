@@ -18,7 +18,11 @@ default — BLAS blocks release the GIL, so Var#6-heavy work overlaps),
 ``processes`` (zero-copy shared-memory workers — escapes the GIL for
 the selection-heavy Var#1 regime), or ``serial`` (the bit-exact
 reference). All backends consume the same chunk list, so results are
-identical across them by construction.
+identical across them by construction. Every solve runs its chunks
+through the one retry/fallback loop,
+:func:`repro.resilience.executor.run_ladder`: a plain call on the
+backend's rung alone for one attempt, a resilient call down the whole
+``processes -> threads -> serial`` ladder.
 """
 
 from __future__ import annotations
@@ -82,9 +86,11 @@ def gsknn_data_parallel(
     chunk, not the solve; ``fault_plan`` (a
     :class:`~repro.resilience.FaultPlan` or its spec string) injects
     deterministic failures for testing. Passing any of the three — or
-    setting ``$REPRO_FAULT_PLAN`` — routes execution through the
-    resilient chunk executor; results remain bit-identical because the
-    decomposition and variant are unchanged.
+    setting ``$REPRO_FAULT_PLAN`` — runs the chunks down the whole
+    fallback ladder; without them the chunks run on the backend's rung
+    alone, once, and a dead worker fails the solve with
+    :class:`~repro.errors.BackendError`. Either way results are
+    bit-identical because the decomposition and variant are unchanged.
 
     Observability: ``request`` (a
     :class:`~repro.obs.context.RequestContext` or a bare request-id
@@ -104,7 +110,8 @@ def gsknn_data_parallel(
     pass a memmapped ``X``).
     """
     from ..core.membudget import MemoryBudget
-    from ..resilience import Deadline, FaultPlan, solve_chunks_resilient
+    from ..resilience import FALLBACK_LADDER, Deadline, FaultPlan, RetryPolicy
+    from ..resilience.executor import run_ladder
 
     p = resolve_workers(p)
     if chunks_per_worker < 1:
@@ -117,6 +124,7 @@ def gsknn_data_parallel(
     # Resolve "auto"/"model" on the FULL problem: a model-driven choice
     # made per chunk could differ from the serial kernel's.
     var = _resolve_auto_variant(variant, q_idx.size, r_idx.size, d, k)
+    engine = resolve_backend(backend, p)
     budget = MemoryBudget.coerce(memory_budget)
     kernel_kwargs = dict(
         norm=norm, variant=int(var), block_m=block_m, block_n=block_n,
@@ -127,12 +135,7 @@ def gsknn_data_parallel(
         # threads) share one plan and thus one budget object, so they
         # get the full limit; process workers each coerce a private
         # budget, so the limit is split evenly across the p of them.
-        backend_name = (
-            backend.lower()
-            if isinstance(backend, str)
-            else getattr(backend, "name", "threads")
-        )
-        share = budget.limit_bytes // p if backend_name == "processes" else (
+        share = budget.limit_bytes // p if engine.name == "processes" else (
             budget.limit_bytes
         )
         if share < 1:
@@ -150,15 +153,22 @@ def gsknn_data_parallel(
     fault_plan = FaultPlan.coerce(fault_plan)
     if fault_plan is None:
         fault_plan = FaultPlan.from_env()
-    resilient = (
-        deadline is not None or retry is not None or fault_plan is not None
-    )
+    if deadline is None and retry is None and fault_plan is None:
+        ladder = [engine]
+        retry = RetryPolicy(max_attempts=1)
+    else:
+        if engine.name not in FALLBACK_LADDER:
+            raise ValidationError(
+                f"resilient execution supports backends "
+                f"{sorted(FALLBACK_LADDER)}, got {engine.name!r}"
+            )
+        ladder = [engine] + [
+            resolve_backend(name, engine.p)
+            for name in FALLBACK_LADDER[engine.name][1:]
+        ]
+        retry = retry if retry is not None else RetryPolicy()
+    chunks = contiguous_chunks(q_idx.size, p * chunks_per_worker)
     with request_scope(ctx):
-        if not resilient and (p == 1 or q_idx.size <= p):
-            return gsknn(X, q_idx, r_idx, k, **kernel_kwargs)
-
-        chunks = contiguous_chunks(q_idx.size, max(p * chunks_per_worker, 1))
-        engine = resolve_backend(backend, p)
         t0 = time.perf_counter()
         # the driver span every worker-side span re-parents under
         with _trace.span(
@@ -170,28 +180,32 @@ def gsknn_data_parallel(
             k=int(k),
             variant=int(var),
         ):
-            if resilient:
-                result = solve_chunks_resilient(
-                    X, q_idx, r_idx, k, chunks, kernel_kwargs,
-                    backend=engine.name,
-                    p=engine.p,
-                    retry=retry,
-                    deadline=deadline,
-                    fault_plan=fault_plan,
-                    mp_context=getattr(engine, "mp_context", None),
-                )
-            else:
-                result = engine.solve_chunks(
-                    X, q_idx, r_idx, k, chunks, kernel_kwargs
-                )
+            parts = run_ladder(
+                {chunk[0]: chunk for chunk in chunks},
+                [
+                    b.rung(
+                        X, q_idx, r_idx, k, chunks, kernel_kwargs, fault_plan
+                    )
+                    for b in ladder
+                ],
+                retry=retry,
+                deadline=deadline,
+            )
+        dist = np.empty((q_idx.size, k), dtype=np.float64)
+        idx = np.empty((q_idx.size, k), dtype=np.intp)
+        for start, (d_chunk, i_chunk) in parts.items():
+            dist[start : start + d_chunk.shape[0]] = d_chunk
+            idx[start : start + i_chunk.shape[0]] = i_chunk
         registry = _get_registry()
         if registry.enabled:
+            registry.inc(f"backend.{engine.name}.solves")
+            registry.inc(f"backend.{engine.name}.chunks", len(chunks))
             record_solve_efficiency(
                 q_idx.size, r_idx.size, d, k, var,
                 time.perf_counter() - t0,
                 scope="solve", registry=registry,
             )
-        return result
+        return KnnResult(dist, idx)
 
 
 def gsknn_reference_parallel(

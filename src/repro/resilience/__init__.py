@@ -13,11 +13,13 @@ primitives through every execution path:
   metadata instead of hanging, with workers reaped and shared-memory
   segments unlinked;
 * :class:`RetryPolicy` + the ``processes -> threads -> serial``
-  fallback ladder (:data:`FALLBACK_LADDER`) — failed ``(chunk_m, k)``
-  chunks are resubmitted with exponential backoff and degraded
-  per-chunk, so a dead worker costs one chunk's recomputation, not the
-  solve, and the answer stays bit-identical (the variant and chunk
-  decomposition were resolved once on the full problem);
+  fallback ladder (:data:`FALLBACK_LADDER`), run by the one loop in
+  :func:`~repro.resilience.executor.run_ladder` for data-parallel
+  chunks and shard partitions alike — failed items are resubmitted
+  with exponential backoff and degraded per item, so a dead worker
+  costs one item's recomputation, not the solve, and the answer stays
+  bit-identical (the variant and the decomposition were resolved once
+  on the full problem);
 * :class:`FaultPlan` — a seeded, deterministic schedule of worker
   crashes, slow chunks, and injected allocation failures, consumed by
   all three backends, the scheduler, and the distributed rank loop, so
@@ -34,7 +36,7 @@ the ``resilience.*`` counter family (``retries``, ``fallbacks``,
 from .deadline import Deadline
 from .faults import FAULT_PLAN_ENV, FaultPlan
 from .retry import FALLBACK_LADDER, RetryPolicy, is_retryable
-from .executor import solve_chunks_resilient
+from .executor import run_ladder
 
 __all__ = [
     "Deadline",
@@ -43,5 +45,5 @@ __all__ = [
     "RetryPolicy",
     "FALLBACK_LADDER",
     "is_retryable",
-    "solve_chunks_resilient",
+    "run_ladder",
 ]

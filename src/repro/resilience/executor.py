@@ -1,390 +1,281 @@
-"""Chunk-level resilient execution of the data-parallel decomposition.
+"""The one retry/fallback loop every recoverable fan-out runs on.
 
-The plain backends are fail-whole-solve: one dead worker aborts the
-entire ``gsknn_data_parallel`` call. This executor keeps the *same*
-chunk decomposition (so results stay bit-identical to the serial
-backend — the variant was resolved once on the full problem and every
-chunk is an independent sub-solve) but tracks each ``(chunk_m, k)``
-chunk individually:
+Two callers decompose a solve into independent items whose answers do
+not depend on where they run: the data-parallel driver splits the query
+side into ``(chunk_m, k)`` chunks (paper §2.5), and the shard router
+splits the reference side into partitions. Both hand their items to
+:func:`run_ladder` together with a ladder of :class:`Rung` s —
+processes, then a thread pool, then inline serial. A rung only says how
+to submit one item and how to recover a dead worker; the loop owns
+everything else:
 
-* a chunk whose worker dies, hits an injected fault, or raises a
-  transient error is **resubmitted** with exponential backoff, up to
-  :attr:`RetryPolicy.max_attempts` per ladder rung;
-* a rung that cannot complete its chunks **degrades** —
-  ``processes -> threads -> serial`` — carrying only the unfinished
-  chunks; completed results are never recomputed. The final ``serial``
-  rung executes fault-free, so under any fault plan the solve
-  terminates with the correct answer (or a deliberate deadline error);
-* a :class:`~repro.resilience.Deadline` bounds the whole solve: waits
-  are sliced from the remaining budget, expiry reaps worker processes,
-  unlinks shared segments, and raises
-  :class:`~repro.errors.KernelTimeoutError` carrying
-  ``completed``/``total`` chunk metadata instead of hanging.
+* rounds of *submit pending items, drain under the deadline, recover a
+  broken worker, back off*, up to :attr:`RetryPolicy.max_attempts`
+  rounds per rung;
+* a rung that cannot finish its items **degrades** to the next, carrying
+  only the unfinished ones — completed results are never recomputed.
+  Fallback ladders end in a fault-free inline rung, so under any fault
+  plan a solve terminates with the correct answer or a deliberate
+  error;
+* one :class:`~repro.resilience.Deadline` covers every rung: waits are
+  sliced from the remaining budget, injected faults run inside the
+  rung's own tasks, and expiry raises
+  :class:`~repro.errors.KernelTimeoutError` (``completed``/``total``
+  item metadata) without joining stragglers; leaving a rung reaps its
+  workers and releases its shared segments.
 
-Every recovery action is observable: ``resilience.retries``,
-``resilience.fallbacks``, ``resilience.chunks_recovered``,
-``resilience.pool_rebuilds``, ``resilience.deadline_hits``, and
-``resilience.faults_injected`` counters plus ``resilience.rung`` spans
-flow through the standard :mod:`repro.obs` registry/tracer.
+A ladder of one rung run for one round cannot recover anything: it
+fails on the first error (a dead worker as :class:`BackendError`) and
+records nothing under ``resilience.*``. Every other ladder counts its
+recovery — ``resilience.solves``, ``retries``, ``fallbacks`` (and
+``fallbacks.<rung>``), ``chunks_recovered``, ``degraded_solves`` — and
+opens one ``resilience.rung`` span per rung it reaches.
 """
 
 from __future__ import annotations
 
-from concurrent.futures import FIRST_COMPLETED, ThreadPoolExecutor, wait
-from typing import Any, Sequence
-
-import numpy as np
+from concurrent.futures import (
+    FIRST_COMPLETED,
+    Future,
+    ThreadPoolExecutor,
+    wait,
+)
+from concurrent.futures.process import BrokenProcessPool
+from contextlib import nullcontext
+from typing import Any, Callable, Hashable, Mapping, Sequence
 
 from ..errors import BackendError
 from ..obs import trace as _trace
+from ..obs.context import current_request, request_scope
 from ..obs.metrics import get_registry as _get_registry
 from .deadline import Deadline
-from .faults import FaultPlan
-from .retry import FALLBACK_LADDER, RetryPolicy, is_retryable
+from .retry import RetryPolicy, is_retryable
 
-__all__ = ["solve_chunks_resilient"]
+__all__ = ["Rung", "ThreadRung", "InlineRung", "run_ladder"]
 
-#: Poll cap for pool waits, seconds. Bounds how stale a deadline check
-#: can get while all in-flight futures are stuck on slow chunks.
+#: Poll cap for waits under a deadline, seconds. Bounds how stale a
+#: deadline check can get while every in-flight item is stuck.
 _WAIT_SLICE = 0.05
 
+#: Opens a rung's in-process solver: called once in the caller's thread
+#: when the rung is entered, it returns ``solve(key, item) ->
+#: (distances, indices)``.
+SolverFactory = Callable[[], Callable[[Any, Any], tuple]]
 
-def _reap_pool(pool) -> None:
-    """Stop a process pool *now*: cancel queued work, terminate workers.
 
-    ``shutdown(wait=False)`` alone leaves a worker grinding on its
-    current chunk past the deadline; the acceptance contract is
-    "workers reaped", so the pool's processes are terminated directly.
+class Rung:
+    """One step of a fallback ladder.
+
+    ``submit`` returns a future resolving to ``(distances, indices,
+    obs_payload)`` — the payload is a worker process's span/metric
+    deltas, ``None`` in-process. ``recover`` brings back the workers of
+    the items whose futures failed with ``BrokenProcessPool``. A rung is
+    entered around the rounds it serves; leaving it must not wait on
+    stragglers.
     """
-    pool.shutdown(wait=False, cancel_futures=True)
-    procs = getattr(pool, "_processes", None)
-    if procs:
-        for proc in list(procs.values()):
-            try:
-                proc.terminate()
-            except Exception:  # pragma: no cover - already dead
-                pass
+
+    name = "rung"
+
+    def submit(self, key: Hashable, item: Any, attempt: int) -> Future:
+        raise NotImplementedError
+
+    def recover(self, keys: set) -> None:
+        """Bring back dead workers. No-op by default."""
+
+    def __enter__(self) -> "Rung":
+        return self
+
+    def __exit__(self, *exc: object) -> None:
+        pass
 
 
-class _ChunkLedger:
-    """Progress accounting shared by every rung: what is done, what
-    remains, how often each chunk has failed."""
+class ThreadRung(Rung):
+    """Items solved on a thread pool in the calling process.
 
-    def __init__(self, chunks: Sequence[tuple[int, int]]) -> None:
-        self.pending: dict[int, tuple[int, int]] = {c[0]: c for c in chunks}
-        self.results: dict[int, tuple[np.ndarray, np.ndarray]] = {}
-        self.attempts: dict[int, int] = {c[0]: 0 for c in chunks}
-        self.total = len(chunks)
+    ``fault(key, attempt)``, when given, fires the injected fault for an
+    item inside its task, so a slow fault is bounded by the same wait as
+    the solve.
+    """
 
-    def complete(self, start: int, dist: np.ndarray, idx: np.ndarray) -> None:
-        self.results[start] = (dist, idx)
-        self.pending.pop(start, None)
+    name = "threads"
 
-    def fail(self, start: int) -> None:
-        self.attempts[start] += 1
+    def __init__(
+        self,
+        open_solver: SolverFactory,
+        workers: int,
+        fault: Callable[[Any, int], None] | None = None,
+    ) -> None:
+        self._open_solver = open_solver
+        self._workers = workers
+        self._fault = fault
 
-    @property
-    def recovered(self) -> int:
-        """Chunks that failed at least once but completed anyway."""
-        return sum(
-            1 for s in self.results if self.attempts[s] > 0
-        )
+    def __enter__(self) -> "ThreadRung":
+        self._solve = self._open_solver()
+        # pool threads do not inherit the request ContextVar
+        self._ctx = current_request()
+        self._pool = ThreadPoolExecutor(max_workers=self._workers)
+        return self
 
-    def progress(self) -> dict[str, int]:
-        return {"completed": len(self.results), "total": self.total}
+    def submit(self, key, item, attempt):
+        return self._pool.submit(self._run, key, item, attempt)
+
+    def _run(self, key, item, attempt):
+        with request_scope(self._ctx):
+            if self._fault is not None:
+                self._fault(key, attempt)
+            return (*self._solve(key, item), None)
+
+    def __exit__(self, *exc: object) -> None:
+        # no waiting on stragglers: a slow item must not hold the
+        # deadline error (or the next rung) hostage
+        self._pool.shutdown(wait=False, cancel_futures=True)
 
 
-def solve_chunks_resilient(
-    X: np.ndarray,
-    q_idx: np.ndarray,
-    r_idx: np.ndarray,
-    k: int,
-    chunks: Sequence[tuple[int, int]],
-    kernel_kwargs: dict[str, Any],
+class InlineRung(Rung):
+    """Items solved one at a time in the calling thread, never
+    fault-injected: the rung of last resort must be able to finish."""
+
+    name = "serial"
+
+    def __init__(self, open_solver: SolverFactory) -> None:
+        self._open_solver = open_solver
+
+    def __enter__(self) -> "InlineRung":
+        self._solve = self._open_solver()
+        return self
+
+    def submit(self, key, item, attempt):
+        future: Future = Future()
+        try:
+            future.set_result((*self._solve(key, item), None))
+        except Exception as exc:
+            future.set_exception(exc)
+        return future
+
+
+def run_ladder(
+    items: Mapping[Hashable, Any],
+    rungs: Sequence[Rung],
     *,
-    backend: str = "processes",
-    p: int = 2,
-    retry: RetryPolicy | None = None,
+    retry: RetryPolicy,
     deadline: Deadline | None = None,
-    fault_plan: FaultPlan | None = None,
-    mp_context: str | None = None,
-):
-    """Run the chunk list to completion (or deadline) with recovery.
+) -> dict[Hashable, tuple[Any, Any]]:
+    """Solve every item on the first rung that can; ``{key: (distances,
+    indices)}``.
 
-    Same contract as ``ExecutionBackend.solve_chunks`` plus the three
-    resilience inputs. Results are bit-identical to the serial backend
-    on the same chunk list, regardless of which rungs executed which
-    chunks.
+    Raises the first non-retryable error as-is, ``KernelTimeoutError``
+    when ``deadline`` expires, and — when every rung has failed an item
+    — that item's last error, a dead worker translated to
+    :class:`BackendError`.
     """
-    from ..core.neighbors import KnnResult
-    from ..errors import ValidationError
-
-    if backend not in FALLBACK_LADDER:
-        raise ValidationError(
-            f"resilient execution supports backends "
-            f"{sorted(FALLBACK_LADDER)}, got {backend!r}"
-        )
-    retry = retry if retry is not None else RetryPolicy()
-    ledger = _ChunkLedger(chunks)
-    ladder = FALLBACK_LADDER[backend]
-    registry = _get_registry()
-    degraded_to = backend
-    for rung_index, rung in enumerate(ladder):
-        if not ledger.pending:
-            break
-        last_rung = rung_index == len(ladder) - 1
-        if rung_index > 0:
-            degraded_to = rung
-            if registry.enabled:
-                registry.inc("resilience.fallbacks")
-                registry.inc(f"resilience.fallbacks.{rung}")
-        with _trace.span(
-            "resilience.rung",
-            backend=rung,
-            pending=len(ledger.pending),
-            degraded=rung_index > 0,
-        ):
-            # the serial rung of last resort runs fault-free: injection
-            # exercises recovery, it must never make completion impossible
-            plan = None if (last_rung and rung == "serial") else fault_plan
-            if rung == "processes":
-                _run_processes_rung(
-                    X, q_idx, r_idx, k, kernel_kwargs, ledger,
-                    p=p, retry=retry, deadline=deadline,
-                    fault_plan=plan, mp_context=mp_context,
-                )
-            elif rung == "threads":
-                _run_threads_rung(
-                    X, q_idx, r_idx, k, kernel_kwargs, ledger,
-                    p=p, retry=retry, deadline=deadline, fault_plan=plan,
-                )
-            else:
-                _run_serial_rung(
-                    X, q_idx, r_idx, k, kernel_kwargs, ledger,
-                    retry=retry, deadline=deadline, fault_plan=plan,
-                )
-    if ledger.pending:
-        # serial is fault-free, so reaching here means a genuine,
-        # non-transient failure happened on every rung
-        raise BackendError(
-            f"resilient execution exhausted the "
-            f"{' -> '.join(ladder)} ladder with "
-            f"{len(ledger.pending)}/{ledger.total} chunks unfinished"
-        )
-    if registry.enabled:
-        registry.inc("resilience.solves")
-        recovered = ledger.recovered
-        if recovered:
-            registry.inc("resilience.chunks_recovered", recovered)
-        if degraded_to != backend:
-            registry.inc("resilience.degraded_solves")
-    m = q_idx.size
-    dist = np.empty((m, k), dtype=np.float64)
-    idx = np.empty((m, k), dtype=np.intp)
-    for start, (d_chunk, i_chunk) in ledger.results.items():
-        dist[start : start + d_chunk.shape[0]] = d_chunk
-        idx[start : start + i_chunk.shape[0]] = i_chunk
-    return KnnResult(dist, idx)
-
-
-# -- rungs --------------------------------------------------------------------
-
-
-def _note_retry(registry, ledger: _ChunkLedger, start: int) -> None:
-    ledger.fail(start)
-    if registry.enabled:
-        registry.inc("resilience.retries")
-
-
-def _run_serial_rung(
-    X, q_idx, r_idx, k, kernel_kwargs, ledger, *, retry, deadline, fault_plan
-):
-    from ..parallel.backends import _plan_for, _solve_chunk
-
-    registry = _get_registry()
-    plan = _plan_for(X, r_idx, kernel_kwargs)
-    for attempt_round in range(retry.max_attempts):
-        for start in list(ledger.pending):
-            chunk = ledger.pending[start]
-            if deadline is not None:
-                deadline.check("serial chunk", **ledger.progress())
-            try:
-                if fault_plan is not None:
-                    fault_plan.apply("chunk", start, ledger.attempts[start])
-                s, d, i = _solve_chunk(
-                    X, q_idx, r_idx, k, chunk, kernel_kwargs, plan
-                )
-            except Exception as exc:
-                if not is_retryable(exc):
-                    raise
-                _note_retry(registry, ledger, start)
-            else:
-                ledger.complete(s, d, i)
-        if not ledger.pending or attempt_round == retry.max_attempts - 1:
-            break
-        retry.sleep(attempt_round, deadline)
-
-
-def _drain_futures(futures, ledger, deadline, registry, site, parent_id=None):
-    """Collect results from ``futures`` ({future: start}) under the
-    deadline; returns True if the pool broke (processes only).
-
-    Process-worker results carry a fourth element — the worker's
-    span/metric payload — which is folded into the caller's tracer and
-    registry here, re-parented under ``parent_id`` (the enclosing
-    ``resilience.rung`` span).
-    """
-    from concurrent.futures.process import BrokenProcessPool
-
     from ..parallel.backends import _absorb_worker_obs
 
-    broken = False
-    not_done = set(futures)
-    while not_done:
-        if deadline is not None and deadline.expired():
-            for f in not_done:
-                f.cancel()
-            deadline.raise_expired(site, **ledger.progress())
-        timeout = (
-            _WAIT_SLICE
-            if deadline is None
-            else deadline.timeout(cap=_WAIT_SLICE)
-        )
-        done, not_done = wait(
-            not_done, timeout=timeout, return_when=FIRST_COMPLETED
-        )
-        for future in done:
-            start = futures[future]
-            try:
-                res = future.result()
-                if len(res) == 4:
-                    s, d, i, obs = res
-                    _absorb_worker_obs(obs, parent_id)
-                else:
-                    s, d, i = res
-            except BrokenProcessPool:
-                broken = True
-                _note_retry(registry, ledger, start)
-            except Exception as exc:
-                if not is_retryable(exc):
-                    raise
-                _note_retry(registry, ledger, start)
-            else:
-                ledger.complete(s, d, i)
-    return broken
-
-
-def _run_threads_rung(
-    X, q_idx, r_idx, k, kernel_kwargs, ledger, *, p, retry, deadline, fault_plan
-):
-    from ..parallel.backends import _plan_for, _solve_chunk
-    from ..parallel.chunking import resolve_workers
-
-    from ..obs.context import current_request, request_scope
-
+    pending = dict(items)
+    total = len(pending)
+    results: dict[Hashable, tuple[Any, Any]] = {}
+    attempts = dict.fromkeys(pending, 0)
+    errors: dict[Hashable, BaseException] = {}
+    recovers = len(rungs) > 1 or retry.max_attempts > 1
     registry = _get_registry()
-    plan = _plan_for(X, r_idx, kernel_kwargs)
-    # pool threads inherit neither the request ContextVar nor the span
-    # stack (the open resilience.rung span): capture both here
-    ctx = current_request()
+    counting = registry.enabled and recovers
     tracer = _trace.get_tracer()
-    parent_id = tracer.current_span_id()
 
-    def solve_one(chunk: tuple[int, int], attempt: int):
-        with request_scope(ctx):
-            if fault_plan is not None:
-                fault_plan.apply("chunk", chunk[0], attempt)
-            with tracer.span_under(
-                parent_id, "worker.chunk", chunk=chunk[0], size=chunk[1]
-            ):
-                return _solve_chunk(
-                    X, q_idx, r_idx, k, chunk, kernel_kwargs, plan
-                )
+    def progress() -> dict[str, int]:
+        return {"completed": len(results), "total": total}
 
-    pool = ThreadPoolExecutor(
-        max_workers=resolve_workers(p, len(ledger.pending))
-    )
-    try:
-        for attempt_round in range(retry.max_attempts):
-            futures = {
-                pool.submit(solve_one, chunk, ledger.attempts[start]): start
-                for start, chunk in ledger.pending.items()
-            }
-            _drain_futures(
-                futures, ledger, deadline, registry, "threads chunk wait"
-            )
-            if not ledger.pending or attempt_round == retry.max_attempts - 1:
-                break
-            retry.sleep(attempt_round, deadline)
-    finally:
-        # no waiting on stragglers: a slow chunk must not hold the
-        # deadline error (or the fallback) hostage
-        pool.shutdown(wait=False, cancel_futures=True)
-
-
-def _run_processes_rung(
-    X, q_idx, r_idx, k, kernel_kwargs, ledger,
-    *, p, retry, deadline, fault_plan, mp_context,
-):
-    import multiprocessing
-    from concurrent.futures import ProcessPoolExecutor
-
-    from ..parallel.backends import (
-        _obs_spec,
-        _process_worker_init,
-        _process_worker_solve,
-        _SharedOperands,
-    )
-    from ..parallel.chunking import resolve_workers
-
-    registry = _get_registry()
-    if mp_context is None:
-        methods = multiprocessing.get_all_start_methods()
-        mp_context = "fork" if "fork" in methods else "spawn"
-    ctx = multiprocessing.get_context(mp_context)
-    fault_spec = fault_plan.spec() if fault_plan is not None else None
-    obs_spec = _obs_spec()
-    # worker spans re-parent under the open resilience.rung span
-    parent_id = _trace.get_tracer().current_span_id()
-
-    with _SharedOperands(X, q_idx, r_idx, kernel_kwargs) as ops:
-        pool = None
-
-        def make_pool():
-            return ProcessPoolExecutor(
-                max_workers=resolve_workers(p, len(ledger.pending)),
-                mp_context=ctx,
-                initializer=_process_worker_init,
-                initargs=(ops.specs, ops.blob, fault_spec, obs_spec),
-            )
-
+    def submit(rung: Rung, key, item) -> Future:
+        if deadline is not None:
+            deadline.check(f"{rung.name} submit", **progress())
+        if attempts[key] and counting:
+            registry.inc("resilience.retries")
         try:
-            for attempt_round in range(retry.max_attempts):
-                if deadline is not None:
-                    deadline.check("processes round", **ledger.progress())
-                if pool is None:
-                    pool = make_pool()
-                    if attempt_round > 0 and registry.enabled:
-                        registry.inc("resilience.pool_rebuilds")
+            return rung.submit(key, item, attempts[key])
+        except Exception as exc:
+            # e.g. a pool that broke earlier this round: recover it
+            # like any other failed item
+            future: Future = Future()
+            future.set_exception(exc)
+            return future
+
+    def drain(rung: Rung, futures: dict[Future, Hashable]) -> set:
+        parent_id = tracer.current_span_id()
+        broken: set = set()
+        not_done = set(futures)
+        while not_done:
+            if deadline is not None and deadline.expired():
+                for future in not_done:
+                    future.cancel()
+                deadline.raise_expired(f"{rung.name} wait", **progress())
+            done, not_done = wait(
+                not_done,
+                timeout=None if deadline is None else deadline.timeout(
+                    cap=_WAIT_SLICE
+                ),
+                return_when=FIRST_COMPLETED,
+            )
+            for future in done:
+                key = futures[future]
+                try:
+                    dist, idx, obs = future.result()
+                except BrokenProcessPool as exc:
+                    broken.add(key)
+                    attempts[key] += 1
+                    errors[key] = exc
+                except Exception as exc:
+                    if not is_retryable(exc):
+                        raise
+                    attempts[key] += 1
+                    errors[key] = exc
+                else:
+                    _absorb_worker_obs(obs, parent_id)
+                    results[key] = (dist, idx)
+                    del pending[key]
+        return broken
+
+    degraded = False
+    for index, rung in enumerate(rungs):
+        if not pending:
+            break
+        degraded = index > 0
+        if degraded and counting:
+            registry.inc("resilience.fallbacks")
+            registry.inc(f"resilience.fallbacks.{rung.name}")
+        span = (
+            tracer.span(
+                "resilience.rung",
+                backend=rung.name,
+                pending=len(pending),
+                degraded=degraded,
+            )
+            if recovers
+            else nullcontext()
+        )
+        with span, rung:
+            for round_ in range(retry.max_attempts):
                 futures = {
-                    pool.submit(
-                        _process_worker_solve,
-                        (chunk, k, ledger.attempts[start]),
-                    ): start
-                    for start, chunk in ledger.pending.items()
+                    submit(rung, key, item): key
+                    for key, item in pending.items()
                 }
-                broken = _drain_futures(
-                    futures, ledger, deadline, registry,
-                    "processes chunk wait", parent_id,
-                )
+                broken = drain(rung, futures)
                 if broken:
-                    # the executor marks itself unusable after a worker
-                    # death; drop it so the next round starts fresh
-                    _reap_pool(pool)
-                    pool = None
-                if not ledger.pending or attempt_round == retry.max_attempts - 1:
+                    rung.recover(broken)
+                if not pending or round_ == retry.max_attempts - 1:
                     break
-                retry.sleep(attempt_round, deadline)
-        finally:
-            if pool is not None:
-                _reap_pool(pool)
+                retry.sleep(round_, deadline)
+    if pending:
+        exc = errors[next(iter(pending))]
+        if isinstance(exc, BrokenProcessPool):
+            raise BackendError(
+                f"{rungs[-1].name} rung: a worker process died before "
+                f"returning its result (killed, out-of-memory, or a crash "
+                f"in native code); {len(pending)}/{total} items unfinished"
+            ) from exc
+        raise exc
+    if counting:
+        registry.inc("resilience.solves")
+        recovered = sum(1 for key in results if attempts[key])
+        if recovered:
+            registry.inc("resilience.chunks_recovered", recovered)
+        if degraded:
+            registry.inc("resilience.degraded_solves")
+    return results

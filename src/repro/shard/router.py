@@ -16,19 +16,22 @@ same membership, which :meth:`ShardedAllKnn.solve_reference` exposes
 for exactly that assertion (tests and the CI ``shard-smoke`` job run
 it).
 
-Failure semantics (the resilience layer's ladder, applied *per shard*):
-a failed shard solve is retried on its restarted worker process up to
-``retry.max_attempts`` times (processes rung), then degraded to an
-in-parent threaded solve of just that partition (threads rung, faults
-still injected so drills exercise it), then to an inline fault-free
-serial solve — which cannot be fault-injected, so recovery is
-guaranteed and still bit-identical. Healthy shards are never re-solved.
-The shared :class:`~repro.resilience.Deadline` bounds every wait.
+Failure semantics: a batch's shard partitions run on the resilience
+layer's one retry/fallback loop (:func:`repro.resilience.executor.run_ladder`),
+the same loop the data-parallel chunks run on. The ladder is the
+shards' own workers (a dead one is restarted and its partition
+resubmitted, up to ``retry.max_attempts`` rounds), then an in-parent
+thread pool (faults still injected, so drills exercise it), then an
+inline fault-free serial solve — recovery is guaranteed and still
+bit-identical, because both parent-side rungs solve on one lazily
+started :class:`~repro.shard.transport.LocalTransport` twin pinned to
+the same partitions and kernel config. Healthy shards are never
+re-solved, and one :class:`~repro.resilience.Deadline` covers every
+rung.
 """
 
 from __future__ import annotations
 
-from concurrent.futures import ThreadPoolExecutor
 from typing import Any
 
 import numpy as np
@@ -36,18 +39,17 @@ import numpy as np
 from ..core.gsknn import _resolve_auto_variant
 from ..core.neighbors import KnnResult
 from ..core.norms import resolve_norm, squared_norms
-from ..core.plan import GsknnPlan
 from ..errors import BackendError, ValidationError
 from ..obs.metrics import get_registry as _get_registry
 from ..obs.trace import get_tracer as _get_tracer
-from ..parallel.backends import _absorb_worker_obs
 from ..resilience.deadline import Deadline
+from ..resilience.executor import InlineRung, Rung, ThreadRung, run_ladder
 from ..resilience.faults import FaultPlan
-from ..resilience.retry import RetryPolicy, is_retryable
+from ..resilience.retry import RetryPolicy
 from ..select.mergeselect import merge_partial_topk
 from ..validation import as_index_array
 from .map import ShardMap
-from .transport import ShardWorld, resolve_transport
+from .transport import LocalTransport, ShardWorld, resolve_transport
 
 __all__ = ["ShardedAllKnn"]
 
@@ -73,13 +75,14 @@ class ShardedAllKnn:
         with the kernel's reference-block grid (the bit-identicality
         invariant — see :mod:`repro.shard.map`).
     retry:
-        Per-shard :class:`RetryPolicy` for the processes rung.
+        :class:`RetryPolicy`: rounds per rung of the shard ladder.
     deadline:
         Default :class:`Deadline` budget (seconds or instance) applied
         to every solve that does not pass its own.
     fault_plan:
         Spec string or :class:`FaultPlan`; shipped to shard workers
         (scope ``"shard"``) and applied on the parent-side threads rung.
+        The in-process ``"local"`` transport does not inject faults.
     """
 
     def __init__(
@@ -125,8 +128,10 @@ class ShardedAllKnn:
 
             transport = ProcessTransport(mp_context)
         self.transport = resolve_transport(transport)
-        self._fallback_plans: dict[int, GsknnPlan] = {}
-        self._fallback_epoch = -1
+        # the parent-side twin of the threads and serial rungs: started
+        # on the first fallback, refreshed on a fallback in a new epoch
+        self._twin: LocalTransport | None = None
+        self._twin_epoch = -1
         self._closed = False
         self.transport.start(self._world())
 
@@ -156,7 +161,8 @@ class ShardedAllKnn:
         if not self._closed:
             self._closed = True
             self.transport.close()
-            self._fallback_plans.clear()
+            if self._twin is not None:
+                self._twin.close()
 
     def __enter__(self) -> "ShardedAllKnn":
         return self
@@ -213,8 +219,6 @@ class ShardedAllKnn:
     def _refresh(self, op: str, **meta) -> None:
         with _get_tracer().span("shard.refresh", op=op, **meta):
             self.transport.refresh(self._world())
-        self._fallback_plans.clear()
-        self._fallback_epoch = self.map.epoch
         registry = _get_registry()
         if registry.enabled:
             registry.inc("shard.refreshes", labels={"op": op})
@@ -318,24 +322,17 @@ class ShardedAllKnn:
             k=k,
             epoch=self.map.epoch,
         ):
-            parent_id = tracer.current_span_id()
             owners = [
                 s
                 for s in range(self.map.n_shards)
                 if self.map.local_ids(s).size
             ]
-            if deadline is not None:
-                deadline.check("shard.scatter")
-            with tracer.span("shard.scatter", shards=len(owners)):
-                futures = {
-                    s: self._submit(s, self._shard_task(task, s), 0)
-                    for s in owners
-                }
-            partials: dict[int, tuple[np.ndarray, np.ndarray]] = {}
-            for s in owners:
-                partials[s] = self._gather_one(
-                    s, futures[s], task, deadline, parent_id
-                )
+            partials = run_ladder(
+                {s: self._shard_task(task, s) for s in owners},
+                self._ladder(),
+                retry=self.retry,
+                deadline=deadline,
+            )
             if deadline is not None:
                 deadline.check("shard.gather")
             with tracer.span("shard.gather", shards=len(owners)):
@@ -345,173 +342,47 @@ class ShardedAllKnn:
                 registry.observe("shard.batch_rows", float(m))
             return KnnResult(distances=dist, indices=idx)
 
-    def _submit(self, shard: int, shard_task: tuple, attempt: int):
-        """Submit, converting a synchronous transport failure (e.g. a
-        pool already broken from a previous crash) into a rejected
-        future the gather ladder recovers like any other."""
-        from concurrent.futures import Future
-
-        try:
-            return self.transport.submit(shard, shard_task, attempt=attempt)
-        except Exception as exc:
-            fut: Future = Future()
-            fut.set_exception(exc)
-            return fut
-
     def _shard_task(self, task: tuple, shard: int) -> tuple:
         """Clamp k to the shard's partition size (small shards return
         everything they own; the merge pads the difference)."""
         k_local = min(task[2], self.map.local_ids(shard).size)
         return (task[0], task[1], k_local, *task[3:])
 
-    def _gather_one(
-        self,
-        shard: int,
-        future,
-        task: tuple,
-        deadline: Deadline | None,
-        parent_id: int | None,
-    ) -> tuple[np.ndarray, np.ndarray]:
-        """One shard's partial, recovered through the per-shard ladder.
+    def _ladder(self) -> tuple[Rung, ...]:
+        """The shards' workers, then parent-side threads, then serial."""
+        fault = None
+        if self._fault_plan is not None:
+            epoch, plan = self.map.epoch, self._fault_plan
 
-        Only this shard is ever re-solved; the other shards' futures
-        are untouched.
-        """
-        from concurrent.futures.process import BrokenProcessPool
+            def fault(shard: int, attempt: int) -> None:
+                plan.apply("shard", f"{epoch}:{shard}", attempt)
 
-        registry = _get_registry()
-        shard_task = self._shard_task(task, shard)
-        attempt = 0
-        while True:
-            try:
-                out = future.result(
-                    timeout=None if deadline is None else deadline.timeout()
-                )
-                dist, idx = out[0], out[1]
-                _absorb_worker_obs(
-                    out[2] if len(out) > 2 else None, parent_id
-                )
-                return dist, idx
-            except TimeoutError:
-                future.cancel()
-                if deadline is not None:
-                    deadline.raise_expired("shard.gather", shard=shard)
-                raise
-            except Exception as exc:
-                # a dead worker surfaces as BrokenProcessPool, which the
-                # retry predicate does not know; it is the canonical
-                # recoverable shard failure here
-                if not (is_retryable(exc) or isinstance(exc, BrokenProcessPool)):
-                    raise
-                attempt += 1
-                if registry.enabled:
-                    registry.inc(
-                        "shard.failures", labels={"shard": str(shard)}
-                    )
-                if deadline is not None:
-                    deadline.check("shard.retry", shard=shard)
-                if attempt < self.retry.max_attempts:
-                    # processes rung: restart the dead worker, resubmit
-                    self.retry.sleep(attempt, deadline)
-                    self.transport.restart(shard)
-                    if registry.enabled:
-                        registry.inc(
-                            "shard.retries", labels={"shard": str(shard)}
-                        )
-                    future = self._submit(shard, shard_task, attempt)
-                    continue
-                # restart the worker even though this batch degrades to
-                # the parent-side rungs: the next batch must find a
-                # healthy pool, not the broken one
-                try:
-                    self.transport.restart(shard)
-                except Exception:  # pragma: no cover - restart best-effort
-                    pass
-                return self._fallback(shard, shard_task, deadline)
+        return (
+            _TransportRung(self.transport),
+            ThreadRung(self._open_twin, self.map.n_shards, fault=fault),
+            InlineRung(self._open_twin),
+        )
 
-    def _fallback(
-        self,
-        shard: int,
-        shard_task: tuple,
-        deadline: Deadline | None,
-    ) -> tuple[np.ndarray, np.ndarray]:
-        """Threads rung (faults still injected), then fault-free serial."""
-        registry = _get_registry()
+    def _open_twin(self):
+        """The parent-side rungs' solver: one shard's partition on the
+        twin, started lazily and brought to the current epoch."""
+        if self._twin is None:
+            self._twin = LocalTransport()
+            self._twin.start(self._world())
+        elif self._twin_epoch != self.map.epoch:
+            self._twin.refresh(self._world())
+        self._twin_epoch = self.map.epoch
+        twin = self._twin
         tracer = _get_tracer()
-        try:
-            if deadline is not None:
-                deadline.check("shard.fallback", shard=shard)
-            with tracer.span("shard.fallback", shard=shard, rung="threads"):
-                if self._fault_plan is not None:
-                    self._fault_plan.apply(
-                        "shard",
-                        f"{self.map.epoch}:{shard}",
-                        self.retry.max_attempts,
-                    )
-                with ThreadPoolExecutor(max_workers=1) as pool:
-                    fut = pool.submit(self._solve_local, shard, shard_task)
-                    out = fut.result(
-                        timeout=None
-                        if deadline is None
-                        else deadline.timeout()
-                    )
-            if registry.enabled:
-                registry.inc("shard.failovers", labels={"rung": "threads"})
-            return out
-        except TimeoutError:
-            if deadline is not None:
-                deadline.raise_expired("shard.fallback", shard=shard)
-            raise
-        except Exception as exc:
-            if not is_retryable(exc):
-                raise
-        if deadline is not None:
-            deadline.check("shard.fallback", shard=shard)
-        # serial rung: inline, never fault-injected — guaranteed recovery
-        with tracer.span("shard.fallback", shard=shard, rung="serial"):
-            out = self._solve_local(shard, shard_task)
-        if registry.enabled:
-            registry.inc("shard.failovers", labels={"rung": "serial"})
-        return out
+        parent_id = tracer.current_span_id()
 
-    def _solve_local(
-        self, shard: int, shard_task: tuple
-    ) -> tuple[np.ndarray, np.ndarray]:
-        """In-parent solve of one shard's partition — same plan config
-        as the worker's, so fallback results stay bit-identical."""
-        if self._fallback_epoch != self.map.epoch:
-            self._fallback_plans.clear()
-            self._fallback_epoch = self.map.epoch
-        plan = self._fallback_plans.get(shard)
-        if plan is None:
-            kwargs: dict[str, Any] = {
-                "norm": self._norm,
-                "block_m": self._block_m,
-                "block_n": self._block_n,
-            }
-            if self._X2 is not None:
-                kwargs["X2"] = self._X2
-            plan = GsknnPlan(self._X, self.map.local_ids(shard), **kwargs)
-            self._fallback_plans[shard] = plan
-        kind, q, k_local = shard_task[0], shard_task[1], shard_task[2]
-        var = shard_task[3] if len(shard_task) > 3 else None
-        if kind == "idx":
-            res = plan.execute(q, k_local, warm_start=False, variant=var)
-        elif kind == "rows":
-            res = plan.execute_rows(q, k_local, variant=var)
-        else:
-            from ..core.plan import PlanCache
+        def solve(shard: int, shard_task: tuple):
+            # pool threads start with an empty span stack
+            with tracer.span_under(parent_id, "shard.fallback", shard=shard):
+                dist, idx, _ = twin.submit(shard, shard_task).result()
+            return dist, idx
 
-            _, q_idx, r_idx, k_local = shard_task
-            cache = PlanCache()
-            res = cache.get(
-                self._X,
-                r_idx,
-                norm=self._norm,
-                block_m=self._block_m,
-                block_n=self._block_n,
-            ).execute(q_idx, k_local, warm_start=False)
-        return res.distances, res.indices
+        return solve
 
     def _merge(
         self,
@@ -554,3 +425,20 @@ class ShardedAllKnn:
             f"transport={self.transport.name!r}, alive={self.map.n_alive}, "
             f"epoch={self.map.epoch})"
         )
+
+
+class _TransportRung(Rung):
+    """The shards' own workers: submit to the transport, restart the
+    shards whose worker died."""
+
+    def __init__(self, transport) -> None:
+        self.name = transport.name
+        self._transport = transport
+
+    def submit(self, shard, shard_task, attempt):
+        with _get_tracer().span("shard.scatter", shard=shard):
+            return self._transport.submit(shard, shard_task, attempt=attempt)
+
+    def recover(self, shards) -> None:
+        for shard in shards:
+            self._transport.restart(shard)

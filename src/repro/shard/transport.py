@@ -8,7 +8,8 @@ Two implementations of one contract (:class:`ShardTransport`):
   across calls; this is deliberately *not* a per-call pool). The
   reference table and its squared-norm side table live in shared-memory
   segments exported once and attached by every worker (the zero-copy
-  protocol from :mod:`repro.parallel.backends`); only query ids/rows and
+  :class:`~repro.parallel.backends.SharedSegments` protocol the
+  data-parallel process pools use); only query ids/rows and
   the ``(m, k)`` partials cross the process boundary. Each worker holds
   its own :class:`~repro.core.plan.GsknnPlan` over its partition plus a
   :class:`~repro.core.plan.PlanCache` for ad-hoc group solves, both
@@ -16,9 +17,9 @@ Two implementations of one contract (:class:`ShardTransport`):
 
 * :class:`LocalTransport` — the same contract executed synchronously in
   the calling process (per-shard plans parent-side). This is the
-  deterministic twin used by tests, the serial rung of the router's
-  fallback ladder, and the moral successor of ``SimComm``'s in-process
-  ranks on the scatter/gather path.
+  deterministic twin used by tests, the engine of the router's
+  parent-side threads and serial rungs, and the moral successor of
+  ``SimComm``'s in-process ranks on the scatter/gather path.
 
 Both return :class:`concurrent.futures.Future`s from ``submit`` so the
 router's scatter/gather loop is transport-agnostic.
@@ -37,11 +38,11 @@ from ..errors import BackendError, ValidationError
 from ..obs.metrics import get_registry as _get_registry
 from ..obs.trace import get_tracer as _get_tracer
 from ..parallel.backends import (
+    SharedSegments,
     _drain_worker_obs,
     _install_worker_obs,
     _obs_spec,
-    shm_attach,
-    shm_export,
+    attach_segments,
 )
 
 __all__ = [
@@ -163,8 +164,8 @@ class LocalTransport(ShardTransport):
     """Synchronous in-process shards: per-shard plans, no IPC.
 
     Deterministic and dependency-free — the reference implementation of
-    the contract, the test twin, and the engine the router's serial
-    fallback rung re-solves failed partitions on.
+    the contract, the test twin, and the engine the router's
+    parent-side fallback rungs re-solve failed partitions on.
     """
 
     name = "local"
@@ -256,17 +257,8 @@ def _shard_worker_attach(specs: dict[str, Any], init_blob: bytes) -> None:
     """(Re)attach shared segments and stage a fresh partition plan."""
     init = pickle.loads(init_blob)
     old = _SHARD_STATE.pop("segments", {})
-    segments: dict[str, Any] = {}
-    arrays: dict[str, Any] = {}
-    for key, spec in specs.items():
-        if spec is None:
-            arrays[key] = None
-            continue
-        shm, view = shm_attach(spec)
-        segments[key] = shm  # keep the handle alive for the view
-        arrays[key] = view
-    _SHARD_STATE["segments"] = segments
-    _SHARD_STATE["arrays"] = arrays
+    # keep the handles alive for the views' lifetime
+    _SHARD_STATE["segments"], _SHARD_STATE["arrays"] = attach_segments(specs)
     _SHARD_STATE["kernel_kwargs"] = init["kernel_kwargs"]
     _SHARD_STATE["local_ids"] = init["local_ids"]
     _SHARD_STATE["epoch"] = init["epoch"]
@@ -345,15 +337,16 @@ class ProcessTransport(ShardTransport):
         )
         self._world: ShardWorld | None = None
         self._pools: list[ProcessPoolExecutor | None] = []
-        self._segments: list[Any] = []
-        self._specs: dict[str, Any] = {}
+        self._table: SharedSegments | None = None
         self._init_blobs: list[bytes] = []
 
     # -- lifecycle -----------------------------------------------------------
 
     def start(self, world: ShardWorld) -> None:
         self._world = world
-        self._unlink(self._export_table(world))
+        stale = self._export_table(world)
+        if stale is not None:
+            stale.unlink()
         self._init_blobs = [
             self._init_blob(world, s) for s in range(world.n_shards)
         ]
@@ -361,33 +354,18 @@ class ProcessTransport(ShardTransport):
         for s in range(world.n_shards):
             self._spawn(s)
 
-    def _export_table(self, world: ShardWorld) -> list:
+    def _export_table(self, world: ShardWorld) -> SharedSegments | None:
         """Export the world's table to fresh segments; returns the
         superseded ones. The caller unlinks those only once no worker
         can still need them — a pool created before this export may
         lazily spawn its first worker from init-args that reference the
         old segments, so ``refresh`` keeps them alive until every pool
         has round-tripped the new epoch."""
-        old, self._segments = self._segments, []
-        specs: dict[str, Any] = {}
-        try:
-            for key, arr in (("X", world.X), ("X2", world.X2)):
-                if arr is None:
-                    specs[key] = None
-                    continue
-                shm, spec = shm_export(np.asarray(arr))
-                self._segments.append(shm)
-                specs[key] = spec
-        except BaseException:
-            self._unlink(self._segments)
-            self._segments = old
-            raise
-        self._specs = specs
+        old = self._table
+        self._table = SharedSegments({"X": world.X, "X2": world.X2})
         registry = _get_registry()
         if registry.enabled:
-            registry.inc(
-                "shard.shm_bytes", sum(s.size for s in self._segments)
-            )
+            registry.inc("shard.shm_bytes", self._table.nbytes)
         return old
 
     @staticmethod
@@ -408,7 +386,7 @@ class ProcessTransport(ShardTransport):
             initializer=_shard_worker_init,
             initargs=(
                 shard,
-                self._specs,
+                self._table.specs,
                 self._init_blobs[shard],
                 self._world.fault_spec,
                 _obs_spec(),
@@ -433,7 +411,7 @@ class ProcessTransport(ShardTransport):
         assert self._world is not None
         table_changed = world.X is not self._world.X
         self._world = world
-        stale: list = []
+        stale = None
         if table_changed:
             stale = self._export_table(world)
         self._init_blobs = [
@@ -444,13 +422,16 @@ class ProcessTransport(ShardTransport):
                 continue
             try:
                 pool.submit(
-                    _shard_worker_refresh, self._specs, self._init_blobs[s]
+                    _shard_worker_refresh,
+                    self._table.specs,
+                    self._init_blobs[s],
                 ).result()
             except Exception:
                 # a worker that died before/during the refresh comes
                 # back with the new state baked into its initargs
                 self.restart(s)
-        self._unlink(stale)
+        if stale is not None:
+            stale.unlink()
 
     # -- solve ---------------------------------------------------------------
 
@@ -472,18 +453,10 @@ class ProcessTransport(ShardTransport):
         for pool in pools:
             if pool is not None:
                 pool.shutdown(wait=True, cancel_futures=True)
-        segments, self._segments = self._segments, []
-        self._unlink(segments)
+        table, self._table = self._table, None
+        if table is not None:
+            table.unlink()
         self._world = None
-
-    @staticmethod
-    def _unlink(segments) -> None:
-        for shm in segments:
-            try:
-                shm.close()
-                shm.unlink()
-            except OSError:  # pragma: no cover - already gone
-                pass
 
 
 TRANSPORTS = {

@@ -21,10 +21,10 @@ import pytest
 
 from repro.core.gsknn import gsknn
 from repro.errors import KernelTimeoutError, ValidationError
-from repro.parallel.backends import ProcessBackend, _SharedOperands
-from repro.parallel.chunking import contiguous_chunks
+from repro.parallel.backends import ExecutionBackend, _SharedOperands
 from repro.parallel.data_parallel import gsknn_data_parallel
-from repro.resilience import FaultPlan, RetryPolicy, solve_chunks_resilient
+from repro.resilience import FaultPlan, RetryPolicy, run_ladder
+from repro.resilience.executor import InlineRung
 
 pytestmark = pytest.mark.skipif(
     not os.path.isdir("/dev/shm"), reason="needs POSIX shared memory"
@@ -107,20 +107,23 @@ class TestBitIdentityUnderFaults:
 
     def test_executor_serial_matches_kernel(self, problem, clean_env):
         X, q, r, k, truth = problem
-        chunks = contiguous_chunks(q.size, 4)
-        got = solve_chunks_resilient(
-            X, q, r, k, chunks, {"variant": 1}, backend="serial", p=1
+        got = gsknn_data_parallel(
+            X, q, r, k, p=4, backend="serial", variant=1, retry=RetryPolicy()
         )
         want = gsknn(X, q, r, k, variant=1)
         assert np.array_equal(got.distances, want.distances)
         assert np.array_equal(got.indices, want.indices)
 
     def test_unknown_backend_rejected(self, problem):
+        """A backend with no fallback ladder cannot run resiliently."""
+
+        class Gpu(ExecutionBackend):
+            name = "gpu"
+            p = 1
+
         X, q, r, k, _ = problem
         with pytest.raises(ValidationError):
-            solve_chunks_resilient(
-                X, q, r, k, [(0, q.size)], {}, backend="gpu"
-            )
+            gsknn_data_parallel(X, q, r, k, backend=Gpu(), retry=RetryPolicy())
 
 
 class TestDeadline:
@@ -201,19 +204,43 @@ class TestShmLifecycle:
             )
         assert shm_segments() == before
 
-    def test_generator_close_unlinks(self, cloud, clean_env):
-        """solve_chunks closes its generator on any exit — the same path
-        a KeyboardInterrupt mid-map takes — and that close must tear
-        down the shared-memory session."""
-        backend = ProcessBackend(p=2)
-        q = np.arange(40, dtype=np.intp)
-        r = np.arange(cloud.shape[0], dtype=np.intp)
+    def test_keyboard_interrupt_unlinks_and_reaps(
+        self, cloud, monkeypatch, clean_env
+    ):
+        """An interrupt inside the executor once the first chunk is back
+        must tear down the shared-memory session and every worker."""
+        import multiprocessing
+
+        import repro.parallel.backends as backends
+
+        real = backends._absorb_worker_obs
+        live = {}
+
+        def interrupt_after_first(payload, parent_id):
+            real(payload, parent_id)
+            live["segments"] = shm_segments() - before
+            raise KeyboardInterrupt
+
+        monkeypatch.setattr(
+            backends, "_absorb_worker_obs", interrupt_after_first
+        )
         before = shm_segments()
-        runs = backend._run(cloud, q, r, 4, [(0, 20), (20, 20)], {})
-        next(runs)
-        assert shm_segments() != before  # session is live
-        runs.close()  # simulated interrupt between chunks
+        with pytest.raises(KeyboardInterrupt):
+            gsknn_data_parallel(
+                cloud,
+                np.arange(80),
+                np.arange(cloud.shape[0]),
+                4,
+                p=2,
+                backend="processes",
+                chunks_per_worker=2,
+            )
+        assert live["segments"]  # the session was live mid-solve
         assert shm_segments() == before
+        limit = time.monotonic() + 5.0
+        while multiprocessing.active_children() and time.monotonic() < limit:
+            time.sleep(0.05)
+        assert not multiprocessing.active_children()
 
     def test_legacy_crash_env_no_leak(self, cloud, monkeypatch, clean_env):
         from repro.errors import BackendError
@@ -231,13 +258,44 @@ class TestShmLifecycle:
             )
         assert shm_segments() == before
 
+    def test_plain_dead_worker_counts_nothing(
+        self, cloud, monkeypatch, metrics, clean_env
+    ):
+        """A plain call is a one-rung, one-attempt ladder: it recovers
+        nothing, so it records nothing under ``resilience.*``."""
+        from repro.errors import BackendError
+
+        monkeypatch.setenv("REPRO_BACKEND_TEST_CRASH_AT", "0")
+        with pytest.raises(BackendError):
+            gsknn_data_parallel(
+                cloud,
+                np.arange(60),
+                np.arange(cloud.shape[0]),
+                5,
+                p=2,
+                backend="processes",
+            )
+        counters = metrics.snapshot()["counters"]
+        assert not [c for c in counters if c.startswith("resilience.")]
+
 
 class TestNonRetryable:
-    def test_validation_error_propagates_immediately(self, cloud, clean_env):
-        q = np.arange(40, dtype=np.intp)
-        r = np.arange(cloud.shape[0], dtype=np.intp)
+    def test_validation_error_propagates_immediately(self, clean_env):
+        """Neither retried nor degraded: the same inputs would fail on
+        every rung."""
+        calls = []
+
+        def open_solver():
+            def solve(key, item):
+                calls.append(key)
+                raise ValidationError("bad chunk")
+
+            return solve
+
         with pytest.raises(ValidationError):
-            solve_chunks_resilient(
-                cloud, q, r, 4, [(0, 40)], {"variant": 99},
-                backend="serial", p=1,
+            run_ladder(
+                {0: None, 1: None},
+                [InlineRung(open_solver), InlineRung(open_solver)],
+                retry=RetryPolicy(max_attempts=3, backoff_base=0.0),
             )
+        assert calls == [0, 1]

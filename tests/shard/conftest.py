@@ -5,16 +5,6 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from repro.resilience.faults import FAULT_PLAN_ENV
-
-
-@pytest.fixture(autouse=True)
-def no_ambient_fault_plan(monkeypatch):
-    """Shard tests pin fault behavior explicitly via ``fault_plan=``; an
-    ambient ``$REPRO_FAULT_PLAN`` (the CI fault matrix) must not leak
-    into routers that assert clean bit-identical solves."""
-    monkeypatch.delenv(FAULT_PLAN_ENV, raising=False)
-
 
 @pytest.fixture
 def table(rng) -> np.ndarray:

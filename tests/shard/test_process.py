@@ -9,9 +9,13 @@ crash recovered through the failure ladder.
 
 from __future__ import annotations
 
+import time
+
 import numpy as np
 import pytest
 
+from repro.errors import KernelTimeoutError
+from repro.resilience.faults import FaultPlan
 from repro.resilience.retry import RetryPolicy
 from repro.shard import ShardedAllKnn
 
@@ -59,6 +63,40 @@ class TestProcessBitIdenticality:
         assert_bit_identical(got, want)
 
 
+class TestParentTwin:
+    def test_healthy_path_builds_no_twin(self, table, rng):
+        with ShardedAllKnn(
+            table, 2, transport="process", fault_plan=FaultPlan(), **BLOCKS
+        ) as router:
+            router.solve(np.arange(20), 5)
+            router.insert(rng.random((9, router.dim)))
+            router.solve(np.arange(20), 5)
+            assert router._twin is None
+
+    def test_fallback_in_new_epoch_sees_new_membership(self, table, rng):
+        """crash=1.0 sends every partition to the fault-free serial rung
+        on the parent-side twin, before and after churn: the twin must
+        follow the membership, or the merge would miss rows."""
+        with ShardedAllKnn(
+            table,
+            2,
+            transport="process",
+            fault_plan="seed=5,crash=1.0",
+            retry=RetryPolicy(max_attempts=1, backoff_base=0.0),
+            **BLOCKS,
+        ) as router:
+            q = np.arange(30)
+            assert_bit_identical(
+                router.solve(q, 6), router.solve_reference(q, 6)
+            )
+            router.insert(rng.random((17, router.dim)))
+            router.delete(np.arange(0, 60, 3))
+            q = np.arange(0, router.map.n_total, 7)
+            assert_bit_identical(
+                router.solve(q, 6), router.solve_reference(q, 6)
+            )
+
+
 class TestProcessCrashRecovery:
     def test_worker_crash_recovered_through_ladder(self, table):
         """crash=1.0 in scope "shard" makes every worker attempt die via
@@ -100,3 +138,37 @@ class TestProcessCrashRecovery:
                 assert_bit_identical(
                     router.solve(q, 7), router.solve_reference(q, 7)
                 )
+
+
+class TestProcessDeadlines:
+    def test_slow_shard_raises_kernel_timeout(self, table):
+        """A shard that outlives the budget surfaces as the library's
+        timeout, whatever ``concurrent.futures`` calls its own."""
+        with ShardedAllKnn(
+            table,
+            2,
+            transport="process",
+            fault_plan="seed=1,slow=1.0,slow_ms=1500",
+            **BLOCKS,
+        ) as router:
+            with pytest.raises(KernelTimeoutError):
+                router.solve(np.arange(20), 5, deadline=0.3)
+
+    def test_deadline_holds_across_rungs(self, table):
+        """Shard 0 crashes on its worker (epoch 0, attempt 0) and is
+        slow on the threads rung (attempt 1): the deadline must still
+        land within twice its budget, not after the slow fault."""
+        budget = 0.5
+        with ShardedAllKnn(
+            table,
+            2,
+            transport="process",
+            fault_plan="seed=24,crash=0.4,slow=0.4,slow_ms=2000",
+            retry=RetryPolicy(max_attempts=1),
+            **BLOCKS,
+        ) as router:
+            t0 = time.perf_counter()
+            with pytest.raises(KernelTimeoutError):
+                router.solve(np.arange(20), 5, deadline=budget)
+            elapsed = time.perf_counter() - t0
+        assert elapsed < 2 * budget
