@@ -26,7 +26,9 @@ worker process** (the shard transport of :mod:`repro.shard.transport`,
 shared-memory table, per-worker :class:`~repro.core.plan.PlanCache`
 kept warm across leaves and iterations). Both produce bit-identical
 results; SimComm still prices the communication volume in either mode.
-See docs/DISTRIBUTED.md.
+Either way a leaf kernel that fails on its rank — a fault, a dead
+worker — is retried there and then re-solved in the parent. See
+docs/DISTRIBUTED.md.
 """
 
 from __future__ import annotations
@@ -44,6 +46,8 @@ from ..model.perf_model import PerformanceModel
 from ..obs import trace as _trace
 from ..obs.metrics import get_registry as _get_registry
 from ..parallel.scheduler import ScheduledTask, lpt_schedule
+from ..resilience.executor import InlineRung, ThreadRung, run_ladder
+from ..resilience.retry import RetryPolicy
 from ..trees.rkdtree import RandomizedKDTree
 from ..validation import as_coordinate_table, check_finite, check_k
 from .comm import AlphaBetaModel, SimComm
@@ -173,137 +177,75 @@ class DistributedAllKnn:
         self._last_imbalance = schedule.imbalance
         return [[t.payload for t in rank] for rank in schedule.assignments]
 
+    def _solve_leaf(
+        self, X: np.ndarray, group: np.ndarray, k: int, X2: np.ndarray
+    ) -> tuple[np.ndarray, np.ndarray]:
+        """One leaf kernel in this process (a simulated rank, or the
+        parent re-solving a leaf its rank worker could not)."""
+        if self.kernel == "gemm":
+            res = ref_knn(X, group, group, k, X2=X2)
+        elif self.backend != "serial" and self.workers_per_rank > 1:
+            from ..parallel.data_parallel import gsknn_data_parallel
+
+            res = gsknn_data_parallel(
+                X, group, group, k,
+                p=self.workers_per_rank, backend=self.backend, X2=X2,
+            )
+        else:
+            res = self._plans.get(X, group, X2=X2).execute(group, k)
+        return res.distances, res.indices
+
     def _run_kernel(
         self,
         X: np.ndarray,
         group: np.ndarray,
         k: int,
         X2: np.ndarray,
-        rank: int | None = None,
-        deadline=None,
-    ) -> KnnResult:
-        k_eff = min(k, group.size)
-        if (
-            self._rank_workers is not None
-            and rank is not None
-            and self.kernel == "gsknn"
-        ):
-            res = self._run_kernel_remote(group, k_eff, rank, deadline)
-        elif self.kernel == "gsknn":
-            if self.backend != "serial" and self.workers_per_rank > 1:
-                from ..parallel.data_parallel import gsknn_data_parallel
-
-                res = gsknn_data_parallel(
-                    X, group, group, k_eff,
-                    p=self.workers_per_rank, backend=self.backend, X2=X2,
-                )
-            else:
-                plan = self._plans.get(X, group, X2=X2)
-                res = plan.execute(group, k_eff)
-        else:
-            res = ref_knn(X, group, group, k_eff, X2=X2)
-        if k_eff == k:
-            return res
-        pad = k - k_eff
-        return KnnResult(
-            np.pad(res.distances, ((0, 0), (0, pad)), constant_values=np.inf),
-            np.pad(res.indices, ((0, 0), (0, pad)), constant_values=-1),
-        )
-
-    def _run_kernel_remote(
-        self, group: np.ndarray, k_eff: int, rank: int, deadline
-    ) -> KnnResult:
-        """One leaf kernel on rank ``rank``'s long-lived worker process.
-
-        The worker holds the table via shared memory and a warm
-        :class:`~repro.core.plan.PlanCache`, so a leaf recurring across
-        iterations reuses its packed panels just like the sim path. A
-        dead worker is restarted and the leaf re-raises as a
-        :class:`~repro.errors.BackendError` so the caller's rank-level
-        retry (or its fault-free last attempt, run locally) recovers.
-        """
-        from ..errors import BackendError
-        from ..parallel.backends import _absorb_worker_obs
-
-        future = self._rank_workers.submit(
-            rank, ("group", group, group, k_eff)
-        )
-        try:
-            out = future.result(
-                timeout=None if deadline is None else deadline.timeout()
-            )
-        except TimeoutError:
-            future.cancel()
-            if deadline is not None:
-                deadline.raise_expired("rank kernel", rank=rank)
-            raise
-        except Exception as exc:
-            try:
-                self._rank_workers.restart(rank)
-            except Exception:  # pragma: no cover - restart best-effort
-                pass
-            raise BackendError(
-                f"rank {rank} worker failed solving a leaf of "
-                f"{group.size} points"
-            ) from exc
-        dist, idx, obs = out
-        _absorb_worker_obs(obs, _trace.get_tracer().current_span_id())
-        return KnnResult(dist, idx)
-
-    def _run_kernel_resilient(
-        self,
-        X: np.ndarray,
-        group: np.ndarray,
-        k: int,
-        X2: np.ndarray,
         *,
+        rank: int,
         key: str,
         deadline=None,
         retry=None,
         fault_plan=None,
-        rank: int | None = None,
     ) -> KnnResult:
-        """Per-leaf kernel with rank-level retry and fault injection.
+        """One leaf kernel as a one-item ladder: its rank, then the parent.
 
-        ``key`` identifies the leaf deterministically across runs
-        (``iteration:rank:leaf``), so a seeded :class:`FaultPlan` fails
-        the same leaves every time. The last attempt runs fault-free and
-        a failed leaf re-runs on the same (simulated) rank, so the
-        merged table is unchanged by injection.
+        A simulated rank solves on a thread that fires the fault for
+        ``key`` (``iteration:rank:leaf``) inside the task, or inline on
+        a plain call; a rank worker process rolls its own dice and is
+        restarted when it dies. The last rung re-solves the leaf in the
+        parent, fault-free — also with no retry policy — so results are
+        unchanged by injection.
         """
-        from ..resilience import is_retryable
+        def open_parent():
+            return lambda rank, task: self._solve_leaf(X, task[1], task[3], X2)
 
-        if retry is None and fault_plan is None:
-            try:
-                return self._run_kernel(X, group, k, X2, rank, deadline)
-            except Exception as exc:
-                if self._rank_workers is None or not is_retryable(exc):
-                    raise
-                # a dead rank worker without a retry policy still
-                # recovers: re-solve this leaf in-parent, bit-identically
-                return self._run_kernel(X, group, k, X2, None, deadline)
-        attempts = retry.max_attempts if retry is not None else 1
-        registry = _get_registry()
-        for attempt in range(attempts):
-            try:
-                if fault_plan is not None and attempt < attempts - 1:
-                    fault_plan.apply("rank", key, attempt)
-                return self._run_kernel(X, group, k, X2, rank, deadline)
-            except Exception as exc:
-                if not is_retryable(exc):
-                    raise
-                if attempt == attempts - 1:
-                    if self._rank_workers is not None and rank is not None:
-                        # rank worker unrecoverable after its retries:
-                        # fault-free in-parent serial fallback
-                        return self._run_kernel(X, group, k, X2, None, deadline)
-                    raise
-                if registry.enabled:
-                    registry.inc("resilience.retries")
-                    registry.inc("resilience.rank_retries")
-                if retry is not None:
-                    retry.sleep(attempt, deadline)
-        raise AssertionError("unreachable")  # pragma: no cover
+        parent = InlineRung(open_parent)
+        if self._rank_workers is not None:
+            from ..shard.transport import _TransportRung
+
+            rungs = (_TransportRung(self._rank_workers), parent)
+        elif retry is None:
+            rungs = (parent,)
+        else:
+            fault = None if fault_plan is None else (
+                lambda _rank, attempt: fault_plan.apply("rank", key, attempt)
+            )
+            rungs = (ThreadRung(open_parent, 1, fault=fault), parent)
+        k_eff = min(k, group.size)
+        dist, idx = run_ladder(
+            {rank: ("group", group, group, k_eff)},
+            rungs,
+            retry=retry if retry is not None else RetryPolicy(max_attempts=1),
+            deadline=deadline,
+        )[rank]
+        if k_eff == k:
+            return KnnResult(dist, idx)
+        pad = k - k_eff
+        return KnnResult(
+            np.pad(dist, ((0, 0), (0, pad)), constant_values=np.inf),
+            np.pad(idx, ((0, 0), (0, pad)), constant_values=-1),
+        )
 
     # -- the solve ---------------------------------------------------------------
 
@@ -322,13 +264,16 @@ class DistributedAllKnn:
         Resilience: ``deadline`` (a :class:`~repro.resilience.Deadline`
         or a budget in seconds) bounds the whole solve — it is checked
         before every leaf kernel *and* on every simulated send/recv, so
-        expiry raises :class:`~repro.errors.KernelTimeoutError` (with
-        iteration/rank progress metadata) instead of grinding on.
+        expiry raises :class:`~repro.errors.KernelTimeoutError` instead
+        of grinding on. Every leaf kernel runs on the resilience layer's
+        retry/fallback loop (:func:`~repro.resilience.executor.run_ladder`),
+        so its wait — and any injected slow fault, which fires inside
+        the rank's task — is bounded by the same deadline.
         ``fault_plan`` (or ``$REPRO_FAULT_PLAN``) injects deterministic
         rank-level faults into leaf kernels; ``retry`` (defaulted on
-        when faults are active) re-runs a failed leaf on the same rank
-        with backoff — the recovery the paper's outer solver [34]
-        assumes at rank level. The final attempt is fault-free, so
+        when faults are active) re-runs a failed leaf on its rank with
+        backoff — the recovery the paper's outer solver [34] assumes at
+        rank level — before a fault-free re-solve in the parent, so
         results are unchanged by injection.
 
         ``request`` (a :class:`~repro.obs.context.RequestContext` or
@@ -360,7 +305,7 @@ class DistributedAllKnn:
         retry=None,
         fault_plan=None,
     ) -> DistributedReport:
-        from ..resilience import Deadline, FaultPlan, RetryPolicy
+        from ..resilience import Deadline, FaultPlan
 
         X = as_coordinate_table(X)
         check_finite(X)
@@ -397,6 +342,11 @@ class DistributedAllKnn:
                         for _ in range(self.n_ranks)
                     ],
                     epoch=0,
+                    fault_spec=(
+                        fault_plan.spec()
+                        if fault_plan is not None and fault_plan.active
+                        else None
+                    ),
                 )
             )
             self._rank_workers = workers
@@ -489,13 +439,13 @@ class DistributedAllKnn:
                         leaf_size=int(leaf.size),
                         lane=_RANK_LANE + solver_rank,
                     ):
-                        local = self._run_kernel_resilient(
+                        local = self._run_kernel(
                             X, leaf, k, X2,
+                            rank=solver_rank,
                             key=f"{iteration}:{solver_rank}:{leaf_index}",
                             deadline=deadline,
                             retry=retry,
                             fault_plan=fault_plan,
-                            rank=solver_rank,
                         )
                     elapsed = time.perf_counter() - t0
                     rank_kernel_seconds[solver_rank] += elapsed

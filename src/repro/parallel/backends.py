@@ -44,9 +44,8 @@ from __future__ import annotations
 
 import os
 import pickle
-from concurrent.futures import ThreadPoolExecutor
 from functools import partial
-from typing import Any, Callable, Sequence
+from typing import Any, Sequence
 
 import numpy as np
 
@@ -55,7 +54,6 @@ from ..obs.context import (
     RequestContext,
     bind_request,
     current_request,
-    request_scope,
 )
 from ..obs.metrics import MetricsRegistry, get_registry as _get_registry
 from ..obs.metrics import set_registry as _set_registry
@@ -213,14 +211,11 @@ def _chunk_solver(X, q_idx, r_idx, k, kernel_kwargs):
 
 
 class ExecutionBackend:
-    """Contract: run query chunks as one rung of the chunk ladder, and
-    map generic tasks.
+    """Contract: run query chunks as one rung of the chunk ladder.
 
-    ``rung`` is the GSKNN-specific entry point:
     :func:`repro.parallel.data_parallel.gsknn_data_parallel` runs the
     chunk list on a ladder of backend rungs through
-    :func:`repro.resilience.executor.run_ladder`. ``map`` is the generic
-    fan-out the LPT schedule executor uses.
+    :func:`repro.resilience.executor.run_ladder`.
     """
 
     name = "abstract"
@@ -239,10 +234,6 @@ class ExecutionBackend:
         chunk start, ``fault_plan`` fires in scope ``"chunk"``."""
         raise NotImplementedError
 
-    def map(self, fn: Callable[[Any], Any], items: Sequence[Any]) -> list[Any]:
-        """Generic ordered fan-out (used by the schedule executor)."""
-        raise NotImplementedError
-
 
 class SerialBackend(ExecutionBackend):
     """In-process, in-order execution — the bit-exact reference."""
@@ -257,9 +248,6 @@ class SerialBackend(ExecutionBackend):
         return InlineRung(
             partial(_chunk_solver, X, q_idx, r_idx, k, kernel_kwargs)
         )
-
-    def map(self, fn, items):
-        return [fn(item) for item in items]
 
 
 class ThreadBackend(ExecutionBackend):
@@ -280,21 +268,6 @@ class ThreadBackend(ExecutionBackend):
                 fault_plan.apply, "chunk"
             ),
         )
-
-    def map(self, fn, items):
-        from .chunking import resolve_workers
-
-        if not items:
-            return []
-        workers = resolve_workers(self.p, len(items))
-        ctx = current_request()
-
-        def run_one(item):
-            with request_scope(ctx):
-                return fn(item)
-
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            return list(pool.map(run_one, items))
 
 
 # -- shared-memory segments --------------------------------------------------
@@ -467,7 +440,7 @@ def _process_worker_init(
 
 def _process_worker_solve(
     task: tuple[tuple[int, int], int, int]
-) -> tuple[np.ndarray, np.ndarray, dict[str, Any] | None]:
+) -> tuple[tuple[np.ndarray, np.ndarray], dict[str, Any] | None]:
     chunk, k, attempt = task
     fault_plan = _WORKER_STATE.get("fault_plan")
     if fault_plan is not None:
@@ -489,7 +462,7 @@ def _process_worker_solve(
         )
     # span/metric deltas ride back with the chunk result; ``None`` when
     # observability was off (the common path ships nothing extra)
-    return dist, idx, _drain_worker_obs()
+    return (dist, idx), _drain_worker_obs()
 
 
 def _reap_pool(pool) -> None:
@@ -610,13 +583,6 @@ class ProcessBackend(ExecutionBackend):
             X, q_idx, r_idx, k, kernel_kwargs,
             resolve_workers(self.p, max(len(chunks), 1)),
             self.mp_context, fault_plan,
-        )
-
-    def map(self, fn, items):
-        raise ValidationError(
-            "the processes backend only executes GSKNN query chunks "
-            "(its operands travel via shared memory, not pickles); use "
-            "the serial or threads backend for generic task fan-out"
         )
 
 

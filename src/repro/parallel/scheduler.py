@@ -5,16 +5,22 @@ inter-task dependencies a greedy first-termination list schedule over a
 descending-runtime-sorted task list (LPT — the "special case of
 Graham's bound" the paper cites) is a 4/3 - 1/(3p) approximation. The
 paper sorts kernels by *estimated* runtime from the §2.6 model and
-assigns each to the processor with the smallest accumulated time; this
-module reproduces that, and can execute the schedule on real threads.
+assigns each to the processor with the smallest accumulated time;
+:func:`lpt_schedule` reproduces that static assignment (its loads,
+makespan and imbalance are what the model and the metrics report).
+:func:`execute_schedule` runs the same descending order as a greedy list
+schedule on real threads: each task goes to the first worker that comes
+free, so measured runtimes, not estimates, decide where it lands. The
+tasks run on the resilience layer's one retry/fallback loop, which owns
+deadlines, fault injection and recovery.
 """
 
 from __future__ import annotations
 
 import heapq
-import threading
 import time
 from dataclasses import dataclass, field
+from functools import partial
 from typing import Any, Callable, Sequence
 
 from ..errors import ValidationError
@@ -100,21 +106,6 @@ def lpt_schedule(tasks: Sequence[ScheduledTask], p: int) -> Schedule:
     return schedule
 
 
-class _ExecutedCount:
-    """Shared executed-task tally for deadline metadata (lane threads
-    update it concurrently; a lock keeps the count honest)."""
-
-    __slots__ = ("value", "_lock")
-
-    def __init__(self) -> None:
-        self.value = 0
-        self._lock = threading.Lock()
-
-    def bump(self) -> None:
-        with self._lock:
-            self.value += 1
-
-
 def graham_bound(p: int) -> float:
     """LPT's worst-case makespan ratio vs optimal: ``4/3 - 1/(3p)``."""
     if p < 1:
@@ -131,96 +122,94 @@ def execute_schedule(
     retry=None,
     fault_plan=None,
 ) -> dict[int, Any]:
-    """Execute a schedule on an execution backend; returns {task_id: result}.
+    """Execute a schedule; returns {task_id: result}.
 
-    Each processor's task list runs sequentially, in assignment order —
-    faithful to the static schedule rather than a work-stealing pool.
+    The tasks go in the schedule's LPT order (descending estimate) to
+    ``n_processors`` worker threads, the next task to the first worker
+    that comes free — the greedy list schedule Graham's bound is about,
+    driven by measured rather than estimated completion times.
     ``backend`` is ``"threads"`` (default — on kernels that release the
-    GIL during BLAS this gives true overlap), ``"serial"`` (in-process,
-    for debugging and single-core determinism), or any
-    :class:`~repro.parallel.backends.ExecutionBackend` whose generic
-    ``map`` is implemented. The ``processes`` backend is rejected here:
+    GIL during BLAS this gives true overlap) or ``"serial"`` (one task
+    at a time, for debugging and single-core determinism); a backend
+    instance counts by its name. The ``processes`` backend is rejected:
     schedule payloads are arbitrary closures, and its zero-copy
     contract only covers GSKNN query chunks.
 
-    Resilience: ``deadline`` (a :class:`~repro.resilience.Deadline` or a
-    budget in seconds) is checked before every task — expiry raises
-    :class:`~repro.errors.KernelTimeoutError` with executed/total task
-    metadata. ``fault_plan`` (or ``$REPRO_FAULT_PLAN``) injects
-    deterministic per-task faults, and ``retry`` (a
+    The tasks run on the resilience layer's one retry/fallback loop
+    (:func:`repro.resilience.executor.run_ladder`). ``deadline`` (a
+    :class:`~repro.resilience.Deadline` or a budget in seconds) bounds
+    every wait: expiry raises :class:`~repro.errors.KernelTimeoutError`
+    with ``completed``/``total`` task metadata. ``fault_plan`` (or
+    ``$REPRO_FAULT_PLAN``) injects deterministic per-task faults
+    (scope ``"task"``) inside the worker threads, and ``retry`` (a
     :class:`~repro.resilience.RetryPolicy`, defaulted on when a fault
-    plan is active) re-runs a failed task in place with backoff; the
-    final attempt is fault-free so injection can never make a schedule
-    unfinishable.
+    plan is active) resubmits failed tasks with backoff; tasks that
+    still fail finish on a fault-free inline rung, so injection can
+    never make a schedule unfinishable. A plain serial call runs every
+    task inline, in the calling thread.
     """
-    from ..resilience import Deadline, FaultPlan, RetryPolicy, is_retryable
+    from ..resilience import Deadline, FaultPlan, RetryPolicy
+    from ..resilience.executor import InlineRung, ThreadRung, run_ladder
     from .backends import resolve_backend
 
     engine = resolve_backend(backend, schedule.n_processors)
-    results: dict[int, Any] = {}
-    registry = _get_registry()
+    if engine.name not in ("serial", "threads"):
+        raise ValidationError(
+            f"schedules run on the serial or threads backend, got "
+            f"{engine.name!r} (the processes backend only executes GSKNN "
+            f"query chunks: its operands travel via shared memory, not "
+            f"pickles)"
+        )
     deadline = Deadline.coerce(deadline)
     fault_plan = FaultPlan.coerce(fault_plan)
     if fault_plan is None:
         fault_plan = FaultPlan.from_env()
     if retry is None and fault_plan is not None:
         retry = RetryPolicy()
-    total_tasks = sum(len(tasks) for tasks in schedule.assignments)
-    executed = _ExecutedCount()
+    tasks = sorted(
+        (t for lane in schedule.assignments for t in lane),
+        key=lambda t: -t.estimate,
+    )
+    if not tasks:
+        return {}
+    registry = _get_registry()
 
-    def run_task(t: ScheduledTask) -> Any:
-        attempts = retry.max_attempts if retry is not None else 1
-        for attempt in range(attempts):
-            if deadline is not None:
-                deadline.check(
-                    "schedule task", executed=executed.value, total=total_tasks
+    def open_solver():
+        # pool threads start with an empty span stack: parent each task
+        # span under the caller's open span
+        tracer = _trace.get_tracer()
+        parent_id = tracer.current_span_id()
+
+        def solve(task_id: int, t: ScheduledTask) -> Any:
+            t0 = time.perf_counter()
+            with tracer.span_under(
+                parent_id, "task", task_id=task_id, estimate=t.estimate
+            ):
+                value = run(t)
+            if registry.enabled:
+                registry.inc("sched.executed_tasks")
+                registry.observe(
+                    "sched.task_seconds", time.perf_counter() - t0
                 )
-            try:
-                if fault_plan is not None and attempt < attempts - 1:
-                    # the last attempt is always clean — injection
-                    # exercises recovery, never permafailure
-                    fault_plan.apply("task", t.task_id, attempt)
-                return run(t)
-            except Exception as exc:
-                if attempt == attempts - 1 or not is_retryable(exc):
-                    raise
-                if registry.enabled:
-                    registry.inc("resilience.retries")
-                retry.sleep(attempt, deadline)
-        raise AssertionError("unreachable")  # pragma: no cover
+            return value
 
-    # lanes run in pool threads with their own span stacks; capture the
-    # caller's open span so each lane's "worker" span stays parented
-    # under the driver instead of becoming a disconnected root
-    tracer = _trace.get_tracer()
-    schedule_span_id = tracer.current_span_id()
+        return solve
 
-    def worker(tasks: list[ScheduledTask]) -> list[tuple[int, Any]]:
-        out: list[tuple[int, Any]] = []
-        with tracer.span_under(schedule_span_id, "worker", tasks=len(tasks)):
-            for t in tasks:
-                if registry.enabled:
-                    t0 = time.perf_counter()
-                    with _trace.span("task", task_id=t.task_id, estimate=t.estimate):
-                        value = run_task(t)
-                    registry.inc("sched.executed_tasks")
-                    registry.observe(
-                        "sched.task_seconds", time.perf_counter() - t0
-                    )
-                else:
-                    with _trace.span("task", task_id=t.task_id, estimate=t.estimate):
-                        value = run_task(t)
-                executed.bump()
-                out.append((t.task_id, value))
-        return out
-
-    lanes = [tasks for tasks in schedule.assignments if tasks]
-    if not lanes:
-        return results
-    # one lane per processor with work; the shared resolver clamps the
-    # pool so idle processors never cost a thread
-    engine.p = resolve_workers(max(schedule.n_processors, 1), len(lanes))
-    for chunk in engine.map(worker, lanes):
-        for task_id, value in chunk:
-            results[task_id] = value
-    return results
+    if retry is None and engine.name == "serial":
+        rungs = [InlineRung(open_solver)]
+    else:
+        workers = 1 if engine.name == "serial" else resolve_workers(
+            max(schedule.n_processors, 1), len(tasks)
+        )
+        fault = None if fault_plan is None else partial(
+            fault_plan.apply, "task"
+        )
+        rungs = [ThreadRung(open_solver, workers, fault=fault)]
+        if retry is not None:
+            rungs.append(InlineRung(open_solver))
+    return run_ladder(
+        {t.task_id: t for t in tasks},
+        rungs,
+        retry=retry if retry is not None else RetryPolicy(max_attempts=1),
+        deadline=deadline,
+    )

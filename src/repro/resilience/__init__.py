@@ -15,14 +15,15 @@ primitives through every execution path:
 * :class:`RetryPolicy` + the ``processes -> threads -> serial``
   fallback ladder (:data:`FALLBACK_LADDER`), run by the one loop in
   :func:`~repro.resilience.executor.run_ladder` for data-parallel
-  chunks and shard partitions alike — failed items are resubmitted
+  chunks, shard partitions, schedule tasks, distributed rank kernels
+  and serve window groups alike — failed items are resubmitted
   with exponential backoff and degraded per item, so a dead worker
   costs one item's recomputation, not the solve, and the answer stays
   bit-identical (the variant and the decomposition were resolved once
   on the full problem);
 * :class:`FaultPlan` — a seeded, deterministic schedule of worker
-  crashes, slow chunks, and injected allocation failures, consumed by
-  all three backends, the scheduler, and the distributed rank loop, so
+  crashes, slow chunks, and injected allocation failures, fired inside
+  the tasks of every ladder rung that injects them, so
   every recovery path is pinned by tests (and the CI fault-matrix job)
   rather than luck.
 

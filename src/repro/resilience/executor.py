@@ -1,13 +1,25 @@
 """The one retry/fallback loop every recoverable fan-out runs on.
 
-Two callers decompose a solve into independent items whose answers do
-not depend on where they run: the data-parallel driver splits the query
-side into ``(chunk_m, k)`` chunks (paper §2.5), and the shard router
-splits the reference side into partitions. Both hand their items to
-:func:`run_ladder` together with a ladder of :class:`Rung` s —
-processes, then a thread pool, then inline serial. A rung only says how
-to submit one item and how to recover a dead worker; the loop owns
-everything else:
+Five callers decompose their work into independent items whose answers
+do not depend on where they run, and hand the items to
+:func:`run_ladder` together with a ladder of :class:`Rung` s:
+
+* the data-parallel driver splits the query side into ``(chunk_m, k)``
+  chunks (paper §2.5) — processes, then a thread pool, then inline
+  serial;
+* the shard router splits the reference side into partitions — the
+  shards' own workers, then parent-side threads, then inline serial;
+* the LPT schedule executor submits independent tasks in schedule
+  order to ``n_processors`` threads (the greedy list schedule), then
+  inline serial;
+* the distributed solver runs each leaf kernel as a one-item ladder —
+  the rank (a thread for a simulated rank, a worker process for a real
+  one), then inline in the parent;
+* the serving front-end runs each window group as a one-item ladder on
+  a single fault-injected rung that retries without backoff.
+
+A rung only says how to submit one item and how to recover a dead
+worker; the loop owns everything else:
 
 * rounds of *submit pending items, drain under the deadline, recover a
   broken worker, back off*, up to :attr:`RetryPolicy.max_attempts`
@@ -21,8 +33,13 @@ everything else:
   sliced from the remaining budget, injected faults run inside the
   rung's own tasks, and expiry raises
   :class:`~repro.errors.KernelTimeoutError` (``completed``/``total``
-  item metadata) without joining stragglers; leaving a rung reaps its
-  workers and releases its shared segments.
+  item metadata, counting every item already resolved) without joining
+  stragglers; leaving a rung reaps its workers and releases its shared
+  segments.
+
+Item values are opaque to the loop: each caller's solver returns
+whatever its caller demuxes (a ``(distances, indices)`` pair, a
+:class:`~repro.core.neighbors.KnnResult`, a task's return value).
 
 A ladder of one rung run for one round cannot recover anything: it
 fails on the first error (a dead worker as :class:`BackendError`) and
@@ -58,20 +75,18 @@ __all__ = ["Rung", "ThreadRung", "InlineRung", "run_ladder"]
 _WAIT_SLICE = 0.05
 
 #: Opens a rung's in-process solver: called once in the caller's thread
-#: when the rung is entered, it returns ``solve(key, item) ->
-#: (distances, indices)``.
-SolverFactory = Callable[[], Callable[[Any, Any], tuple]]
+#: when the rung is entered, it returns ``solve(key, item) -> value``.
+SolverFactory = Callable[[], Callable[[Any, Any], Any]]
 
 
 class Rung:
     """One step of a fallback ladder.
 
-    ``submit`` returns a future resolving to ``(distances, indices,
-    obs_payload)`` — the payload is a worker process's span/metric
-    deltas, ``None`` in-process. ``recover`` brings back the workers of
-    the items whose futures failed with ``BrokenProcessPool``. A rung is
-    entered around the rounds it serves; leaving it must not wait on
-    stragglers.
+    ``submit`` returns a future resolving to ``(value, obs_payload)`` —
+    the payload is a worker process's span/metric deltas, ``None``
+    in-process. ``recover`` brings back the workers of the items whose
+    futures failed with ``BrokenProcessPool``. A rung is entered around
+    the rounds it serves; leaving it must not wait on stragglers.
     """
 
     name = "rung"
@@ -123,7 +138,7 @@ class ThreadRung(Rung):
         with request_scope(self._ctx):
             if self._fault is not None:
                 self._fault(key, attempt)
-            return (*self._solve(key, item), None)
+            return self._solve(key, item), None
 
     def __exit__(self, *exc: object) -> None:
         # no waiting on stragglers: a slow item must not hold the
@@ -147,7 +162,7 @@ class InlineRung(Rung):
     def submit(self, key, item, attempt):
         future: Future = Future()
         try:
-            future.set_result((*self._solve(key, item), None))
+            future.set_result((self._solve(key, item), None))
         except Exception as exc:
             future.set_exception(exc)
         return future
@@ -159,9 +174,8 @@ def run_ladder(
     *,
     retry: RetryPolicy,
     deadline: Deadline | None = None,
-) -> dict[Hashable, tuple[Any, Any]]:
-    """Solve every item on the first rung that can; ``{key: (distances,
-    indices)}``.
+) -> dict[Hashable, Any]:
+    """Solve every item on the first rung that can; ``{key: value}``.
 
     Raises the first non-retryable error as-is, ``KernelTimeoutError``
     when ``deadline`` expires, and — when every rung has failed an item
@@ -172,7 +186,9 @@ def run_ladder(
 
     pending = dict(items)
     total = len(pending)
-    results: dict[Hashable, tuple[Any, Any]] = {}
+    results: dict[Hashable, Any] = {}
+    # this round's submitted, not yet drained futures
+    in_flight: dict[Future, Hashable] = {}
     attempts = dict.fromkeys(pending, 0)
     errors: dict[Hashable, BaseException] = {}
     recovers = len(rungs) > 1 or retry.max_attempts > 1
@@ -181,11 +197,20 @@ def run_ladder(
     tracer = _trace.get_tracer()
 
     def progress() -> dict[str, int]:
-        return {"completed": len(results), "total": total}
+        # an inline rung resolves items inside ``submit``, before any
+        # drain records them
+        resolved = sum(
+            1
+            for future in in_flight
+            if future.done()
+            and not future.cancelled()
+            and future.exception() is None
+        )
+        return {"completed": len(results) + resolved, "total": total}
 
     def submit(rung: Rung, key, item) -> Future:
-        if deadline is not None:
-            deadline.check(f"{rung.name} submit", **progress())
+        if deadline is not None and deadline.expired():
+            deadline.raise_expired(f"{rung.name} submit", **progress())
         if attempts[key] and counting:
             registry.inc("resilience.retries")
         try:
@@ -197,10 +222,10 @@ def run_ladder(
             future.set_exception(exc)
             return future
 
-    def drain(rung: Rung, futures: dict[Future, Hashable]) -> set:
+    def drain(rung: Rung) -> set:
         parent_id = tracer.current_span_id()
         broken: set = set()
-        not_done = set(futures)
+        not_done = set(in_flight)
         while not_done:
             if deadline is not None and deadline.expired():
                 for future in not_done:
@@ -214,9 +239,9 @@ def run_ladder(
                 return_when=FIRST_COMPLETED,
             )
             for future in done:
-                key = futures[future]
+                key = in_flight.pop(future)
                 try:
-                    dist, idx, obs = future.result()
+                    value, obs = future.result()
                 except BrokenProcessPool as exc:
                     broken.add(key)
                     attempts[key] += 1
@@ -228,7 +253,7 @@ def run_ladder(
                     errors[key] = exc
                 else:
                     _absorb_worker_obs(obs, parent_id)
-                    results[key] = (dist, idx)
+                    results[key] = value
                     del pending[key]
         return broken
 
@@ -252,11 +277,9 @@ def run_ladder(
         )
         with span, rung:
             for round_ in range(retry.max_attempts):
-                futures = {
-                    submit(rung, key, item): key
-                    for key, item in pending.items()
-                }
-                broken = drain(rung, futures)
+                for key, item in pending.items():
+                    in_flight[submit(rung, key, item)] = key
+                broken = drain(rung)
                 if broken:
                     rung.recover(broken)
                 if not pending or round_ == retry.max_attempts - 1:

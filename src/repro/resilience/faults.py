@@ -3,8 +3,10 @@
 The old hook — ``REPRO_BACKEND_TEST_CRASH_AT`` hard-exiting one worker
 process at one chunk start — proved the ``BrokenProcessPool`` path but
 nothing else. A :class:`FaultPlan` generalizes it into a *seeded
-schedule* of three fault kinds, consumed by all three backends, the
-schedule executor, and the distributed solver's rank loop:
+schedule* of three fault kinds, fired inside the tasks of the
+resilience layer's one retry/fallback loop — by all three backends, the
+schedule executor, the distributed rank kernels, shard workers and
+serve windows:
 
 * **crash** — the executing site dies: ``os._exit`` in a process
   worker (a real ``BrokenProcessPool``), an :class:`InjectedFault`
@@ -19,9 +21,9 @@ plus the plan's seed. Worker processes therefore need no shared RNG —
 the same plan makes the same faults fire in the same places on every
 run, which is what lets tests pin every recovery path instead of
 relying on luck. The ``attempt`` coordinate means a chunk that crashed
-on attempt 0 rolls fresh dice on attempt 1, so bounded retry converges
-for any rate < 1; explicit ``crash_at`` entries fire on *every*
-attempt, forcing the full fallback ladder.
+on attempt 0 rolls fresh dice on attempt 1; a ladder's fault-free last
+rung guarantees completion whatever the rates. Explicit ``crash_at``
+entries fire on *every* attempt, forcing the full fallback ladder.
 
 Grammar (CLI ``--fault-plan``, env ``REPRO_FAULT_PLAN``)::
 

@@ -39,7 +39,11 @@ class ServeConfig:
         Admission bound: total requests queued (not yet dispatched)
         across all tenants. At the bound, :meth:`submit` sheds with
         :class:`~repro.errors.OverloadError` instead of queueing into
-        collapse.
+        collapse — a submit whose tenant already holds its weighted
+        share of the bound (by :attr:`tenant_weights`, among the tenants
+        with queued requests). A tenant below its share is still
+        admitted, so the queue can overshoot the bound by at most the
+        sum of those shares.
     slo_ms:
         Default per-request deadline in milliseconds, applied when the
         caller does not pass one. ``None`` means no default (requests

@@ -15,7 +15,9 @@ The moving parts, each in its own module:
 
 * admission — a bounded queue; at the bound :meth:`submit` sheds with
   :class:`~repro.errors.OverloadError` carrying a measured
-  ``retry_after`` instead of queueing into collapse;
+  ``retry_after`` instead of queueing into collapse — but only a
+  tenant already holding its weighted share of the bound, so a burst
+  from one tenant cannot lock the others out;
 * fairness — :class:`~repro.serve.queueing.FairQueue` dequeues
   weighted-round-robin across tenants, so one chatty tenant cannot
   starve the rest out of every coalescing window;
@@ -34,10 +36,12 @@ The moving parts, each in its own module:
   panels stay packed across windows; literal-row requests fuse through
   :meth:`~repro.core.plan.GsknnPlan.execute_rows` on plans from the
   same cache;
-* faults — an active :class:`~repro.resilience.FaultPlan` (e.g. from
-  ``$REPRO_FAULT_PLAN``) injects at window granularity and the solve
-  retries with fresh dice, so one faulted window degrades one window's
-  latency instead of failing its requests;
+* faults — each solve of a window is a one-item ladder on the
+  resilience layer's one retry loop (:func:`~repro.resilience.run_ladder`);
+  an active :class:`~repro.resilience.FaultPlan` (e.g. from
+  ``$REPRO_FAULT_PLAN``) fires inside it and the solve retries with
+  fresh dice. Windows keep no fault-free attempt, so a group whose dice
+  fail every attempt fails its requests with the last error;
 * sharding — with ``config.shards > 0`` the service mounts a
   :class:`~repro.shard.router.ShardedAllKnn` over the table and every
   exact window (index and row groups alike) is scatter/gathered across
@@ -57,6 +61,7 @@ from __future__ import annotations
 import threading
 import time
 from dataclasses import dataclass
+from functools import partial
 from typing import Any
 
 import numpy as np
@@ -66,17 +71,12 @@ from ..core.membudget import MemoryBudget
 from ..core.neighbors import KnnResult
 from ..core.norm_cache import cached_squared_norms
 from ..core.plan import PlanCache
-from ..errors import (
-    BackendError,
-    InjectedFault,
-    KernelTimeoutError,
-    OverloadError,
-    ValidationError,
-)
+from ..errors import KernelTimeoutError, OverloadError, ValidationError
 from ..model.perf_model import PerformanceModel
 from ..obs.context import RequestContext, request_scope
 from ..obs.metrics import get_registry as _get_registry
-from ..resilience import Deadline, FaultPlan
+from ..resilience import Deadline, FaultPlan, RetryPolicy
+from ..resilience.executor import InlineRung, ThreadRung, run_ladder
 from ..validation import as_coordinate_table, as_index_array, check_finite, check_k
 from .config import ServeConfig
 from .policy import CoalescingPolicy
@@ -90,7 +90,7 @@ __all__ = ["KnnQueryService", "ServeHandle"]
 _LATENCY_BUCKETS = dict(start=1e-5, factor=1.4, count=45)
 
 #: Attempts per window solve when a fault plan is active (attempt 0 plus
-#: retries with fresh deterministic dice — converges for any rate < 1).
+#: retries with fresh deterministic dice; every attempt is faulted).
 _WINDOW_ATTEMPTS = 3
 
 
@@ -198,6 +198,23 @@ class KnnQueryService:
         if plan is None:
             plan = FaultPlan.from_env()
         self._fault_plan = plan if plan is not None and plan.active else None
+        # each window group is a one-item ladder: solved inline or, under
+        # a fault plan, on one thread that fires the fault inside the
+        # task, retried without backoff and with no fault-free rung
+        def open_solver():
+            return lambda key, solve: solve()
+
+        self._window_rung = (
+            InlineRung(open_solver)
+            if self._fault_plan is None
+            else ThreadRung(
+                open_solver, 1, fault=partial(plan.apply, "serve.window")
+            )
+        )
+        self._window_retry = RetryPolicy(
+            max_attempts=1 if self._fault_plan is None else _WINDOW_ATTEMPTS,
+            backoff_base=0.0,
+        )
         self._sharded = None
         self._queue = FairQueue(self.config.weight_of)
         self._cond = threading.Condition()
@@ -386,7 +403,9 @@ class KnnQueryService:
                     tenant=tenant,
                 )
             depth = len(self._queue)
-            if depth >= self.config.max_queue_depth:
+            if depth >= self.config.max_queue_depth and self._holds_share(
+                tenant
+            ):
                 self._shed += 1
                 retry_after = self._estimate_drain_seconds(depth)
                 if registry.enabled:
@@ -412,6 +431,24 @@ class KnnQueryService:
         return ServeHandle(
             request_id=ctx.request_id, tenant=tenant, future=req.future
         )
+
+    def _holds_share(self, tenant: str) -> bool:
+        """Does ``tenant`` already hold its weighted share of the queue
+        bound, among the tenants with queued requests (and itself)?
+
+        Shedding at the bound only such tenants keeps a tenant whose
+        burst arrives while others hold the queue from starving; the
+        queue then overshoots its bound by at most the sum of those
+        shares. Called under ``self._cond``.
+        """
+        held = self._queue.depths_by_tenant()
+        weights = {t: self.config.weight_of(t) for t in {*held, tenant}}
+        share = (
+            self.config.max_queue_depth
+            * weights[tenant]
+            / sum(weights.values())
+        )
+        return held.get(tenant, 0) >= share
 
     def _estimate_drain_seconds(self, depth: int) -> float | None:
         """Expected seconds to drain ``depth`` queued requests, from the
@@ -486,10 +523,39 @@ class KnnQueryService:
             self._finish_window(registry, t0, live, 0)
             return
 
+        solve_calls = 0
+        with request_scope(RequestContext.new(tenant="serve.batch")):
+            for groups, solve in self._window_work(live):
+                solve_calls += len(groups)
+                try:
+                    results = run_ladder(
+                        {self._window_seq: solve},
+                        [self._window_rung],
+                        retry=self._window_retry,
+                    )[self._window_seq]
+                except Exception as exc:
+                    self._fail_members(
+                        [r for members in groups for r in members],
+                        exc,
+                        registry,
+                    )
+                else:
+                    for members, result in zip(groups, results):
+                        self._demux(members, result, registry)
+        self._finish_window(registry, t0, live, solve_calls)
+
+    def _window_work(self, live: list[PendingRequest]) -> list[tuple]:
+        """The window's solves as ``(groups, solve)`` work items:
+        ``solve()`` returns one result per member group.
+
+        Unsharded exact index requests fuse into one
+        :func:`~repro.core.batch.gsknn_batch` call with one problem per
+        distinct ``k``; every other group — sharded index requests and
+        row requests per ``k``, approximate requests per beam shape
+        ``(k, ef, expand, max_hops)`` — is a solve of its own.
+        """
         idx_groups: dict[int, list[PendingRequest]] = {}
         row_groups: dict[int, list[PendingRequest]] = {}
-        # approx requests fuse per beam shape: one beam_search call per
-        # distinct (k, ef, expand, max_hops) in the window
         approx_groups: dict[tuple, list[PendingRequest]] = {}
         for req in live:
             if req.is_approx:
@@ -506,112 +572,70 @@ class KnnQueryService:
             target = row_groups if req.is_rows else idx_groups
             target.setdefault(req.k, []).append(req)
 
-        batch_ctx = RequestContext.new(tenant="serve.batch")
-        solve_calls = 0
-        if idx_groups:
-            ks = sorted(idx_groups)
-            solve_calls += len(ks)
-            try:
-                if self._sharded is not None:
-                    with request_scope(batch_ctx):
-                        results = [
-                            self._solve_with_faults(
-                                lambda k=k: self._sharded.solve(
-                                    np.concatenate(
-                                        [r.q_idx for r in idx_groups[k]]
-                                    ),
-                                    k,
-                                ),
-                                registry,
-                            )
-                            for k in ks
-                        ]
-                else:
-                    problems = [
-                        KnnProblem(
-                            np.concatenate([r.q_idx for r in idx_groups[k]]),
-                            self._r_all,
-                            k,
-                        )
-                        for k in ks
-                    ]
-                    results = self._solve_with_faults(
-                        lambda: gsknn_batch(
-                            self.X,
-                            problems,
-                            p=self.config.p,
-                            norm=self._norm,
-                            variant=self._variant,
-                            backend=self.config.backend,
-                            plan_cache=self._plans,
-                            request=batch_ctx,
-                            memory_budget=self._budget,
-                        ),
-                        registry,
-                    )
-            except Exception as exc:
-                self._fail_members(
-                    [r for k in ks for r in idx_groups[k]], exc, registry
-                )
-            else:
-                for k, result in zip(ks, results):
-                    self._demux(idx_groups[k], result, registry)
-        for k in sorted(row_groups):
-            members = row_groups[k]
-            Q_cat = (
-                members[0].Q
-                if len(members) == 1
-                else np.vstack([r.Q for r in members])
-            )
-            solve_calls += 1
-            try:
-                if self._sharded is not None:
-                    with request_scope(batch_ctx):
-                        result = self._solve_with_faults(
-                            lambda: self._sharded.solve_rows(Q_cat, k),
-                            registry,
-                        )
-                else:
-                    plan = self._plans.get(
-                        self.X, self._r_all, norm=self._norm,
-                        variant=self._variant, X2=cached_squared_norms(self.X),
-                        memory_budget=self._budget,
-                    )
-                    with request_scope(batch_ctx):
-                        result = self._solve_with_faults(
-                            lambda: plan.execute_rows(Q_cat, k, validate=False),
-                            registry,
-                        )
-            except Exception as exc:
-                self._fail_members(members, exc, registry)
-            else:
-                self._demux(members, result, registry)
-        for key in sorted(approx_groups):
-            k, ef, expand, mh = key
-            members = approx_groups[key]
-            Q_cat = np.vstack(
-                [(r.Q if r.is_rows else self.X[r.q_idx]) for r in members]
-            )
-            solve_calls += 1
-            try:
-                from ..approx.search import beam_search
+        idx = [idx_groups[k] for k in sorted(idx_groups)]
+        if self._sharded is None and idx:
+            work = [(idx, partial(self._solve_idx, idx))]
+        else:
+            work = [([m], partial(self._solve_idx, [m])) for m in idx]
+        work += [
+            ([m], partial(self._solve_rows, m))
+            for _, m in sorted(row_groups.items())
+        ]
+        work += [
+            ([m], partial(self._solve_approx, m, key))
+            for key, m in sorted(approx_groups.items())
+        ]
+        return work
 
-                with request_scope(batch_ctx):
-                    result = self._solve_with_faults(
-                        lambda: beam_search(
-                            self._graph, Q_cat, k,
-                            ef=ef, expand=expand,
-                            max_hops=None if mh < 0 else mh,
-                            validate=False,
-                        ),
-                        registry,
-                    )
-            except Exception as exc:
-                self._fail_members(members, exc, registry)
-            else:
-                self._demux(members, result, registry)
-                self._maybe_sample_recall(Q_cat, k, result, registry)
-        self._finish_window(registry, t0, live, solve_calls)
+    def _solve_idx(self, groups: list[list[PendingRequest]]) -> list:
+        queries = [
+            (np.concatenate([r.q_idx for r in members]), members[0].k)
+            for members in groups
+        ]
+        if self._sharded is not None:
+            return [self._sharded.solve(q_idx, k) for q_idx, k in queries]
+        return gsknn_batch(
+            self.X,
+            [KnnProblem(q_idx, self._r_all, k) for q_idx, k in queries],
+            p=self.config.p,
+            norm=self._norm,
+            variant=self._variant,
+            backend=self.config.backend,
+            plan_cache=self._plans,
+            memory_budget=self._budget,
+        )
+
+    def _solve_rows(self, members: list[PendingRequest]) -> list:
+        k = members[0].k
+        Q_cat = (
+            members[0].Q
+            if len(members) == 1
+            else np.vstack([r.Q for r in members])
+        )
+        if self._sharded is not None:
+            return [self._sharded.solve_rows(Q_cat, k)]
+        plan = self._plans.get(
+            self.X, self._r_all, norm=self._norm,
+            variant=self._variant, X2=cached_squared_norms(self.X),
+            memory_budget=self._budget,
+        )
+        return [plan.execute_rows(Q_cat, k, validate=False)]
+
+    def _solve_approx(self, members: list[PendingRequest], key: tuple) -> list:
+        from ..approx.search import beam_search
+
+        k, ef, expand, mh = key
+        Q_cat = np.vstack(
+            [(r.Q if r.is_rows else self.X[r.q_idx]) for r in members]
+        )
+        result = beam_search(
+            self._graph, Q_cat, k,
+            ef=ef, expand=expand,
+            max_hops=None if mh < 0 else mh,
+            validate=False,
+        )
+        self._maybe_sample_recall(Q_cat, k, result, _get_registry())
+        return [result]
 
     def _maybe_sample_recall(
         self, Q_cat: np.ndarray, k: int, approx: KnnResult, registry
@@ -639,28 +663,6 @@ class KnnQueryService:
         )
         registry.gauge("approx.achieved_recall").set(round(achieved, 4))
         registry.inc("approx.recall_samples")
-
-    def _solve_with_faults(self, solve, registry):
-        """Run one fused solve, injecting/absorbing planned faults.
-
-        Window-granular injection: the whole window retries with fresh
-        deterministic dice, so a faulted window costs its requests one
-        solve's latency, never their results.
-        """
-        plan = self._fault_plan
-        if plan is None:
-            return solve()
-        last: Exception | None = None
-        for attempt in range(_WINDOW_ATTEMPTS):
-            try:
-                plan.apply("serve.window", self._window_seq, attempt)
-                return solve()
-            except (InjectedFault, MemoryError, BackendError) as exc:
-                last = exc
-                if registry.enabled:
-                    registry.inc("serve.window_retries")
-        assert last is not None
-        raise last
 
     def _expire_queued(self, req: PendingRequest, registry) -> bool:
         """Fail-fast a request whose deadline died in the queue."""

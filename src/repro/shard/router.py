@@ -49,7 +49,12 @@ from ..resilience.retry import RetryPolicy
 from ..select.mergeselect import merge_partial_topk
 from ..validation import as_index_array
 from .map import ShardMap
-from .transport import LocalTransport, ShardWorld, resolve_transport
+from .transport import (
+    LocalTransport,
+    ShardWorld,
+    _TransportRung,
+    resolve_transport,
+)
 
 __all__ = ["ShardedAllKnn"]
 
@@ -379,8 +384,8 @@ class ShardedAllKnn:
         def solve(shard: int, shard_task: tuple):
             # pool threads start with an empty span stack
             with tracer.span_under(parent_id, "shard.fallback", shard=shard):
-                dist, idx, _ = twin.submit(shard, shard_task).result()
-            return dist, idx
+                out, _ = twin.submit(shard, shard_task).result()
+            return out
 
         return solve
 
@@ -426,19 +431,3 @@ class ShardedAllKnn:
             f"epoch={self.map.epoch})"
         )
 
-
-class _TransportRung(Rung):
-    """The shards' own workers: submit to the transport, restart the
-    shards whose worker died."""
-
-    def __init__(self, transport) -> None:
-        self.name = transport.name
-        self._transport = transport
-
-    def submit(self, shard, shard_task, attempt):
-        with _get_tracer().span("shard.scatter", shard=shard):
-            return self._transport.submit(shard, shard_task, attempt=attempt)
-
-    def recover(self, shards) -> None:
-        for shard in shards:
-            self._transport.restart(shard)

@@ -22,7 +22,10 @@ Two implementations of one contract (:class:`ShardTransport`):
   ``SimComm``'s in-process ranks on the scatter/gather path.
 
 Both return :class:`concurrent.futures.Future`s from ``submit`` so the
-router's scatter/gather loop is transport-agnostic.
+callers are transport-agnostic. :class:`_TransportRung` is how they
+reach a transport from the resilience layer's one retry/fallback loop
+(:func:`repro.resilience.executor.run_ladder`): the shard router's
+partitions and the distributed solver's rank kernels both run on it.
 """
 
 from __future__ import annotations
@@ -42,8 +45,10 @@ from ..parallel.backends import (
     _drain_worker_obs,
     _install_worker_obs,
     _obs_spec,
+    _reap_pool,
     attach_segments,
 )
+from ..resilience.executor import Rung
 
 __all__ = [
     "ShardWorld",
@@ -81,7 +86,7 @@ class ShardTransport:
     """Contract: start workers, submit solve tasks, propagate epochs.
 
     ``submit`` returns a Future resolving to
-    ``(distances, global_indices, obs_payload)``; a dead shard rejects
+    ``((distances, global_indices), obs_payload)``; a dead shard rejects
     with :class:`BackendError` (or ``BrokenProcessPool``) and is brought
     back with ``restart``. ``refresh`` must be ordered before any
     subsequent ``submit`` for the same shard — both transports guarantee
@@ -217,7 +222,7 @@ class LocalTransport(ShardTransport):
                 )
             if registry.enabled:
                 registry.inc("shard.solves", labels={"shard": str(shard)})
-            fut.set_result((*out, None))
+            fut.set_result((out, None))
         except BaseException as exc:  # rejected future, not a raise:
             fut.set_exception(exc)  # keep submit() non-throwing like a pool
         return fut
@@ -283,7 +288,7 @@ def _shard_worker_refresh(specs: dict[str, Any], init_blob: bytes) -> int:
 
 def _shard_worker_solve(
     task: tuple, epoch: int, attempt: int
-) -> tuple[np.ndarray, np.ndarray, dict[str, Any] | None]:
+) -> tuple[tuple[np.ndarray, np.ndarray], dict[str, Any] | None]:
     if epoch != _SHARD_STATE["epoch"]:
         raise BackendError(
             f"shard worker at epoch {_SHARD_STATE['epoch']} received a "
@@ -309,7 +314,7 @@ def _shard_worker_solve(
     with _get_tracer().span(
         "shard.solve", shard=shard_id, transport="process", epoch=epoch
     ):
-        dist, idx = _solve_task(
+        out = _solve_task(
             _SHARD_STATE["plan"],
             _SHARD_STATE["cache"],
             arrays["X"],
@@ -319,7 +324,7 @@ def _shard_worker_solve(
     registry = _get_registry()
     if registry.enabled:
         registry.inc("shard.solves", labels={"shard": str(shard_id)})
-    return dist, idx, _drain_worker_obs()
+    return out, _drain_worker_obs()
 
 
 class ProcessTransport(ShardTransport):
@@ -394,9 +399,11 @@ class ProcessTransport(ShardTransport):
         )
 
     def restart(self, shard: int) -> None:
+        """Replace a shard's worker: a dead one, or a straggler, which
+        is terminated rather than left to finish its task."""
         pool = self._pools[shard]
         if pool is not None:
-            pool.shutdown(wait=False, cancel_futures=True)
+            _reap_pool(pool)
         self._spawn(shard)
         registry = _get_registry()
         if registry.enabled:
@@ -457,6 +464,41 @@ class ProcessTransport(ShardTransport):
         if table is not None:
             table.unlink()
         self._world = None
+
+
+class _TransportRung(Rung):
+    """A transport's workers as a ladder rung: items are keyed by shard
+    (a rank, for the distributed solver) and are transport tasks.
+
+    A worker that died is restarted. A rung left on an error — an
+    expired deadline, a non-retryable failure — also restarts every
+    worker still running one of its items, so no straggler outlives the
+    solve that gave up on it.
+    """
+
+    def __init__(self, transport: ShardTransport) -> None:
+        self.name = transport.name
+        self._transport = transport
+
+    def __enter__(self) -> "_TransportRung":
+        self._futures: dict[int, Future] = {}
+        return self
+
+    def submit(self, shard, task, attempt):
+        with _get_tracer().span("shard.scatter", shard=shard):
+            future = self._transport.submit(shard, task, attempt=attempt)
+        self._futures[shard] = future
+        return future
+
+    def recover(self, shards) -> None:
+        for shard in shards:
+            self._transport.restart(shard)
+
+    def __exit__(self, exc_type, *exc: object) -> None:
+        if exc_type is not None:
+            self.recover(
+                [s for s, f in self._futures.items() if not f.done()]
+            )
 
 
 TRANSPORTS = {

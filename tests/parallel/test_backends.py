@@ -153,17 +153,3 @@ class TestBackendResolution:
 
     def test_registry_names_stable(self):
         assert sorted(BACKENDS) == ["processes", "serial", "threads"]
-
-    def test_processes_map_rejected(self):
-        with pytest.raises(ValidationError):
-            ProcessBackend(2).map(lambda x: x, [1, 2])
-
-
-class TestGenericMap:
-    def test_serial_and_threads_agree(self):
-        items = list(range(17))
-        fn = lambda x: x * x  # noqa: E731
-        assert SerialBackend().map(fn, items) == ThreadBackend(4).map(fn, items)
-
-    def test_empty_items(self):
-        assert ThreadBackend(4).map(lambda x: x, []) == []

@@ -95,3 +95,30 @@ class TestExecuteSchedule:
         sched = lpt_schedule(tasks, 1)
         results = execute_schedule(sched, lambda t: t.payload.upper())
         assert results[0] == "HELLO"
+
+    def test_serial_and_threads_agree(self):
+        sched = lpt_schedule(_tasks(range(17)), 4)
+        fn = lambda t: t.task_id * t.task_id  # noqa: E731
+        assert execute_schedule(sched, fn, backend="serial") == (
+            execute_schedule(sched, fn, backend="threads")
+        )
+
+    def test_empty_schedule(self):
+        assert execute_schedule(lpt_schedule([], 4), lambda t: t) == {}
+
+    def test_processes_backend_rejected(self):
+        sched = lpt_schedule(_tasks([1.0, 2.0]), 2)
+        with pytest.raises(ValidationError):
+            execute_schedule(sched, lambda t: t, backend="processes")
+
+    def test_greedy_list_order(self, monkeypatch):
+        """Tasks start in descending-estimate order, each on the first
+        free worker: with one worker that is exactly the LPT order."""
+        # an ambient fault plan would resubmit failed tasks out of order
+        monkeypatch.delenv("REPRO_FAULT_PLAN", raising=False)
+        started = []
+        sched = lpt_schedule(_tasks([1.0, 4.0, 2.0, 3.0]), 1)
+        execute_schedule(
+            sched, lambda t: started.append(t.task_id), backend="threads"
+        )
+        assert started == [1, 3, 2, 0]

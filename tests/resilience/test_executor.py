@@ -23,7 +23,7 @@ from repro.core.gsknn import gsknn
 from repro.errors import KernelTimeoutError, ValidationError
 from repro.parallel.backends import ExecutionBackend, _SharedOperands
 from repro.parallel.data_parallel import gsknn_data_parallel
-from repro.resilience import FaultPlan, RetryPolicy, run_ladder
+from repro.resilience import Deadline, FaultPlan, RetryPolicy, run_ladder
 from repro.resilience.executor import InlineRung
 
 pytestmark = pytest.mark.skipif(
@@ -169,6 +169,27 @@ class TestDeadline:
         assert not multiprocessing.active_children()
         counters = metrics.snapshot()["counters"]
         assert counters["resilience.deadline_hits"] >= 1
+
+    def test_inline_rung_progress_counts_finished_items(self, clean_env):
+        """An inline rung finishes items inside ``submit``: expiry must
+        count them, not report ``completed=0``."""
+
+        def open_solver():
+            def solve(key, item):
+                time.sleep(0.05)
+                return key
+
+            return solve
+
+        with pytest.raises(KernelTimeoutError) as excinfo:
+            run_ladder(
+                {i: None for i in range(9)},
+                [InlineRung(open_solver)],
+                retry=RetryPolicy(max_attempts=1),
+                deadline=Deadline(0.12),
+            )
+        assert excinfo.value.partial["total"] == 9
+        assert 0 < excinfo.value.partial["completed"] < 9
 
     def test_generous_deadline_is_harmless(self, problem, clean_env):
         X, q, r, k, truth = problem

@@ -2,6 +2,9 @@
 
 from __future__ import annotations
 
+import os
+import time
+
 import numpy as np
 import pytest
 
@@ -53,9 +56,9 @@ class TestScheduleExecutor:
         with pytest.raises(KernelTimeoutError) as excinfo:
             execute_schedule(schedule, slow, backend="serial", deadline=0.08)
         deadline_seen = excinfo.value.partial
-        assert set(deadline_seen) == {"executed", "total"}
+        assert set(deadline_seen) == {"completed", "total"}
         assert deadline_seen["total"] == 9
-        assert 0 < deadline_seen["executed"] < 9
+        assert 0 < deadline_seen["completed"] < 9
 
     def test_non_retryable_propagates(self, schedule, clean_env):
         def broken(t):
@@ -89,7 +92,7 @@ class TestDistributedSolver:
         )
         assert np.array_equal(clean.result.indices, faulty.result.indices)
         counters = metrics.snapshot()["counters"]
-        assert counters["resilience.rank_retries"] >= 1
+        assert counters["resilience.retries"] >= 1
 
     def test_deadline_raises_in_comm_or_kernel(self, points, clean_env):
         solver = DistributedAllKnn(n_ranks=3, leaf_size=96, iterations=2)
@@ -115,3 +118,88 @@ class TestDistributedSolver:
         assert np.array_equal(
             clean.result.distances, want.result.distances
         )
+
+
+#: Every site slow for 4x the budget: an injected slow fault that sleeps
+#: outside the ladder's bounded wait overruns the deadline by 4x.
+SLOW_PLAN = "seed=1,slow=1.0,slow_ms=2000"
+BUDGET = 0.5
+
+
+class TestDeadlineBoundsInjectedFaults:
+    @pytest.mark.parametrize("backend", ["threads", "serial"])
+    def test_schedule(self, schedule, backend, clean_env):
+        t0 = time.perf_counter()
+        with pytest.raises(KernelTimeoutError):
+            execute_schedule(
+                schedule,
+                lambda t: t.task_id,
+                backend=backend,
+                deadline=BUDGET,
+                fault_plan=SLOW_PLAN,
+            )
+        assert time.perf_counter() - t0 < 2 * BUDGET
+
+    @pytest.mark.parametrize("transport", ["sim", "process"])
+    def test_distributed(self, points, transport, clean_env):
+        solver = DistributedAllKnn(
+            n_ranks=3, leaf_size=96, iterations=2, transport=transport
+        )
+        t0 = time.perf_counter()
+        with pytest.raises(KernelTimeoutError):
+            solver.solve(points, 5, deadline=BUDGET, fault_plan=SLOW_PLAN)
+        assert time.perf_counter() - t0 < 2 * BUDGET
+
+
+class TestDistributedProcessTransport:
+    def _solve(self, points, transport, **kwargs):
+        return DistributedAllKnn(
+            n_ranks=3, leaf_size=96, iterations=2, transport=transport
+        ).solve(points, 5, **kwargs).result
+
+    def test_matches_sim(self, points, clean_env):
+        want = self._solve(points, "sim")
+        got = self._solve(points, "process")
+        assert np.array_equal(got.distances, want.distances)
+        assert np.array_equal(got.indices, want.indices)
+
+    def test_crash_plan_does_not_change_result(
+        self, points, metrics, clean_env
+    ):
+        want = self._solve(points, "sim")
+        got = self._solve(
+            points,
+            "process",
+            fault_plan="seed=11,crash=0.5",
+            retry=RetryPolicy(backoff_base=0.001),
+        )
+        assert np.array_equal(got.distances, want.distances)
+        assert np.array_equal(got.indices, want.indices)
+        counters = metrics.snapshot()["counters"]
+        assert counters["resilience.retries"] >= 1
+
+    def test_killed_worker_resolved_in_parent_without_retry(
+        self, points, monkeypatch, metrics, clean_env
+    ):
+        """No retry policy, no fault plan: a rank worker that dies is
+        restarted and its leaf re-solved in the parent."""
+        from repro.shard.transport import ProcessTransport
+
+        real_submit = ProcessTransport.submit
+        killed = []
+
+        def kill_first(self, shard, task, *, attempt=0):
+            if not killed:
+                killed.append(shard)
+                self._pools[shard].submit(os._exit, 13)
+            return real_submit(self, shard, task, attempt=attempt)
+
+        monkeypatch.setattr(ProcessTransport, "submit", kill_first)
+        want = self._solve(points, "sim")
+        got = self._solve(points, "process")
+        assert killed
+        assert np.array_equal(got.distances, want.distances)
+        assert np.array_equal(got.indices, want.indices)
+        counters = metrics.snapshot()["counters"]
+        assert counters["resilience.fallbacks.serial"] == 1
+        assert counters[f'shard.worker_restarts{{shard="{killed[0]}"}}'] == 1

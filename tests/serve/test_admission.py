@@ -61,6 +61,29 @@ class TestShedding:
         counters = metrics.snapshot()["counters"]
         assert counters.get('serve.shed{tenant="a"}') == 3
 
+    def test_full_queue_admits_tenant_below_its_share(self, table):
+        """At the bound only a tenant already holding its weighted share
+        sheds: a tenant that arrives while another fills the queue gets
+        in, up to its own share."""
+        config = ServeConfig(
+            max_queue_depth=4,
+            max_wait_ms=500.0,
+            policy="fixed",
+            tenant_weights={"a": 3, "b": 1},
+        )
+        with KnnQueryService(table, config) as svc:
+            handles = [svc.submit([i], 2, tenant="a") for i in range(4)]
+            with pytest.raises(OverloadError):
+                svc.submit([4], 2, tenant="a")
+            # b's share of the bound is 4 * 1/4 = 1 request
+            handles.append(svc.submit([5], 2, tenant="b"))
+            with pytest.raises(OverloadError) as err:
+                svc.submit([6], 2, tenant="b")
+            assert err.value.tenant == "b"
+            assert err.value.queue_depth == 5
+            for h in handles:
+                assert h.result(timeout=30).m == 1
+
     def test_shed_requests_never_enter_queue(self, table):
         config = ServeConfig(
             max_queue_depth=1, max_wait_ms=400.0, policy="fixed"

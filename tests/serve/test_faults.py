@@ -48,7 +48,7 @@ class TestWindowRetry:
             res = svc.submit([3], 2).result(timeout=30)
         assert res.m == 1 and res.k == 2
         counters = metrics.snapshot()["counters"]
-        assert counters.get("serve.window_retries", 0) >= 1
+        assert counters.get("resilience.retries", 0) >= 1
         assert counters.get("resilience.faults_injected.crash", 0) >= 1
 
     def test_exhausted_retries_fail_requests_explicitly(
