@@ -15,7 +15,8 @@ Propagation uses :mod:`contextvars`, with two deliberate caveats:
   context at submission time and re-enter it in the worker (see
   :func:`bind_request` and the wrappers in ``parallel/backends.py``);
 * **process workers cannot share a ContextVar** — the spec shipped to
-  ``_process_worker_init`` carries ``request_id``/``tenant`` and the
+  the worker initializer (``_shard_worker_init`` in
+  ``shard/transport.py``) carries ``request_id``/``tenant`` and the
   worker re-binds them for its whole lifetime.
 
 The context is intentionally tiny and dependency-free: ``deadline`` is

@@ -13,14 +13,15 @@ that :func:`repro.resilience.executor.run_ladder` runs:
 * :class:`ThreadBackend` — a ``ThreadPoolExecutor``. The right choice
   when runtime is dominated by BLAS blocks that release the GIL
   (Var#6, large d).
-* :class:`ProcessBackend` — a ``ProcessPoolExecutor`` over
-  **zero-copy shared memory**. The coordinate table ``X``, the
-  squared-norm side table, and the index arrays are placed in
-  ``multiprocessing.shared_memory`` segments; workers attach by name
-  (no pickling, no copy — the kernel's working set is mapped, not
-  moved) and only the small ``(chunk_m, k)`` neighbor lists travel back
-  through the result pipe. This escapes the GIL for the selection-heavy
-  Var#1 regime, where per-query heap/merge work serializes threads.
+* :class:`ProcessBackend` — worker processes over **zero-copy shared
+  memory**, escaping the GIL for the selection-heavy Var#1 regime where
+  per-query heap/merge work serializes threads. Its rung runs the
+  chunks on a per-solve :class:`~repro.shard.transport.ProcessTransport`
+  — the one shared-memory worker stack, also behind the shard router
+  and the distributed solver's rank workers — whose every worker holds
+  the whole reference set: the table and its squared-norm side table
+  are mapped from shared memory, each chunk ships only its query ids,
+  and only the ``(chunk_m, k)`` neighbor lists travel back.
 
 All three backends consume the *same* chunk list (produced by
 :func:`repro.parallel.chunking.contiguous_chunks`), so their results
@@ -30,20 +31,21 @@ asserts exactly that.
 Retry, fallback, deadlines and the translation of a dead worker
 (``BrokenProcessPool``) into :class:`repro.errors.BackendError` live in
 the ladder loop, not here. A rung only builds its workers on entry,
-submits one chunk, rebuilds a pool whose worker died, and releases
-everything on exit — the processes rung unlinks its shared segments
-however it is left, so neither a crash, a pool startup failure, nor a
-``KeyboardInterrupt`` can leak ``/dev/shm`` space.
+submits one chunk, restarts a worker that died, and releases
+everything on exit — the processes rung closes its transport, which
+unlinks the shared segments, however it is left, so neither a crash, a
+pool startup failure, nor a ``KeyboardInterrupt`` can leak
+``/dev/shm`` space.
 
-:class:`SharedSegments` / :func:`attach_segments` are the one
-shared-memory export/attach protocol, also used by the shard
-transport's long-lived workers (:mod:`repro.shard.transport`).
+This module also holds the worker stack's two shared protocols:
+:class:`SharedSegments` / :func:`attach_segments` export and attach
+arrays by name, and the ``_obs_spec`` / ``_install_worker_obs`` /
+``_drain_worker_obs`` / ``_absorb_worker_obs`` helpers carry
+observability across the process boundary.
 """
 
 from __future__ import annotations
 
-import os
-import pickle
 from functools import partial
 from typing import Any, Sequence
 
@@ -72,26 +74,6 @@ __all__ = [
     "attach_segments",
 ]
 
-#: Legacy environment hook: a worker whose chunk start matches this
-#: value exits hard, simulating an OOM-kill / segfault. Kept for
-#: backward compatibility but now implemented as a one-entry
-#: :class:`repro.resilience.FaultPlan` (``crash_at``) in the worker
-#: initializer.
-_CRASH_ENV = "REPRO_BACKEND_TEST_CRASH_AT"
-
-
-def _plan_for(X, r_idx, kernel_kwargs):
-    """One reusable plan per rung (or worker attach).
-
-    Every chunk of a data-parallel solve shares the same reference set,
-    so the gathered panels and workspace buffers are built once and
-    reused across chunks instead of once per chunk.
-    """
-    from ..core.plan import GsknnPlan
-
-    return GsknnPlan(X, r_idx, **kernel_kwargs)
-
-
 # -- cross-process observability propagation ---------------------------------
 #
 # Process workers cannot share the parent's tracer, registry, or
@@ -100,8 +82,8 @@ def _plan_for(X, r_idx, kernel_kwargs):
 # installs *fresh* local equivalents (also neutralizing any enabled
 # tracer/registry a fork-started worker inherited — recording into the
 # parent's buffers from the wrong pid would corrupt the trace). After
-# each chunk the worker drains its buffers into a payload that rides
-# back with the chunk result; the parent re-parents the spans under its
+# each task the worker drains its buffers into a payload that rides
+# back with the task's result; the parent re-parents the spans under its
 # own driver span and folds the metric deltas in.
 
 
@@ -179,16 +161,6 @@ def _absorb_worker_obs(
             registry.merge_snapshot(metrics)
 
 
-def _solve_chunk(
-    plan, q_idx: np.ndarray, k: int, chunk: tuple[int, int]
-) -> tuple[np.ndarray, np.ndarray]:
-    """Solve one query chunk; shared by every backend."""
-    start, size = chunk
-    # warm_start off: chunks are disjoint query slices, never repeats
-    res = plan.execute(q_idx[start : start + size], k, warm_start=False)
-    return res.distances, res.indices
-
-
 def _chunk_solver(X, q_idx, r_idx, k, kernel_kwargs):
     """Open the in-process chunk solver of the serial and threads rungs.
 
@@ -197,7 +169,9 @@ def _chunk_solver(X, q_idx, r_idx, k, kernel_kwargs):
     chunk's span is parented under the span open here, since pool
     threads start with an empty span stack.
     """
-    plan = _plan_for(X, r_idx, kernel_kwargs)
+    from ..core.plan import GsknnPlan
+
+    plan = GsknnPlan(X, r_idx, **kernel_kwargs)
     tracer = _get_tracer()
     parent_id = tracer.current_span_id()
 
@@ -205,7 +179,12 @@ def _chunk_solver(X, q_idx, r_idx, k, kernel_kwargs):
         with tracer.span_under(
             parent_id, "worker.chunk", chunk=chunk[0], size=chunk[1]
         ):
-            return _solve_chunk(plan, q_idx, k, chunk)
+            # warm_start off: chunks are disjoint query slices, never
+            # repeats
+            res = plan.execute(
+                q_idx[start : start + chunk[1]], k, warm_start=False
+            )
+            return res.distances, res.indices
 
     return solve
 
@@ -272,9 +251,8 @@ class ThreadBackend(ExecutionBackend):
 
 # -- shared-memory segments --------------------------------------------------
 #
-# The one export/attach protocol of both process-worker stacks: this
-# module's per-solve chunk pools and the shard transport's long-lived
-# workers (src/repro/shard/transport.py).
+# The export/attach protocol of the process workers
+# (src/repro/shard/transport.py).
 
 
 def _shm_export(arr: np.ndarray):
@@ -361,228 +339,103 @@ def attach_segments(specs: dict[str, Any]) -> tuple[dict, dict]:
     return handles, arrays
 
 
-class _SharedOperands(SharedSegments):
-    """One chunk solve's operands in shared memory: the ``X`` /
-    ``q_idx`` / ``r_idx`` / ``X2`` segments plus the pickled kernel
-    kwargs, shared by every pool the processes rung builds."""
+class _ChunkRung(Rung):
+    """Query chunks on a per-solve :class:`~repro.shard.transport.ProcessTransport`
+    whose every worker holds the whole reference set.
 
-    def __init__(
-        self,
-        X: np.ndarray,
-        q_idx: np.ndarray,
-        r_idx: np.ndarray,
-        kernel_kwargs: dict[str, Any],
-    ) -> None:
-        from ..core.norms import resolve_norm, squared_norms
-
-        # Pre-compute the l2 side table once in the parent so workers
-        # never redo it per chunk; ship it through shared memory too.
-        kwargs = dict(kernel_kwargs)
-        X2 = kwargs.pop("X2", None)
-        norm = resolve_norm(kwargs.get("norm", "l2"))
-        if (norm.is_l2 or norm.is_cosine) and X2 is None:
-            X2 = squared_norms(np.ascontiguousarray(X, dtype=np.float64))
-        super().__init__({"X": X, "q_idx": q_idx, "r_idx": r_idx, "X2": X2})
-        self.blob = pickle.dumps(kwargs)
-        registry = _get_registry()
-        if registry.enabled:
-            registry.inc("backend.processes.shm_bytes", self.nbytes)
-
-
-# -- process backend ---------------------------------------------------------
-#
-# Worker-side state: one attach per worker process (via the pool
-# initializer), reused across every chunk that worker executes. The
-# arrays are ndarray views over the shared segments — zero-copy.
-
-_WORKER_STATE: dict[str, Any] = {}
-
-
-def _worker_fault_plan(fault_spec: str | None):
-    """The worker's fault plan: the explicit spec merged with the legacy
-    ``REPRO_BACKEND_TEST_CRASH_AT`` env hook (now just a one-entry
-    ``crash_at`` plan)."""
-    from ..resilience.faults import FaultPlan
-
-    plan = FaultPlan.parse(fault_spec) if fault_spec else None
-    crash_at = os.environ.get(_CRASH_ENV)
-    if crash_at is not None:
-        legacy = (int(crash_at),)
-        if plan is None:
-            plan = FaultPlan(crash_at=legacy)
-        else:
-            plan = FaultPlan(
-                seed=plan.seed,
-                crash=plan.crash,
-                slow=plan.slow,
-                alloc=plan.alloc,
-                slow_seconds=plan.slow_seconds,
-                crash_at=tuple(plan.crash_at) + legacy,
-            )
-    return plan
-
-
-def _process_worker_init(
-    specs: dict,
-    kernel_blob: bytes,
-    fault_spec: str | None = None,
-    obs_spec: dict[str, Any] | None = None,
-) -> None:
-    _install_worker_obs(obs_spec)
-    # keep the handles alive for the views' lifetime
-    _WORKER_STATE["segments"], _WORKER_STATE["arrays"] = attach_segments(specs)
-    _WORKER_STATE["kernel_kwargs"] = pickle.loads(kernel_blob)
-    _WORKER_STATE["fault_plan"] = _worker_fault_plan(fault_spec)
-    # a fork-started worker inherits the parent's module state; drop any
-    # stale plan so this attach builds its own against the new segments
-    _WORKER_STATE.pop("plan", None)
-
-
-def _process_worker_solve(
-    task: tuple[tuple[int, int], int, int]
-) -> tuple[tuple[np.ndarray, np.ndarray], dict[str, Any] | None]:
-    chunk, k, attempt = task
-    fault_plan = _WORKER_STATE.get("fault_plan")
-    if fault_plan is not None:
-        # hard_exit: in a pool worker an injected crash must be a real
-        # process death so the parent exercises its BrokenProcessPool
-        # handling, not a tidy in-band exception
-        fault_plan.apply("chunk", chunk[0], attempt, hard_exit=True)
-    arrays = _WORKER_STATE["arrays"]
-    kwargs = dict(_WORKER_STATE["kernel_kwargs"])
-    if arrays.get("X2") is not None:
-        kwargs["X2"] = arrays["X2"]
-    if "plan" not in _WORKER_STATE:
-        # one plan per shared-memory attach: built on the worker's first
-        # chunk, reused for every later chunk this worker executes
-        _WORKER_STATE["plan"] = _plan_for(arrays["X"], arrays["r_idx"], kwargs)
-    with _get_tracer().span("worker.chunk", chunk=chunk[0], size=chunk[1]):
-        dist, idx = _solve_chunk(
-            _WORKER_STATE["plan"], arrays["q_idx"], k, chunk
-        )
-    # span/metric deltas ride back with the chunk result; ``None`` when
-    # observability was off (the common path ships nothing extra)
-    return (dist, idx), _drain_worker_obs()
-
-
-def _reap_pool(pool) -> None:
-    """Stop a process pool *now*: cancel queued work, terminate workers.
-
-    ``shutdown(wait=False)`` alone leaves a worker grinding on its
-    current chunk past the deadline; the contract is "workers reaped",
-    so the pool's processes are terminated directly.
-    """
-    pool.shutdown(wait=False, cancel_futures=True)
-    procs = getattr(pool, "_processes", None)
-    if procs:
-        for proc in list(procs.values()):
-            try:
-                proc.terminate()
-            except Exception:  # pragma: no cover - already dead
-                pass
-
-
-class _ProcessRung(Rung):
-    """Chunks on a process pool over one solve's shared operands.
-
-    Entering exports the operands; a worker death drops the broken pool
-    and the next submit builds a fresh one against the same segments;
-    leaving reaps the pool (joins it after a clean finish) and unlinks
-    the segments.
+    Chunk ``i`` goes to worker ``i % workers``; a dead worker is
+    restarted. Entering starts the workers; leaving closes the
+    transport, first reaping the workers still running a chunk when the
+    rung is left on an error.
     """
 
     name = "processes"
 
-    def __init__(
-        self, X, q_idx, r_idx, k, kernel_kwargs, workers, mp_context,
-        fault_plan,
-    ) -> None:
-        import multiprocessing
-
-        self._operands = (X, q_idx, r_idx, kernel_kwargs)
+    def __init__(self, transport, world, q_idx, k, chunks) -> None:
+        self._transport = transport
+        self._world = world
+        self._q_idx = q_idx
         self._k = k
-        self._workers = workers
-        self._ctx = multiprocessing.get_context(mp_context)
-        self._fault_spec = None if fault_plan is None else fault_plan.spec()
+        self._route = {
+            start: i % world.n_shards for i, (start, _) in enumerate(chunks)
+        }
 
-    def __enter__(self) -> "_ProcessRung":
-        self._ops = _SharedOperands(*self._operands)
-        self._pool = None
-        self._pools_built = 0
+    def __enter__(self) -> "_ChunkRung":
+        # per chunk, not per worker: several chunks share a worker
+        self._futures: dict[int, Any] = {}
+        try:
+            self._transport.start(self._world)
+        except BaseException:
+            # __exit__ does not run when __enter__ raises
+            self._transport.close()
+            raise
         return self
 
-    def submit(self, key, chunk, attempt):
-        from concurrent.futures import ProcessPoolExecutor
-
-        if self._pool is None:
-            if self._pools_built:
-                registry = _get_registry()
-                if registry.enabled:
-                    registry.inc("resilience.pool_rebuilds")
-            self._pool = ProcessPoolExecutor(
-                max_workers=self._workers,
-                mp_context=self._ctx,
-                initializer=_process_worker_init,
-                initargs=(
-                    self._ops.specs, self._ops.blob, self._fault_spec,
-                    _obs_spec(),
-                ),
-            )
-            self._pools_built += 1
-        return self._pool.submit(
-            _process_worker_solve, (chunk, self._k, attempt)
+    def submit(self, start, chunk, attempt):
+        task = ("idx", self._q_idx[start : start + chunk[1]], self._k)
+        future = self._transport.submit(
+            self._route[start], task, attempt=attempt, chunk=start
         )
+        self._futures[start] = future
+        return future
 
-    def recover(self, keys) -> None:
-        # the executor marks itself unusable after a worker death
-        _reap_pool(self._pool)
-        self._pool = None
+    def recover(self, starts) -> None:
+        for worker in {self._route[start] for start in starts}:
+            self._transport.restart(worker)
 
     def __exit__(self, exc_type, *exc: object) -> None:
         try:
-            if self._pool is not None:
-                if exc_type is None:
-                    self._pool.shutdown(wait=True)
-                else:
-                    _reap_pool(self._pool)
+            if exc_type is not None:
+                self.recover(
+                    [s for s, f in self._futures.items() if not f.done()]
+                )
         finally:
-            self._ops.unlink()
+            self._transport.close()
 
 
 class ProcessBackend(ExecutionBackend):
-    """``ProcessPoolExecutor`` over zero-copy shared-memory operands.
+    """Worker processes over zero-copy shared-memory operands.
 
     Parameters
     ----------
     p:
         Worker processes.
     mp_context:
-        ``multiprocessing`` start method. Defaults to ``fork`` where
-        available (cheap worker startup; the initializer re-attaches by
-        name regardless, so ``spawn`` is equally correct — just slower
-        to warm up).
+        ``multiprocessing`` start method; ``None`` takes
+        :class:`~repro.shard.transport.ProcessTransport`'s default.
     """
 
     name = "processes"
 
     def __init__(self, p: int = 2, *, mp_context: str | None = None) -> None:
-        import multiprocessing
-
         if p < 1:
             raise ValidationError(f"need p >= 1 workers, got {p}")
         self.p = int(p)
-        if mp_context is None:
-            methods = multiprocessing.get_all_start_methods()
-            mp_context = "fork" if "fork" in methods else "spawn"
         self.mp_context = mp_context
 
     def rung(self, X, q_idx, r_idx, k, chunks, kernel_kwargs, fault_plan=None):
+        from ..core.norms import resolve_norm, squared_norms
+        from ..shard.transport import ProcessTransport, ShardWorld
         from .chunking import resolve_workers
 
-        return _ProcessRung(
-            X, q_idx, r_idx, k, kernel_kwargs,
-            resolve_workers(self.p, max(len(chunks), 1)),
-            self.mp_context, fault_plan,
+        # the l2 side table is computed once here and shared with every
+        # worker, never redone per worker or per chunk
+        kwargs = dict(kernel_kwargs)
+        X2 = kwargs.pop("X2", None)
+        norm = resolve_norm(kwargs.get("norm", "l2"))
+        if (norm.is_l2 or norm.is_cosine) and X2 is None:
+            X2 = squared_norms(np.ascontiguousarray(X, dtype=np.float64))
+        workers = resolve_workers(self.p, max(len(chunks), 1))
+        world = ShardWorld(
+            X=X,
+            X2=X2,
+            local_ids=[r_idx] * workers,
+            epoch=0,
+            kernel_kwargs=kwargs,
+            fault_spec=None if fault_plan is None else fault_plan.spec(),
+        )
+        return _ChunkRung(
+            ProcessTransport(self.mp_context), world, q_idx, k, chunks
         )
 
 

@@ -18,6 +18,13 @@ do not depend on where they run, and hand the items to
 * the serving front-end runs each window group as a one-item ladder on
   a single fault-injected rung that retries without backoff.
 
+Every rung that leaves the calling process runs on one worker stack,
+:class:`~repro.shard.transport.ProcessTransport`: the processes chunk
+rung (a per-solve transport whose workers all hold the whole reference
+set), the shard workers, and the rank worker processes. Its workers
+map the table from shared memory, fire their item's injected fault
+with a hard exit, and ship span/metric deltas back with each result.
+
 A rung only says how to submit one item and how to recover a dead
 worker; the loop owns everything else:
 

@@ -1,12 +1,9 @@
 """Deterministic fault injection for the execution layer.
 
-The old hook — ``REPRO_BACKEND_TEST_CRASH_AT`` hard-exiting one worker
-process at one chunk start — proved the ``BrokenProcessPool`` path but
-nothing else. A :class:`FaultPlan` generalizes it into a *seeded
-schedule* of three fault kinds, fired inside the tasks of the
-resilience layer's one retry/fallback loop — by all three backends, the
-schedule executor, the distributed rank kernels, shard workers and
-serve windows:
+A :class:`FaultPlan` is a *seeded schedule* of three fault kinds,
+fired inside the tasks of the resilience layer's one retry/fallback
+loop — by all three backends, the schedule executor, the distributed
+rank kernels, shard workers and serve windows:
 
 * **crash** — the executing site dies: ``os._exit`` in a process
   worker (a real ``BrokenProcessPool``), an :class:`InjectedFault`
@@ -14,6 +11,10 @@ serve windows:
 * **slow** — the site sleeps ``slow_seconds`` before computing, so
   deadline enforcement paths get exercised;
 * **alloc** — an injected :class:`MemoryError` before the kernel runs.
+
+A process worker receives the plan as its spec string (:meth:`spec`)
+and parses it with :meth:`FaultPlan.parse`; there is no other
+injection hook.
 
 Decisions are *stateless and deterministic*: whether fault ``kind``
 fires at ``(scope, key, attempt)`` is a pure hash of those coordinates
@@ -76,8 +77,7 @@ class FaultPlan:
     """A seeded, deterministic schedule of injected failures.
 
     Rates are per-(scope, key, attempt) probabilities; ``crash_at``
-    chunk starts crash unconditionally on every attempt (the
-    generalization of the legacy env hook).
+    chunk starts crash unconditionally on every attempt.
     """
 
     seed: int = 0

@@ -2,18 +2,22 @@
 
 Two implementations of one contract (:class:`ShardTransport`):
 
-* :class:`ProcessTransport` — the production path. One **long-lived**
-  single-worker process per shard (a ``ProcessPoolExecutor`` with
-  ``max_workers=1``, so the worker — and its packed panels — survives
-  across calls; this is deliberately *not* a per-call pool). The
-  reference table and its squared-norm side table live in shared-memory
-  segments exported once and attached by every worker (the zero-copy
-  :class:`~repro.parallel.backends.SharedSegments` protocol the
-  data-parallel process pools use); only query ids/rows and
-  the ``(m, k)`` partials cross the process boundary. Each worker holds
-  its own :class:`~repro.core.plan.GsknnPlan` over its partition plus a
-  :class:`~repro.core.plan.PlanCache` for ad-hoc group solves, both
-  invalidated when the membership epoch moves.
+* :class:`ProcessTransport` — the one shared-memory worker stack. One
+  **long-lived** single-worker process per shard (a
+  ``ProcessPoolExecutor`` with ``max_workers=1``, so the worker — and
+  its packed panels — survives across calls). The reference table and
+  its squared-norm side table live in shared-memory segments exported
+  once and attached by every worker (the zero-copy
+  :class:`~repro.parallel.backends.SharedSegments` protocol); only
+  query ids/rows and the ``(m, k)`` partials cross the process
+  boundary. Each worker holds its own :class:`~repro.core.plan.GsknnPlan`
+  over its partition plus a :class:`~repro.core.plan.PlanCache` for
+  ad-hoc group solves, both invalidated when the membership epoch
+  moves. Three callers run on it: the shard router (a partition per
+  worker), the distributed solver's rank workers (empty partitions,
+  explicit group tasks), and the data-parallel ``processes`` backend (a
+  per-solve transport whose every worker holds the whole reference set
+  and solves query chunks).
 
 * :class:`LocalTransport` — the same contract executed synchronously in
   the calling process (per-shard plans parent-side). This is the
@@ -45,7 +49,6 @@ from ..parallel.backends import (
     _drain_worker_obs,
     _install_worker_obs,
     _obs_spec,
-    _reap_pool,
     attach_segments,
 )
 from ..resilience.executor import Rung
@@ -108,7 +111,8 @@ class ShardTransport:
         raise NotImplementedError
 
     def restart(self, shard: int) -> None:
-        """Recreate a shard's executor after a crash. No-op by default."""
+        """Drop a shard's executor after a crash; the shard's next
+        ``submit`` recreates it. No-op by default."""
 
     def close(self) -> None:
         raise NotImplementedError
@@ -249,12 +253,14 @@ def _shard_worker_init(
     obs_spec: dict[str, Any] | None,
 ) -> None:
     from ..core.plan import PlanCache
-    from ..parallel.backends import _worker_fault_plan
+    from ..resilience.faults import FaultPlan
 
     _install_worker_obs(obs_spec)
     _shard_worker_attach(specs, init_blob)
     _SHARD_STATE["shard_id"] = int(shard_id)
-    _SHARD_STATE["fault_plan"] = _worker_fault_plan(fault_spec)
+    _SHARD_STATE["fault_plan"] = (
+        FaultPlan.parse(fault_spec) if fault_spec else None
+    )
     _SHARD_STATE["cache"] = PlanCache()
 
 
@@ -287,21 +293,32 @@ def _shard_worker_refresh(specs: dict[str, Any], init_blob: bytes) -> int:
 
 
 def _shard_worker_solve(
-    task: tuple, epoch: int, attempt: int
+    task: tuple, epoch: int, attempt: int, chunk: int | None = None
 ) -> tuple[tuple[np.ndarray, np.ndarray], dict[str, Any] | None]:
+    """Solve one task in the worker. ``chunk`` is set for a
+    data-parallel caller's query chunk (its start): the fault site is
+    then ``("chunk", start)`` and the span ``worker.chunk``, where a
+    partition or rank task has ``("shard", "epoch:shard")`` and
+    ``shard.solve``."""
     if epoch != _SHARD_STATE["epoch"]:
         raise BackendError(
             f"shard worker at epoch {_SHARD_STATE['epoch']} received a "
             f"task for epoch {epoch}"
         )
     shard_id = _SHARD_STATE["shard_id"]
+    if chunk is None:
+        site = ("shard", f"{epoch}:{shard_id}")
+        span = "shard.solve", {
+            "shard": shard_id, "transport": "process", "epoch": epoch
+        }
+    else:
+        site = ("chunk", chunk)
+        span = "worker.chunk", {"chunk": chunk, "size": len(task[1])}
     fault_plan = _SHARD_STATE.get("fault_plan")
     if fault_plan is not None:
-        # hard_exit: an injected shard crash must be a real process
-        # death so the router exercises BrokenProcessPool recovery
-        fault_plan.apply(
-            "shard", f"{epoch}:{shard_id}", attempt, hard_exit=True
-        )
+        # hard_exit: an injected crash must be a real process death so
+        # the caller exercises BrokenProcessPool recovery
+        fault_plan.apply(*site, attempt, hard_exit=True)
     arrays = _SHARD_STATE["arrays"]
     kwargs = _shard_kwargs(_SHARD_STATE["kernel_kwargs"], arrays.get("X2"))
     if "plan" not in _SHARD_STATE:
@@ -311,9 +328,7 @@ def _shard_worker_solve(
         _SHARD_STATE["plan"] = (
             GsknnPlan(arrays["X"], ids, **kwargs) if ids.size else None
         )
-    with _get_tracer().span(
-        "shard.solve", shard=shard_id, transport="process", epoch=epoch
-    ):
+    with _get_tracer().span(span[0], **span[1]):
         out = _solve_task(
             _SHARD_STATE["plan"],
             _SHARD_STATE["cache"],
@@ -322,24 +337,46 @@ def _shard_worker_solve(
             kwargs,
         )
     registry = _get_registry()
-    if registry.enabled:
+    if registry.enabled and chunk is None:
         registry.inc("shard.solves", labels={"shard": str(shard_id)})
     return out, _drain_worker_obs()
 
 
+def _reap_pool(pool) -> None:
+    """Stop a process pool *now*: cancel queued work, terminate workers.
+
+    ``shutdown(wait=False)`` alone leaves a worker grinding on its
+    current task past the deadline; the contract is "workers reaped",
+    so the pool's processes are terminated directly.
+    """
+    pool.shutdown(wait=False, cancel_futures=True)
+    procs = getattr(pool, "_processes", None)
+    if procs:
+        for proc in list(procs.values()):
+            try:
+                proc.terminate()
+            except Exception:  # pragma: no cover - already dead
+                pass
+
+
 class ProcessTransport(ShardTransport):
-    """One long-lived single-worker process pool per shard."""
+    """One long-lived single-worker process pool per shard.
+
+    ``mp_context`` is the ``multiprocessing`` start method. The default,
+    for every caller, is ``fork`` where the platform has it (cheap
+    worker startup), else ``spawn``; workers attach the table by name
+    either way, so both are equally correct.
+    """
 
     name = "process"
 
     def __init__(self, mp_context: str | None = None) -> None:
         import multiprocessing
 
-        self._ctx = (
-            multiprocessing.get_context(mp_context)
-            if mp_context
-            else multiprocessing.get_context()
-        )
+        if mp_context is None:
+            methods = multiprocessing.get_all_start_methods()
+            mp_context = "fork" if "fork" in methods else "spawn"
+        self._ctx = multiprocessing.get_context(mp_context)
         self._world: ShardWorld | None = None
         self._pools: list[ProcessPoolExecutor | None] = []
         self._table: SharedSegments | None = None
@@ -399,17 +436,12 @@ class ProcessTransport(ShardTransport):
         )
 
     def restart(self, shard: int) -> None:
-        """Replace a shard's worker: a dead one, or a straggler, which
-        is terminated rather than left to finish its task."""
-        pool = self._pools[shard]
+        """Reap a shard's worker — a dead one, or a straggler, which is
+        terminated rather than left to finish its task. Its replacement
+        starts on the shard's next submit."""
+        pool, self._pools[shard] = self._pools[shard], None
         if pool is not None:
             _reap_pool(pool)
-        self._spawn(shard)
-        registry = _get_registry()
-        if registry.enabled:
-            registry.inc(
-                "shard.worker_restarts", labels={"shard": str(shard)}
-            )
 
     def refresh(self, world: ShardWorld) -> None:
         """New epoch: re-export the table if it changed, then push the
@@ -442,24 +474,42 @@ class ProcessTransport(ShardTransport):
 
     # -- solve ---------------------------------------------------------------
 
-    def submit(self, shard: int, task: tuple, *, attempt: int = 0) -> Future:
+    def submit(
+        self,
+        shard: int,
+        task: tuple,
+        *,
+        attempt: int = 0,
+        chunk: int | None = None,
+    ) -> Future:
+        """Submit ``task`` to the shard's worker, starting a replacement
+        for one that was restarted. ``chunk`` marks a data-parallel
+        query chunk by its start (see :func:`_shard_worker_solve`)."""
         assert self._world is not None
-        pool = self._pools[shard]
-        if pool is None:  # pragma: no cover - defensive
-            raise BackendError(f"shard {shard} has no worker pool")
-        return pool.submit(
-            _shard_worker_solve, task, self._world.epoch, attempt
+        if self._pools[shard] is None:
+            self._spawn(shard)
+            registry = _get_registry()
+            if registry.enabled:
+                registry.inc("resilience.pool_rebuilds")
+        return self._pools[shard].submit(
+            _shard_worker_solve, task, self._world.epoch, attempt, chunk
         )
 
     def close(self) -> None:
-        # wait=True: an interpreter exiting while a pool's management
-        # thread is still tearing down races the executor atexit hook
-        # against the wakeup pipe's close (a spurious "Exception
-        # ignored ... Bad file descriptor" on stderr)
-        pools, self._pools = self._pools, []
+        # every pool's management thread is joined: an interpreter
+        # exiting while one is still tearing down races the executor
+        # atexit hook against the wakeup pipe's close (a spurious
+        # "Exception ignored ... Bad file descriptor" on stderr). All
+        # pools are told to stop before any is joined, so their workers
+        # exit in parallel rather than one after another.
+        pools = [pool for pool in self._pools if pool is not None]
+        self._pools = []
+        managers = [pool._executor_manager_thread for pool in pools]
         for pool in pools:
-            if pool is not None:
-                pool.shutdown(wait=True, cancel_futures=True)
+            pool.shutdown(wait=False, cancel_futures=True)
+        for thread in managers:
+            if thread is not None:
+                thread.join()
         table, self._table = self._table, None
         if table is not None:
             table.unlink()

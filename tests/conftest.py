@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import os
+
 import numpy as np
 import pytest
 
@@ -9,6 +11,30 @@ import pytest
 @pytest.fixture
 def rng() -> np.random.Generator:
     return np.random.default_rng(12345)
+
+
+@pytest.fixture
+def kill_first_worker(monkeypatch) -> list[int]:
+    """Kill the process worker that the first ``ProcessTransport.submit``
+    goes to, just before its task arrives.
+
+    The death is real, as an OOM kill or a crash in native code would
+    be, so the caller sees a genuine ``BrokenProcessPool``. Returns the
+    list that receives the killed worker's index.
+    """
+    from repro.shard.transport import ProcessTransport
+
+    real_submit = ProcessTransport.submit
+    killed: list[int] = []
+
+    def kill_first(self, shard, task, **kwargs):
+        if not killed:
+            killed.append(shard)
+            self._pools[shard].submit(os._exit, 13)
+        return real_submit(self, shard, task, **kwargs)
+
+    monkeypatch.setattr(ProcessTransport, "submit", kill_first)
+    return killed
 
 
 @pytest.fixture

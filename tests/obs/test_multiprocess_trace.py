@@ -22,7 +22,6 @@ from repro.parallel.data_parallel import gsknn_data_parallel
 @pytest.fixture
 def clean_env(monkeypatch):
     monkeypatch.delenv("REPRO_FAULT_PLAN", raising=False)
-    monkeypatch.delenv("REPRO_BACKEND_TEST_CRASH_AT", raising=False)
 
 
 @pytest.fixture
@@ -154,22 +153,20 @@ class TestFaultedRun:
         backends = {s.attrs.get("backend") for s in rungs}
         assert "processes" in backends
 
-    def test_crash_env_recovery_trace_exports_cleanly(
-        self, problem, obs, clean_env, monkeypatch, tmp_path
+    def test_killed_worker_recovery_trace_exports_cleanly(
+        self, problem, obs, clean_env, kill_first_worker, tmp_path
     ):
-        """A worker killed by the legacy crash hook leaves a merged trace
-        that still exports: any span it never closed is flagged
-        incomplete instead of raising."""
+        """A killed worker leaves a merged trace that still exports: any
+        span it never closed is flagged incomplete instead of raising."""
         from repro.core.gsknn import gsknn
         from repro.resilience import RetryPolicy
 
-        monkeypatch.setenv("REPRO_BACKEND_TEST_CRASH_AT", "0")
         tracer, _ = obs
         X, q, r, k = problem
         got = run_processes_solve(
             problem, RequestContext.new(), retry=RetryPolicy(backoff_base=0.001)
         )
-        monkeypatch.delenv("REPRO_BACKEND_TEST_CRASH_AT")
+        assert kill_first_worker
         truth = gsknn(X, q, r, k)
         assert np.array_equal(got.indices, truth.indices)
         # exports and aggregation must not raise on whatever the dead

@@ -18,7 +18,6 @@ from repro.obs.metrics import disable_metrics, enable_metrics
 @pytest.fixture
 def clean_env(monkeypatch):
     monkeypatch.delenv("REPRO_FAULT_PLAN", raising=False)
-    monkeypatch.delenv("REPRO_BACKEND_TEST_CRASH_AT", raising=False)
 
 
 @pytest.fixture

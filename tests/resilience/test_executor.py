@@ -21,7 +21,7 @@ import pytest
 
 from repro.core.gsknn import gsknn
 from repro.errors import KernelTimeoutError, ValidationError
-from repro.parallel.backends import ExecutionBackend, _SharedOperands
+from repro.parallel.backends import ExecutionBackend, SharedSegments
 from repro.parallel.data_parallel import gsknn_data_parallel
 from repro.resilience import Deadline, FaultPlan, RetryPolicy, run_ladder
 from repro.resilience.executor import InlineRung
@@ -126,6 +126,51 @@ class TestBitIdentityUnderFaults:
             gsknn_data_parallel(X, q, r, k, backend=Gpu(), retry=RetryPolicy())
 
 
+class TestChunkRouting:
+    def test_crashed_worker_chunks_rerouted_once(self, problem, clean_env):
+        """Over-decomposed chunks on a crashed worker: chunk ``i`` runs on
+        worker ``i % p``, so ``crash_at`` chunk 2 kills worker 0 on every
+        attempt. Its later chunks fall down the ladder while worker 1
+        keeps its own, and every chunk is solved exactly once."""
+        import multiprocessing
+
+        from repro.obs.trace import disable_tracing, enable_tracing
+        from repro.parallel.chunking import contiguous_chunks
+
+        X, q, r, k, _ = problem
+        chunks = contiguous_chunks(q.size, 2 * 3)
+        want = gsknn_data_parallel(
+            X, q, r, k, p=2, backend="serial", chunks_per_worker=3
+        )
+        before = shm_segments()
+        tracer = enable_tracing()
+        try:
+            got = gsknn_data_parallel(
+                X, q, r, k,
+                p=2, backend="processes", chunks_per_worker=3,
+                fault_plan=FaultPlan(crash_at=(chunks[2][0],)),
+                retry=RetryPolicy(backoff_base=0.001),
+            )
+        finally:
+            disable_tracing()
+        assert np.array_equal(got.distances, want.distances)
+        assert np.array_equal(got.indices, want.indices)
+        assert shm_segments() == before
+        limit = time.monotonic() + 5.0
+        while multiprocessing.active_children() and time.monotonic() < limit:
+            time.sleep(0.05)
+        assert not multiprocessing.active_children()
+
+        spans = [s for s in tracer.spans if s.name == "worker.chunk"]
+        solved = sorted(s.attrs["chunk"] for s in spans)
+        assert solved == [start for start, _ in chunks]
+        survivor = {s.pid for s in spans if s.attrs["chunk"] in (
+            chunks[1][0], chunks[3][0], chunks[5][0]
+        )}
+        assert len(survivor) == 1
+        assert os.getpid() not in survivor
+
+
 class TestDeadline:
     def test_raises_within_twice_budget(self, problem, clean_env):
         """Cooperative enforcement: every chunk sleeps past the budget,
@@ -217,11 +262,13 @@ class TestShmLifecycle:
         monkeypatch.setattr(backends, "_shm_export", failing)
         before = shm_segments()
         with pytest.raises(OSError):
-            _SharedOperands(
-                cloud,
-                np.arange(10, dtype=np.intp),
-                np.arange(20, dtype=np.intp),
-                {},
+            SharedSegments(
+                {
+                    "X": cloud,
+                    "X2": (cloud**2).sum(axis=1),
+                    "q_idx": np.arange(10, dtype=np.intp),
+                    "r_idx": np.arange(20, dtype=np.intp),
+                }
             )
         assert shm_segments() == before
 
@@ -263,10 +310,9 @@ class TestShmLifecycle:
             time.sleep(0.05)
         assert not multiprocessing.active_children()
 
-    def test_legacy_crash_env_no_leak(self, cloud, monkeypatch, clean_env):
+    def test_dead_worker_no_leak(self, cloud, kill_first_worker, clean_env):
         from repro.errors import BackendError
 
-        monkeypatch.setenv("REPRO_BACKEND_TEST_CRASH_AT", "0")
         before = shm_segments()
         with pytest.raises(BackendError):
             gsknn_data_parallel(
@@ -277,16 +323,16 @@ class TestShmLifecycle:
                 p=2,
                 backend="processes",
             )
+        assert kill_first_worker
         assert shm_segments() == before
 
     def test_plain_dead_worker_counts_nothing(
-        self, cloud, monkeypatch, metrics, clean_env
+        self, cloud, kill_first_worker, metrics, clean_env
     ):
         """A plain call is a one-rung, one-attempt ladder: it recovers
         nothing, so it records nothing under ``resilience.*``."""
         from repro.errors import BackendError
 
-        monkeypatch.setenv("REPRO_BACKEND_TEST_CRASH_AT", "0")
         with pytest.raises(BackendError):
             gsknn_data_parallel(
                 cloud,
@@ -296,6 +342,7 @@ class TestShmLifecycle:
                 p=2,
                 backend="processes",
             )
+        assert kill_first_worker
         counters = metrics.snapshot()["counters"]
         assert not [c for c in counters if c.startswith("resilience.")]
 

@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-import os
 import time
 
 import numpy as np
@@ -179,27 +178,15 @@ class TestDistributedProcessTransport:
         assert counters["resilience.retries"] >= 1
 
     def test_killed_worker_resolved_in_parent_without_retry(
-        self, points, monkeypatch, metrics, clean_env
+        self, points, kill_first_worker, metrics, clean_env
     ):
         """No retry policy, no fault plan: a rank worker that dies is
         restarted and its leaf re-solved in the parent."""
-        from repro.shard.transport import ProcessTransport
-
-        real_submit = ProcessTransport.submit
-        killed = []
-
-        def kill_first(self, shard, task, *, attempt=0):
-            if not killed:
-                killed.append(shard)
-                self._pools[shard].submit(os._exit, 13)
-            return real_submit(self, shard, task, attempt=attempt)
-
-        monkeypatch.setattr(ProcessTransport, "submit", kill_first)
         want = self._solve(points, "sim")
         got = self._solve(points, "process")
-        assert killed
+        assert kill_first_worker
         assert np.array_equal(got.distances, want.distances)
         assert np.array_equal(got.indices, want.indices)
         counters = metrics.snapshot()["counters"]
         assert counters["resilience.fallbacks.serial"] == 1
-        assert counters[f'shard.worker_restarts{{shard="{killed[0]}"}}'] == 1
+        assert counters["resilience.pool_rebuilds"] == 1
