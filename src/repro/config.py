@@ -23,7 +23,26 @@ from dataclasses import dataclass
 
 from .errors import ConfigurationError
 
-__all__ = ["BlockingParams", "IVY_BRIDGE_BLOCKING", "TEST_BLOCKING", "iter_blocks"]
+__all__ = [
+    "BlockingParams",
+    "DEFAULT_BLOCK_M",
+    "DEFAULT_BLOCK_N",
+    "IVY_BRIDGE_BLOCKING",
+    "TEST_BLOCKING",
+    "iter_blocks",
+]
+
+#: Default cache-block sizes of the numpy fast path (its ``m_c``/``n_c``).
+#: The §2.3 rule applied to numpy's temporaries: the ``block_m x block_n``
+#: float64 distance tile is the buffer every pass re-reads, so it is a
+#: few MiB (256 x 2048 x 8 B = 4 MiB), the scale of L2, not the 16 MiB
+#: of a 1024 x 2048 tile. ``block_n`` stays wide: a reference panel
+#: (``block_n x (d+1)`` doubles) still sits in L3, and few panels keep
+#: the per-tile dispatch cost small. Chosen by an interleaved sweep of
+#: ``block_m`` in {128, 256, 512} x ``block_n`` in {1024, 2048}; see
+#: docs/TUNING.md.
+DEFAULT_BLOCK_M = 256
+DEFAULT_BLOCK_N = 2048
 
 
 def iter_blocks(total: int, block: int) -> Iterator[tuple[int, int]]:

@@ -28,7 +28,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ..config import BlockingParams, TEST_BLOCKING, iter_blocks
+from ..config import (
+    DEFAULT_BLOCK_M,
+    DEFAULT_BLOCK_N,
+    BlockingParams,
+    TEST_BLOCKING,
+    iter_blocks,
+)
 from ..errors import ValidationError
 from ..gemm.packing import pack_micropanels
 from ..obs import trace as _trace
@@ -191,8 +197,8 @@ def gsknn(
     norm: str | float | Norm = "l2",
     variant: int | str | Variant = "auto",
     X2: np.ndarray | None = None,
-    block_m: int = 1024,
-    block_n: int = 2048,
+    block_m: int = DEFAULT_BLOCK_M,
+    block_n: int = DEFAULT_BLOCK_N,
     blocking: str | object | None = None,
     initial: KnnResult | None = None,
     return_stats: bool = False,
@@ -316,21 +322,6 @@ def gsknn(
     if return_stats:
         return result, stats
     return result
-
-
-def _reference_block(
-    X: np.ndarray,
-    r_block: np.ndarray,
-    norm: Norm,
-    X2: np.ndarray | None,
-) -> tuple[np.ndarray, np.ndarray | None]:
-    """Pack one reference block (coordinates + norms) from the table."""
-    Rc = X[r_block]
-    if not (norm.is_l2 or norm.is_cosine):
-        return Rc, None
-    if X2 is not None:
-        return Rc, X2[r_block]
-    return Rc, squared_norms(Rc)
 
 
 def gsknn_exact_loops(

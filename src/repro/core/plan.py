@@ -9,10 +9,12 @@ same reference rows, recomputed their squared-norm side table,
 re-resolved the variant, and reallocated every distance/merge temporary.
 A :class:`GsknnPlan` hoists all of that to construction time:
 
-* **cached reference panels** — the 6th loop's ``(R_c, R2_c)`` blocks,
-  gathered once and reused by every execute; invalidated through the
-  same cheap content fingerprint :mod:`repro.core.norm_cache` uses
-  (in-place mutation of ``X`` triggers a rebuild, not a wrong answer);
+* **cached reference panels** — the 6th loop's reference blocks, each
+  stored once as ``R_a = [R_c | R2_c]`` (coordinates with the squared
+  norms as one extra column), gathered once and reused by every
+  execute; invalidated through the same cheap content fingerprint
+  :mod:`repro.core.norm_cache` uses (in-place mutation of ``X``
+  triggers a rebuild, not a wrong answer);
 * **a workspace arena** (:mod:`repro.core.arena`) — distance tiles,
   survivor masks, and the neighbor-list state are ``out=``-written into
   grow-only buffers, so the warm steady state performs no large
@@ -27,6 +29,18 @@ caches nothing and borrows one arena for the call. Selection is
 threshold-masked: once a row is warm, one compare pass extracts only
 the candidates that can possibly enter its list, so warm tiles touch a
 few survivors per row instead of copying and partitioning whole tiles.
+
+For the l2 norm a Var#1/Var#5 tile is **one GEMM and no epilogue**
+(paper §2.3 keeps the epilogue in registers; TPU-KNN folds the norms
+into the operands). Queries are gathered straight into
+``Q_a = [-2 Q | 1]`` — ``q2`` is taken before the exact ``x -2`` — so
+``Q_a @ R_a^T = r2 - 2 q.r`` lands in the arena tile directly. The
+selection lists take that raw tile with ``q2`` as an offset and finish
+only the candidates that survive the root filter (see
+:mod:`repro.select.vectorized`); a row's first (cold) tile is finished
+whole under the ``rank_update`` span. Var#6, cosine and the general
+``p`` norms keep :func:`repro.core.norms.pairwise_block` arithmetic on
+the same panels, read through ``R_c``/``R2_c`` views of ``R_a``.
 
 Repeated executes against the *same* queries warm-start automatically:
 the previous result seeds the root filter, and when nothing beats it
@@ -45,24 +59,19 @@ from collections import OrderedDict
 
 import numpy as np
 
-from ..config import iter_blocks
+from ..config import DEFAULT_BLOCK_M, DEFAULT_BLOCK_N, iter_blocks
 from ..errors import MemoryBudgetError, ValidationError
 from ..obs import trace as _trace
 from ..obs.metrics import get_registry as _get_registry
-from ..select.vectorized import ArenaNeighborLists
+from ..select.vectorized import ArenaNeighborLists, finalize_sq_l2
 from ..validation import as_coordinate_table, as_index_array, check_finite, check_k
 from .arena import ArenaPool
 from .membudget import MemoryBudget
-from .gsknn import (
-    GsknnStats,
-    _apply_blocking,
-    _reference_block,
-    _resolve_auto_variant,
-)
+from .gsknn import GsknnStats, _apply_blocking, _resolve_auto_variant
 from .microkernel import finalize_tile
 from .neighbors import KnnResult, merge_neighbor_lists_fast
 from .norm_cache import array_fingerprint
-from .norms import Norm, pairwise_block, resolve_norm, squared_norms
+from .norms import Norm, pairwise_block, resolve_norm
 from .variants import Variant, VARIANT_INFO
 
 __all__ = ["GsknnPlan", "PlanCache"]
@@ -118,8 +127,8 @@ class GsknnPlan:
         norm: str | float | Norm = "l2",
         variant: int | str | Variant = "auto",
         X2: np.ndarray | None = None,
-        block_m: int = 1024,
-        block_n: int = 2048,
+        block_m: int = DEFAULT_BLOCK_M,
+        block_n: int = DEFAULT_BLOCK_N,
         blocking: str | object | None = None,
         arena_pool: ArenaPool | None = None,
         cache_panels: bool = True,
@@ -135,6 +144,8 @@ class GsknnPlan:
         self.X = X
         self.r_idx = r_idx
         self.norm = resolve_norm(norm)
+        # panels carry a squared-norm column for l2 and cosine
+        self._norm_cols = int(self.norm.is_l2 or self.norm.is_cosine)
         self._variant_spec = variant
         block_m, block_n, tuned_switch_k = _apply_blocking(
             blocking, block_m, block_n
@@ -169,10 +180,9 @@ class GsknnPlan:
             # from X inside the pass loop (the out-of-core mode — the
             # fused kernel packs panels once per pass, so streaming
             # costs one sequential read per pass, nothing hot).
-            needs_norms = self.norm.is_l2 or self.norm.is_cosine
-            panel_nbytes = int(self.r_idx.size) * (
-                self.X.shape[1] + (1 if needs_norms else 0)
-            ) * 8
+            panel_nbytes = (
+                int(self.r_idx.size) * (self.X.shape[1] + self._norm_cols) * 8
+            )
             if 2 * panel_nbytes > self.memory_budget.limit_bytes:
                 cache_panels = False
                 registry = _get_registry()
@@ -220,9 +230,9 @@ class GsknnPlan:
         """Shrink block sizes until one pass's tile state fits the budget.
 
         The per-pass footprint a block size controls — the distance tile,
-        its survivor mask, and (when streaming) the gathered ``(Rc, R2c)``
-        panel — must fit *half* the budget; the other half is headroom
-        for the O(m) query-side state (gathered rows, neighbor lists)
+        its survivor mask, and (when streaming) the gathered ``[Rc | R2c]``
+        panel with its staging rows — must fit *half* the budget; the other half is headroom
+        for the O(m) query-side state (the ``Qa`` rows, neighbor lists)
         that no block size can shrink. Halves the larger dimension first,
         never below 64: results stay exact at any block size, only GEMM
         efficiency trades down. Callers comparing runs bit-for-bit
@@ -234,7 +244,7 @@ class GsknnPlan:
 
         def per_pass(bm: int, bn: int) -> int:
             tile = bm * bn * 9  # float64 tile + bool survivor mask
-            stream = bn * (d + 1) * 8  # gathered Rc + R2c
+            stream = bn * (2 * d + 1) * 8  # [Rc | R2c] panel + staged rows
             return tile + stream
 
         fitted_m, fitted_n = int(block_m), int(block_n)
@@ -262,13 +272,13 @@ class GsknnPlan:
         ):
             panels = []
             panel_nbytes = 0
+            rows = np.empty((min(self.n, self.block_n), self.d), np.float64)
             for j_c, n_b in iter_blocks(self.n, self.block_n):
                 r_block = self.r_idx[j_c : j_c + n_b]
-                Rc, R2c = _reference_block(self.X, r_block, self.norm, self.X2)
-                panels.append((j_c, n_b, r_block, Rc, R2c))
-                panel_nbytes += Rc.nbytes + (
-                    R2c.nbytes if R2c is not None else 0
-                )
+                Ra = np.empty((n_b, self.d + self._norm_cols), np.float64)
+                self._gather_panel(r_block, Ra, rows[:n_b])
+                panels.append((j_c, n_b, r_block, Ra))
+                panel_nbytes += Ra.nbytes
             fingerprint = array_fingerprint(self.X)
         with self._lock:
             if self.memory_budget is not None:
@@ -503,11 +513,8 @@ class GsknnPlan:
             rows=True,
         ):
             with self.arena_pool.borrow() as arena:
-                if self.norm.is_l2 or self.norm.is_cosine:
-                    Q2 = squared_norms(Q)
-                else:
-                    Q2 = None
-                result = self._dispatch(Q, Q2, k, var, None, arena, stats)
+                Qp, Q2 = self._pack_queries(Q, None, var, arena)
+                result = self._dispatch(Qp, Q2, k, var, None, arena, stats)
         if registry.enabled:
             registry.inc("plan.executes")
             registry.inc("plan.row_executes")
@@ -532,34 +539,45 @@ class GsknnPlan:
         Emits the kernel's span tree (``pack``/``rank_update``/``heap``);
         the caller owns the root span (``gsknn`` or ``plan.execute``).
         """
-        X, norm, X2 = self.X, self.norm, self.X2
-        m = q_idx.size
-        panels = self._panels
-        if (
-            panels is not None
-            and len(panels) == 1
-            and m == self.n
-            and (q_idx is self.r_idx or np.array_equal(q_idx, self.r_idx))
-        ):
-            # Self-join fast path (the tree solver's groups query
-            # themselves): the cached reference panel IS the gathered
-            # query block, and its norm side table was computed with the
-            # same einsum — reuse both, bit-identically, gather-free.
-            with _trace.span("pack", which="Q", rows=m, cached=True):
-                Q, Q2 = panels[0][3], panels[0][4]
-            return self._dispatch(Q, Q2, k, var, initial, arena, stats)
+        Q, Q2 = self._pack_queries(None, q_idx, var, arena)
+        return self._dispatch(Q, Q2, k, var, initial, arena, stats)
+
+    def _pack_queries(
+        self,
+        rows: np.ndarray | None,
+        q_idx: np.ndarray | None,
+        var: Variant,
+        arena,
+    ) -> tuple[np.ndarray, np.ndarray | None]:
+        """Pack the query block into the arena; returns ``(Q, Q2)``.
+
+        Copies the literal ``rows``, or gathers ``X[q_idx]`` when ``rows``
+        is None. For the folded l2 tile loop (Var#1/Var#5) the block is
+        ``Qa = [-2Q | 1]``: ``Q2`` is taken from the unscaled rows (or
+        ``X2``) first, and the ``x -2`` is exact, so folding changes no
+        input bit. Var#6 and the other norms get plain ``Q``.
+        """
+        d = self.d
+        m = q_idx.size if rows is None else rows.shape[0]
+        fold = int(self.norm.is_l2 and var is not Variant.VAR6)
         with _trace.span("pack", which="Q", rows=m):
-            Q = arena.take_c("Q", (m, X.shape[1]), np.float64)
-            np.take(X, q_idx, axis=0, out=Q)
-            if norm.is_l2 or norm.is_cosine:
-                if X2 is not None:
-                    Q2 = X2[q_idx]
+            buf = arena.take_c("Q", (m, d + fold), np.float64)
+            Q = buf[:, :d]
+            if rows is None:
+                np.take(self.X, q_idx, axis=0, out=Q)
+            else:
+                Q[...] = rows
+            Q2 = None
+            if self._norm_cols:
+                if self.X2 is not None and rows is None:
+                    Q2 = self.X2[q_idx]
                 else:
                     Q2 = arena.take_c("Q2", (m,), np.float64)
                     np.einsum("ij,ij->i", Q, Q, out=Q2)
-            else:
-                Q2 = None
-        return self._dispatch(Q, Q2, k, var, initial, arena, stats)
+            if fold:
+                np.multiply(Q, -2.0, out=Q)
+                buf[:, d] = 1.0
+        return buf, Q2
 
     def _dispatch(
         self,
@@ -584,38 +602,56 @@ class GsknnPlan:
         return result
 
     def _iter_panels(self, arena):
-        """Yield ``(j_c, n_b, r_block, Rc, R2c)`` — cached or streamed.
+        """Yield ``(j_c, n_b, r_block, Ra)`` — cached or streamed.
 
         An uncached plan (one-shot, budgeted, or released) *streams*:
-        each pass's panels are gathered into two reusable arena buffers
-        (``np.take`` / ``einsum`` with ``out=``), so a memmapped table is
-        read one sequential panel at a time and steady-state executes
-        allocate nothing. The gather math is element-for-element the
-        fancy-index path's, so streamed results stay bit-identical to
-        cached ones.
+        each pass's panels are gathered into one reusable arena buffer
+        by the same :meth:`_gather_panel` the cached build uses, so a
+        memmapped table is read one sequential panel at a time, steady-
+        state executes allocate nothing, and streamed results stay
+        bit-identical to cached ones.
         """
         if self._panels is not None:
-            for j_c, n_b, r_block, Rc, R2c in self._panels:
-                with _trace.span(
-                    "pack", which="R", rows=n_b, j_c=j_c, cached=True
-                ):
-                    pass
-                yield j_c, n_b, r_block, Rc, R2c
+            yield from self._panels
             return
-        needs_norms = self.norm.is_l2 or self.norm.is_cosine
         for j_c, n_b in iter_blocks(self.n, self.block_n):
             r_block = self.r_idx[j_c : j_c + n_b]
             with _trace.span("pack", which="R", rows=n_b, j_c=j_c):
-                Rc = arena.take_c("Rc", (n_b, self.d), np.float64)
-                np.take(self.X, r_block, axis=0, out=Rc)
-                if not needs_norms:
-                    R2c = None
-                elif self.X2 is not None:
-                    R2c = self.X2[r_block]
-                else:
-                    R2c = arena.take_c("R2c", (n_b,), np.float64)
-                    np.einsum("ij,ij->i", Rc, Rc, out=R2c)
-            yield j_c, n_b, r_block, Rc, R2c
+                Ra = arena.take_c(
+                    "Ra", (n_b, self.d + self._norm_cols), np.float64
+                )
+                rows = arena.take_c("Ra.rows", (n_b, self.d), np.float64)
+                self._gather_panel(r_block, Ra, rows)
+            yield j_c, n_b, r_block, Ra
+
+    def _gather_panel(
+        self, r_block: np.ndarray, Ra: np.ndarray, rows: np.ndarray
+    ) -> None:
+        """Gather ``[X[r_block] | r2]`` into ``Ra``, staged through ``rows``.
+
+        ``r2`` is the squared-norm column (from ``X2`` when given), present
+        for l2 and cosine only. ``np.take`` into a strided ``out`` copies
+        ``out`` in and back out; taking into the contiguous ``rows`` and
+        copying them over once is about twice as fast. ``r_idx`` is
+        bounds-checked before a plan is built, so ``mode="clip"`` — the
+        mode numpy does not buffer — never clips.
+        """
+        Rc, R2c = self._panel_views(Ra)
+        np.take(self.X, r_block, axis=0, out=rows, mode="clip")
+        Rc[...] = rows
+        if R2c is not None:
+            if self.X2 is not None:
+                R2c[...] = self.X2[r_block]
+            else:
+                np.einsum("ij,ij->i", rows, rows, out=R2c)
+
+    def _panel_views(
+        self, Ra: np.ndarray
+    ) -> tuple[np.ndarray, np.ndarray | None]:
+        """``(Rc, R2c)`` views of a stored ``[Rc | R2c]`` panel."""
+        if not self._norm_cols:
+            return Ra, None
+        return Ra[:, : self.d], Ra[:, self.d]
 
     def _run_blocked(
         self,
@@ -665,16 +701,28 @@ class GsknnPlan:
             # +inf — updates then always merge.
             lists.row_max[:] = np.inf
 
-        for j_c, n_b, r_block, Rc, R2c in self._iter_panels(arena):  # 6th loop
+        fold = self.norm.is_l2
+        for j_c, n_b, r_block, Ra in self._iter_panels(arena):  # 6th loop
             for i_c, m_b in iter_blocks(m, self.block_m):  # 4th loop
                 q2c = Q2[i_c : i_c + m_b] if Q2 is not None else None
+                offset = None
                 with _trace.span("rank_update", rows=m_b, cols=n_b):
-                    tile = self._tile_into_arena(
-                        Q[i_c : i_c + m_b], q2c, Rc, R2c, arena
-                    )
+                    if fold:
+                        # Q is [-2Q | 1] and Ra is [R | r2]: one GEMM
+                        # writes the raw tile r2 - 2q.r
+                        tile = arena.take_c("tile", (m_b, n_b), np.float64)
+                        np.matmul(Q[i_c : i_c + m_b], Ra.T, out=tile)
+                        if lists.warm(i_c, m_b):
+                            offset = q2c  # selection finishes survivors
+                        else:
+                            finalize_sq_l2(tile, q2c)
+                    else:
+                        tile = self._tile_into_arena(
+                            Q[i_c : i_c + m_b], q2c, Ra, arena
+                        )
                 stats.blocks += 1
                 with _trace.span("heap", rows=m_b, cols=n_b):
-                    lists.update(i_c, tile, r_block)
+                    lists.update(i_c, tile, r_block, offset=offset)
                 if not use_filter:
                     # keep Var#5 merging unconditionally on later blocks too
                     lists.row_max[i_c : i_c + m_b] = np.inf
@@ -723,20 +771,8 @@ class GsknnPlan:
         """Var#6: materialize the full ``m x n`` matrix, select at the end."""
         m, n = Q.shape[0], self.n
         r_idx = self.r_idx
-        if n <= self.block_n:
-            # single slab: the block's distance matrix IS the full C — skip
-            # the copy into a preallocated buffer
-            if self._panels is not None:
-                _, _, _, Rc, R2c = self._panels[0]
-                with _trace.span("pack", which="R", rows=n, cached=True):
-                    pass
-            else:
-                with _trace.span("pack", which="R", rows=n):
-                    Rc, R2c = _reference_block(self.X, r_idx, self.norm, self.X2)
-            with _trace.span("rank_update", rows=m, cols=n):
-                C = pairwise_block(Q, Rc, self.norm, Q2, R2c)
-            stats.blocks = 1
-        else:
+        C = None  # a single slab's distance matrix IS the full C
+        if n > self.block_n:
             if self.memory_budget is not None:
                 # route the scores matrix through the arena so its bytes
                 # are charged (and the variant guard already vetoed any
@@ -744,12 +780,15 @@ class GsknnPlan:
                 C = arena.take_c("var6_scores", (m, n), np.float64)
             else:
                 C = np.empty((m, n), dtype=np.float64)
-            for j_c, n_b, r_block, Rc, R2c in self._iter_panels(arena):
-                with _trace.span("rank_update", rows=m, cols=n_b):
-                    C[:, j_c : j_c + n_b] = pairwise_block(
-                        Q, Rc, self.norm, Q2, R2c
-                    )
-                stats.blocks += 1
+        for j_c, n_b, _, Ra in self._iter_panels(arena):
+            Rc, R2c = self._panel_views(Ra)
+            with _trace.span("rank_update", rows=m, cols=n_b):
+                block = pairwise_block(Q, Rc, self.norm, Q2, R2c)
+                if C is None:
+                    C = block
+                else:
+                    C[:, j_c : j_c + n_b] = block
+            stats.blocks += 1
         stats.candidates_offered = m * n
 
         with _trace.span("heap", stage="full_select", rows=m, cols=n):
@@ -766,27 +805,20 @@ class GsknnPlan:
         self,
         Qb: np.ndarray,
         q2c: np.ndarray | None,
-        Rc: np.ndarray,
-        R2c: np.ndarray | None,
+        Ra: np.ndarray,
         arena,
     ) -> np.ndarray:
-        """One block's distances, written into arena buffers.
+        """One cosine or general-``p`` block's distances, in arena buffers.
 
         Operation-for-operation the same floating-point sequence as
         :func:`repro.core.norms.pairwise_block` — only the destination
-        changes — so plan results stay bit-identical to the one-shot
-        path.
+        changes — so plan results stay bit-identical to it. (l2 tiles
+        are one folded GEMM in :meth:`_run_blocked`.)
         """
         norm = self.norm
+        Rc, R2c = self._panel_views(Ra)
         m_b, n_b = Qb.shape[0], Rc.shape[0]
         T = arena.take_c("tile", (m_b, n_b), np.float64)
-        if norm.is_l2:
-            np.matmul(Qb, Rc.T, out=T)
-            np.multiply(T, -2.0, out=T)
-            np.add(T, q2c[:, None], out=T)
-            np.add(T, R2c[None, :], out=T)
-            np.maximum(T, 0.0, out=T)
-            return T
         if norm.is_cosine:
             D = arena.take_c("denom", (m_b, n_b), np.float64)
             np.multiply(q2c[:, None], R2c[None, :], out=D)
@@ -885,8 +917,8 @@ class PlanCache:
         norm: str | float | Norm = "l2",
         variant: int | str | Variant = "auto",
         X2: np.ndarray | None = None,
-        block_m: int = 1024,
-        block_n: int = 2048,
+        block_m: int = DEFAULT_BLOCK_M,
+        block_n: int = DEFAULT_BLOCK_N,
         blocking: str | object | None = None,
         memory_budget: MemoryBudget | int | str | None = None,
     ) -> GsknnPlan:

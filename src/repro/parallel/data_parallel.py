@@ -32,6 +32,7 @@ from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 
+from ..config import DEFAULT_BLOCK_M, DEFAULT_BLOCK_N
 from ..errors import ValidationError
 from ..core.gsknn import gsknn, _resolve_auto_variant
 from ..core.neighbors import KnnResult, merge_neighbor_lists
@@ -55,8 +56,8 @@ def gsknn_data_parallel(
     p: int | str = 2,
     norm: str | float | Norm = "l2",
     variant: int | str = "auto",
-    block_m: int = 1024,
-    block_n: int = 2048,
+    block_m: int = DEFAULT_BLOCK_M,
+    block_n: int = DEFAULT_BLOCK_N,
     backend: str | ExecutionBackend = "threads",
     chunks_per_worker: int = 1,
     X2: np.ndarray | None = None,
@@ -216,8 +217,8 @@ def gsknn_reference_parallel(
     *,
     p: int | str = 2,
     norm: str | float | Norm = "l2",
-    block_m: int = 1024,
-    block_n: int = 2048,
+    block_m: int = DEFAULT_BLOCK_M,
+    block_n: int = DEFAULT_BLOCK_N,
 ) -> KnnResult:
     """Reference-side parallel GSKNN with private per-worker lists.
 

@@ -30,7 +30,12 @@ from .counters import SelectionStats
 from .heap import BinaryMaxHeap, DHeap, heap_select_smallest
 from .mergeselect import merge_partial_topk, merge_select
 from .quickselect import quickselect_smallest
-from .vectorized import ArenaNeighborLists, BatchedNeighborLists, merge_block
+from .vectorized import (
+    ArenaNeighborLists,
+    BatchedNeighborLists,
+    finalize_sq_l2,
+    merge_block,
+)
 
 __all__ = [
     "SelectionStats",
@@ -42,6 +47,7 @@ __all__ = [
     "merge_select",
     "ArenaNeighborLists",
     "BatchedNeighborLists",
+    "finalize_sq_l2",
     "merge_block",
     "bitonic_sort_rows",
     "bitonic_merge_rows",

@@ -14,6 +14,17 @@ ingredients the paper's fused kernel depends on preserved:
   tile via ``np.argpartition`` (introselect), the vector analogue of
   streaming the tile through the heap.
 
+For the l2 norm the kernel hands :meth:`ArenaNeighborLists.update` a
+*raw* tile ``r2 - 2 q.r`` (one GEMM on norm-folded operands, see
+:mod:`repro.core.plan`) plus the block's ``q2`` as an ``offset``. A warm
+row is filtered against ``row_max - q2`` on the raw values, and only the
+survivors are finished with ``+q2`` and the ``max(., 0)`` clamp — the
+paper's §2.3 epilogue applied to the few candidates that can still enter
+a list instead of the whole tile. :func:`finalize_sq_l2` is that
+epilogue; finishing a survivor is the same floating-point operation as
+finishing it inside a whole tile, so the filter changes which values are
+computed, never their bits.
+
 Semantics are identical to per-row heap selection: after any sequence of
 updates each row holds the k smallest (distance, id) pairs seen so far.
 Ties are broken arbitrarily, exactly like the heap.
@@ -27,7 +38,29 @@ import numpy as np
 
 from ..errors import ValidationError
 
-__all__ = ["ArenaNeighborLists", "BatchedNeighborLists", "merge_block"]
+__all__ = [
+    "ArenaNeighborLists",
+    "BatchedNeighborLists",
+    "finalize_sq_l2",
+    "merge_block",
+]
+
+#: Slack of the raw-tile filter, in units of ``eps * (|row_max| + q2)``.
+#: Forming ``row_max - q2`` and finishing ``raw + q2`` each round once;
+#: four units cover both with room, and the exact re-check after
+#: finishing keeps the filter's slack out of the results.
+_RAW_FILTER_SLACK = 4 * np.finfo(np.float64).eps
+
+
+def finalize_sq_l2(raw: np.ndarray, offset: np.ndarray) -> np.ndarray:
+    """Finish a raw ``r2 - 2 q.r`` tile into squared distances, in place.
+
+    Adds each row's ``q2`` (``offset``) and clamps cancellation below
+    zero — the same two operations a survivor gets one element at a time.
+    """
+    np.add(raw, offset[:, None], out=raw)
+    np.maximum(raw, 0.0, out=raw)
+    return raw
 
 
 def merge_block(
@@ -231,7 +264,10 @@ class ArenaNeighborLists(BatchedNeighborLists):
       are merged. On warm repeated queries almost nothing survives, so
       the per-tile cost collapses from O(m_b n_b) selection work to one
       compare pass. Cold or partially-warm tiles fall back to the base
-      path unchanged.
+      path unchanged;
+    * ``update`` also takes raw l2 tiles with their ``q2`` offset and
+      finishes only the survivors of a warm tile (see the module
+      docstring and ``docs/PERF.md``).
 
     Equivalence: a candidate at or above its row's threshold can never
     enter the final k (the threshold upper-bounds the row's kth
@@ -288,12 +324,36 @@ class ArenaNeighborLists(BatchedNeighborLists):
         self._touched.fill(True)
         self._dedup = True
 
+    def warm(self, row_start: int, m_b: int) -> bool:
+        """True when rows ``row_start ... row_start + m_b`` are all warm.
+
+        That needs every row touched and every threshold finite; any other
+        tile is cold and goes through the base class's argpartition path
+        on finished distances.
+        """
+        rows = slice(row_start, row_start + m_b)
+        return bool(
+            self._touched[rows].all() and np.isfinite(self.row_max[rows]).all()
+        )
+
     def update(
         self,
         row_start: int,
         cand_values: np.ndarray,
         cand_ids: np.ndarray,
+        offset: np.ndarray | None = None,
     ) -> None:
+        """Fold a tile into rows ``row_start...``, as the base class does.
+
+        With ``offset`` (the block's ``q2``), ``cand_values`` is a raw l2
+        tile ``r2 - 2 q.r``. Warm rows are filtered on the raw values
+        against ``row_max - q2`` widened by a few ulps, and only the
+        survivors are finished (:func:`finalize_sq_l2`) and re-checked
+        against ``row_max`` — so the lists, the thresholds and
+        ``candidates_surviving`` come out exactly as if the whole tile had
+        been finished first. A cold tile is finished whole, in place,
+        before the base path.
+        """
         cand_values = np.asarray(cand_values, dtype=np.float64)
         if cand_values.ndim != 2:
             raise ValidationError("candidate tile must be 2-D")
@@ -302,12 +362,16 @@ class ArenaNeighborLists(BatchedNeighborLists):
             raise ValidationError(
                 f"rows [{row_start}, {row_start + m_b}) out of range for m={self.m}"
             )
-        rows = slice(row_start, row_start + m_b)
-        thresholds = self.row_max[rows]
-        if not self._touched[rows].all() or not np.isfinite(thresholds).all():
+        if offset is not None and np.shape(offset) != (m_b,):
+            raise ValidationError(
+                f"offset must have shape ({m_b},), got {np.shape(offset)}"
+            )
+        if not self.warm(row_start, m_b):
             # cold or partially-warm rows: the masked path would have to
             # special-case unfilled lists; the base path already handles
             # them optimally (direct assign / narrow merge)
+            if offset is not None:
+                finalize_sq_l2(cand_values, offset)
             super().update(row_start, cand_values, cand_ids)
             return
         cand_ids = np.asarray(cand_ids, dtype=np.intp).ravel()
@@ -317,22 +381,30 @@ class ArenaNeighborLists(BatchedNeighborLists):
             )
         self.stats.rows_offered += m_b
         self.stats.candidates_offered += m_b * n_b
+        thresholds = self.row_max[row_start : row_start + m_b]
+        if offset is None:
+            cut = thresholds
+        else:
+            # raw < row_max - q2, widened so rounding can never drop a
+            # candidate whose finished distance beats row_max
+            cut = thresholds - offset
+            cut += _RAW_FILTER_SLACK * (np.abs(thresholds) + np.abs(offset))
 
         # Stage 1 (same reduction as the base class): drop whole rows whose
         # best candidate cannot beat the threshold, and restrict the mask
         # to the survivors — in the sparse regime (tree iteration 2+, warm
         # repeats) this keeps the boolean pass off most of the tile.
         row_min = cand_values.min(axis=1)
-        live = np.flatnonzero(row_min < thresholds)
+        live = np.flatnonzero(row_min < cut)
         if live.size == 0:
             return
         if 2 * live.size >= m_b:
             # dense-live tile: a dead row contributes no survivors anyway
             # (its minimum already failed), so mask the whole tile and
             # skip the O(m_b * n_b) subset copy
-            target, thr, subset = cand_values, thresholds, False
+            target, thr, subset = cand_values, cut, False
         else:
-            target, thr, subset = cand_values[live], thresholds[live], True
+            target, thr, subset = cand_values[live], cut[live], True
         mask = self._arena.take_c("lists.mask", target.shape, np.bool_)
         np.less(target, thr[:, None], out=mask)
         # flatnonzero on the dense mask is several times faster than the
@@ -343,6 +415,18 @@ class ArenaNeighborLists(BatchedNeighborLists):
             # map subset positions back to tile rows; `live` is ascending,
             # so row-major grouping is preserved
             surv_rows = live[surv_rows]
+        surv_values = cand_values[surv_rows, surv_cols]
+        if offset is not None:
+            # finish only the survivors, then drop the ones the slack let
+            # through: what remains is exactly what a finished tile's
+            # `tile < row_max` compare would keep
+            np.add(surv_values, offset[surv_rows], out=surv_values)
+            np.maximum(surv_values, 0.0, out=surv_values)
+            keep = surv_values < thresholds[surv_rows]
+            if not keep.all():
+                surv_rows = surv_rows[keep]
+                surv_cols = surv_cols[keep]
+                surv_values = surv_values[keep]
         if surv_rows.size == 0:
             return
         if self._dedup:
@@ -358,7 +442,7 @@ class ArenaNeighborLists(BatchedNeighborLists):
             eq = self.ids[abs_r] == cand_ids[surv_cols][:, None]
             dup = eq.any(axis=1)
             if dup.any():
-                fresh = cand_values[surv_rows[dup], surv_cols[dup]]
+                fresh = surv_values[dup]
                 at = (abs_r[dup], eq.argmax(axis=1)[dup])
                 if not self._seed_dirty and (self.values[at] != fresh).any():
                     self._seed_dirty = True
@@ -366,6 +450,7 @@ class ArenaNeighborLists(BatchedNeighborLists):
                 keep = ~dup
                 surv_rows = surv_rows[keep]
                 surv_cols = surv_cols[keep]
+                surv_values = surv_values[keep]
                 if surv_rows.size == 0:
                     return
         # row-major order: rows ascending, columns ascending within a
@@ -388,7 +473,7 @@ class ArenaNeighborLists(BatchedNeighborLists):
         ends = np.cumsum(counts)
         pos = np.arange(surv_rows.size) - np.repeat(ends - counts, counts)
         row_of = np.repeat(np.arange(nlive), counts)
-        pad_values[row_of, pos] = cand_values[surv_rows, surv_cols]
+        pad_values[row_of, pos] = surv_values
         pad_ids[row_of, pos] = cand_ids[surv_cols]
 
         abs_rows = live_rows + row_start

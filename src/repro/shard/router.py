@@ -36,6 +36,7 @@ from typing import Any
 
 import numpy as np
 
+from ..config import DEFAULT_BLOCK_M, DEFAULT_BLOCK_N
 from ..core.gsknn import _resolve_auto_variant
 from ..core.neighbors import KnnResult
 from ..core.norms import resolve_norm, squared_norms
@@ -98,8 +99,8 @@ class ShardedAllKnn:
         transport: str | Any = "process",
         norm: str | float = "l2",
         variant: int | str = "auto",
-        block_m: int = 1024,
-        block_n: int = 2048,
+        block_m: int = DEFAULT_BLOCK_M,
+        block_n: int = DEFAULT_BLOCK_N,
         retry: RetryPolicy | None = None,
         deadline: Deadline | float | None = None,
         fault_plan: FaultPlan | str | None = None,

@@ -39,6 +39,7 @@ from dataclasses import asdict, dataclass
 from pathlib import Path
 from typing import Any
 
+from ..config import DEFAULT_BLOCK_M, DEFAULT_BLOCK_N
 from ..errors import ValidationError
 from ..ioutil import atomic_write_json
 
@@ -68,8 +69,8 @@ class TunedConfig:
     backend for this host.
     """
 
-    block_m: int = 1024
-    block_n: int = 2048
+    block_m: int = DEFAULT_BLOCK_M
+    block_n: int = DEFAULT_BLOCK_N
     p: int = 1
     chunks_per_worker: int = 1
     switch_k: int = 256

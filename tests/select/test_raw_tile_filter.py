@@ -1,0 +1,106 @@
+"""The raw-tile filter is lossless at its boundary.
+
+``ArenaNeighborLists.update(..., offset=q2)`` filters a raw l2 tile
+``r2 - 2 q.r`` against ``row_max - q2`` and finishes only survivors. Here
+every raw value sits within a few ulps of that cut, where rounding
+decides membership; the update must keep exactly what finishing the
+whole tile first keeps — same lists, same thresholds, same counters.
+"""
+
+from __future__ import annotations
+
+import numpy as np
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from repro.core.arena import WorkspaceArena
+from repro.select import ArenaNeighborLists, finalize_sq_l2
+
+SCALES = [1e-3, 1.0, 1e3, 1e6]
+
+
+def _boundary_tile(rng, row_max, q2, n_b):
+    """Raw values within +-3 ulps of ``row_max - q2``, plus far misses/hits."""
+    cut = row_max - q2
+    steps = rng.integers(-3, 4, (row_max.size, n_b))
+    raw = np.empty((row_max.size, n_b))
+    for i in range(row_max.size):
+        for j in range(n_b):
+            v = cut[i]
+            toward = np.inf if steps[i, j] > 0 else -np.inf
+            for _ in range(abs(int(steps[i, j]))):
+                v = np.nextafter(v, toward)
+            raw[i, j] = v
+    far = rng.random((row_max.size, n_b)) < 0.1
+    raw[far] += np.where(rng.random(far.sum()) < 0.5, -1.0, 1.0) * (
+        np.abs(cut[np.nonzero(far)[0]]) + 1.0
+    )
+    return raw
+
+
+def _warm_pair(rng, m, k, scale):
+    """Two identically warm lists (seeded with ids disjoint from the tile's)."""
+    seed_values = np.sort(rng.random((m, k)) * scale, axis=1)
+    seed_ids = 10_000 + np.arange(m * k).reshape(m, k)
+    pair = []
+    for _ in range(2):
+        lists = ArenaNeighborLists(m, k, WorkspaceArena())
+        lists.seed(seed_values, seed_ids)
+        pair.append(lists)
+    return pair
+
+
+@given(
+    st.integers(0, 2**31),
+    st.sampled_from(SCALES),
+    st.sampled_from(SCALES),
+    st.integers(1, 8),
+)
+@settings(max_examples=80, deadline=None)
+def test_offset_update_equals_finish_then_update(seed, dist_scale, norm_scale, k):
+    rng = np.random.default_rng(seed)
+    m, n_b = 7, 29
+    raw_lists, done_lists = _warm_pair(rng, m, k, dist_scale)
+    q2 = rng.random(m) * norm_scale
+    raw = _boundary_tile(rng, raw_lists.row_max.copy(), q2, n_b)
+    ids = np.arange(n_b)
+    finished = finalize_sq_l2(raw.copy(), q2)
+    expected_survivors = int((finished < done_lists.row_max[:, None]).sum())
+
+    raw_lists.update(0, raw.copy(), ids, offset=q2)
+    done_lists.update(0, finished, ids)
+
+    np.testing.assert_array_equal(raw_lists.values, done_lists.values)
+    np.testing.assert_array_equal(raw_lists.ids, done_lists.ids)
+    np.testing.assert_array_equal(raw_lists.row_max, done_lists.row_max)
+    assert raw_lists.stats == done_lists.stats
+    assert raw_lists.stats.candidates_surviving == expected_survivors
+
+
+def test_boundary_is_exercised():
+    """The drawn tiles really straddle the cut: some finish just below
+    ``row_max`` and some land exactly on or just above it."""
+    rng = np.random.default_rng(3)
+    (lists, _) = _warm_pair(rng, 7, 4, 1.0)
+    q2 = rng.random(7)
+    raw = _boundary_tile(rng, lists.row_max.copy(), q2, 29)
+    finished = finalize_sq_l2(raw.copy(), q2)
+    gap = finished - lists.row_max[:, None]
+    assert (gap < 0).any() and (gap >= 0).any()
+    assert (np.abs(gap) <= 4 * np.spacing(lists.row_max)[:, None]).sum() > 50
+
+
+def test_cold_tile_with_offset_is_finished_whole():
+    """Cold rows take the base path on a tile finished in place."""
+    rng = np.random.default_rng(5)
+    raw = rng.random((4, 9)) - 0.5
+    q2 = rng.random(4)
+    a = ArenaNeighborLists(4, 3, WorkspaceArena())
+    b = ArenaNeighborLists(4, 3, WorkspaceArena())
+    tile = raw.copy()
+    a.update(0, tile, np.arange(9), offset=q2)
+    b.update(0, finalize_sq_l2(raw.copy(), q2), np.arange(9))
+    np.testing.assert_array_equal(tile, finalize_sq_l2(raw.copy(), q2))
+    np.testing.assert_array_equal(a.values, b.values)
+    np.testing.assert_array_equal(a.ids, b.ids)
+    assert a.stats == b.stats

@@ -6,6 +6,7 @@ import json
 
 import pytest
 
+from repro.config import DEFAULT_BLOCK_M, DEFAULT_BLOCK_N
 from repro.errors import ValidationError
 from repro.tune.store import (
     TUNE_SCHEMA_VERSION,
@@ -26,7 +27,9 @@ def cache_file(tmp_path):
 class TestTunedConfig:
     def test_defaults_valid(self):
         cfg = TunedConfig()
-        assert cfg.block_m == 1024 and cfg.backend == "threads"
+        # untuned hosts run the kernel's own default blocking
+        assert (cfg.block_m, cfg.block_n) == (DEFAULT_BLOCK_M, DEFAULT_BLOCK_N)
+        assert cfg.backend == "threads"
 
     @pytest.mark.parametrize(
         "kwargs",
