@@ -13,8 +13,10 @@ pool and drops it with the plan, so nothing is retained past the call.
 Two pieces:
 
 * :class:`WorkspaceArena` — keyed, grow-only buffers; ``take`` returns
-  an uninitialized view of exactly the requested shape. Not thread-safe
-  by design (an arena belongs to one execution at a time).
+  an uninitialized view of exactly the requested shape. An arena
+  belongs to one execution at a time; inside it, the row workers of
+  :mod:`repro.core.workers` take *disjoint* keys concurrently, so
+  growth (the only step that touches shared bookkeeping) is locked.
 * :class:`ArenaPool` — a thread-safe borrow/return pool of arenas.
   Concurrent executions (thread backends, task-parallel group solves)
   each borrow a private arena, so reuse never races.
@@ -22,6 +24,7 @@ Two pieces:
 
 from __future__ import annotations
 
+import math
 import threading
 from contextlib import contextmanager
 from typing import Callable, Iterator
@@ -56,15 +59,30 @@ class WorkspaceArena:
     def __init__(self, budget: MemoryBudget | None = None) -> None:
         self._buffers: dict[str, np.ndarray] = {}
         self.budget = budget
+        self._lock = threading.Lock()
+        self._nbytes = 0
         self._peak_nbytes = 0
 
-    def _swap(self, key: str, nbytes: int) -> None:
-        """Account for replacing ``key``'s buffer with ``nbytes`` bytes."""
-        old = self._buffers.pop(key, None)
-        if old is not None and self.budget is not None:
-            self.budget.release(old.nbytes)
-        if self.budget is not None:
-            self.budget.reserve(nbytes, site=f"arena:{key}")
+    def _grow(self, key: str, shape, dtype: np.dtype) -> np.ndarray:
+        """Replace ``key``'s buffer with a new ``shape`` one, charged first.
+
+        Several row workers may grow disjoint keys at once; the lock keeps
+        the byte tallies (and the budget's view of them) consistent.
+        """
+        nbytes = math.prod(shape) * dtype.itemsize
+        with self._lock:
+            old = self._buffers.pop(key, None)
+            if old is not None:
+                self._nbytes -= old.nbytes
+                if self.budget is not None:
+                    self.budget.release(old.nbytes)
+            if self.budget is not None:
+                self.budget.reserve(nbytes, site=f"arena:{key}")
+            buf = np.empty(shape, dtype=dtype)
+            self._buffers[key] = buf
+            self._nbytes += nbytes
+            self._peak_nbytes = max(self._peak_nbytes, self._nbytes)
+        return buf
 
     def take(
         self,
@@ -88,13 +106,7 @@ class WorkspaceArena:
                 if buf is None or buf.dtype != dtype or buf.ndim != len(shape)
                 else tuple(max(b, s) for b, s in zip(buf.shape, shape))
             )
-            size = 1
-            for s in grown:
-                size *= s
-            self._swap(key, size * dtype.itemsize)
-            buf = np.empty(grown, dtype=dtype)
-            self._buffers[key] = buf
-            self._peak_nbytes = max(self._peak_nbytes, self.nbytes)
+            buf = self._grow(key, grown, dtype)
         if buf.shape == shape:
             return buf
         return buf[tuple(slice(0, s) for s in shape)]
@@ -123,16 +135,13 @@ class WorkspaceArena:
         buf = self._buffers.get(key)
         if buf is None or buf.dtype != dtype or buf.ndim != 1 or buf.size < size:
             grown = size if buf is None or buf.ndim != 1 else max(buf.size, size)
-            self._swap(key, grown * dtype.itemsize)
-            buf = np.empty(grown, dtype=dtype)
-            self._buffers[key] = buf
-            self._peak_nbytes = max(self._peak_nbytes, self.nbytes)
+            buf = self._grow(key, (grown,), dtype)
         return buf[:size].reshape(shape)
 
     @property
     def nbytes(self) -> int:
         """Total bytes currently held across all keys."""
-        return sum(buf.nbytes for buf in self._buffers.values())
+        return self._nbytes
 
     @property
     def peak_nbytes(self) -> int:
@@ -143,10 +152,11 @@ class WorkspaceArena:
         return len(self._buffers)
 
     def clear(self) -> None:
-        if self.budget is not None:
-            for buf in self._buffers.values():
-                self.budget.release(buf.nbytes)
-        self._buffers.clear()
+        with self._lock:
+            if self.budget is not None:
+                self.budget.release(self._nbytes)
+            self._buffers.clear()
+            self._nbytes = 0
 
 
 class ArenaPool:

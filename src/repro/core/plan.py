@@ -73,6 +73,7 @@ from .neighbors import KnnResult, merge_neighbor_lists_fast
 from .norm_cache import array_fingerprint
 from .norms import Norm, pairwise_block, resolve_norm
 from .variants import Variant, VARIANT_INFO
+from .workers import RowWorkers, row_workers
 
 __all__ = ["GsknnPlan", "PlanCache"]
 
@@ -188,10 +189,13 @@ class GsknnPlan:
                 registry = _get_registry()
                 if registry.enabled:
                     registry.inc("budget.panels_streamed")
+        # scratch sets (one per row worker) the budget affords; None: no cap
+        self._budget_workers: int | None = None
         if self.memory_budget is not None:
             self.block_m, self.block_n = self._fit_blocks(
                 self.block_m, self.block_n
             )
+            self._budget_workers = self._fit_workers()
         self._cache_panels = cache_panels
         self._panels: list | None = None
         self._panels_nbytes = 0
@@ -244,8 +248,7 @@ class GsknnPlan:
 
         def per_pass(bm: int, bn: int) -> int:
             tile = bm * bn * 9  # float64 tile + bool survivor mask
-            stream = bn * (2 * d + 1) * 8  # [Rc | R2c] panel + staged rows
-            return tile + stream
+            return tile + _stream_nbytes(bn, d)
 
         fitted_m, fitted_n = int(block_m), int(block_n)
         while per_pass(fitted_m, fitted_n) > share and (
@@ -261,6 +264,22 @@ class GsknnPlan:
             if registry.enabled:
                 registry.inc("budget.block_autofits")
         return fitted_m, fitted_n
+
+    def _fit_workers(self) -> int:
+        """Row workers whose scratch fits half the budget beside a panel.
+
+        Blocks are fitted for one worker first, so the blocking — and
+        with it every result bit — never depends on the host's cores.
+        Each row worker then needs its own tile and survivor mask,
+        ``block_m x block_n x 9`` bytes (18 for cosine, which adds a
+        denominator tile and its zero mask); the workers a budget cannot
+        afford are simply not started. See docs/MEMORY.md.
+        """
+        share = self.memory_budget.limit_bytes // 2
+        per_cell = 18 if self.norm.is_cosine else 9
+        scratch = self.block_m * self.block_n * per_cell
+        stream = _stream_nbytes(self.block_n, self.d)
+        return max(1, (share - stream) // scratch)
 
     # -- build / invalidation --------------------------------------------------
 
@@ -589,13 +608,23 @@ class GsknnPlan:
         arena,
         stats: GsknnStats,
     ) -> KnnResult:
-        if var is Variant.VAR6:
-            result = self._run_var6(Q, Q2, k, stats, arena)
-            shortcut = False
-        else:
-            result, shortcut = self._run_blocked(
-                Q, Q2, k, var is Variant.VAR1, initial, arena, stats
-            )
+        """Run the variant's loop nest with its row blocks on the workers.
+
+        The worker count and its inputs are recorded on the caller's root
+        span (``gsknn`` or ``plan.execute``); see :mod:`repro.core.workers`.
+        """
+        blocks = list(iter_blocks(Q.shape[0], self.block_m))
+        p, attrs = row_workers(len(blocks), self._budget_workers)
+        _trace.get_tracer().annotate(**attrs)
+        with RowWorkers(blocks, p) as workers:
+            if var is Variant.VAR6:
+                result = self._run_var6(Q, Q2, k, stats, arena, workers)
+                shortcut = False
+            else:
+                result, shortcut = self._run_blocked(
+                    Q, Q2, k, var is Variant.VAR1, initial, arena, stats,
+                    workers,
+                )
         if initial is not None and not shortcut:
             with _trace.span("heap", stage="warm_merge"):
                 result = merge_neighbor_lists_fast(result, initial)
@@ -662,13 +691,15 @@ class GsknnPlan:
         initial: KnnResult | None,
         arena,
         stats: GsknnStats,
+        workers: RowWorkers,
     ) -> tuple[KnnResult, bool]:
         """Var#1 (root-filtered) / Var#5 (slab) fused path.
 
-        Returns ``(result, merged)`` where ``merged`` means ``result``
-        already accounts for ``initial`` (the warm zero-survivor fast
-        path fired, or the seed was folded into the lists) and must not
-        be merged with it again.
+        Per panel, worker ``w`` updates the row blocks ``workers.runs[w]``
+        through its own view of the lists. Returns ``(result, merged)``
+        where ``merged`` means ``result`` already accounts for
+        ``initial`` (the warm zero-survivor fast path fired, or the seed
+        was folded into the lists) and must not be merged with it again.
         """
         m = Q.shape[0]
         lists = ArenaNeighborLists(m, k, arena)
@@ -702,30 +733,44 @@ class GsknnPlan:
             lists.row_max[:] = np.inf
 
         fold = self.norm.is_l2
-        for j_c, n_b, r_block, Ra in self._iter_panels(arena):  # 6th loop
-            for i_c, m_b in iter_blocks(m, self.block_m):  # 4th loop
+        views = [lists.worker(w) for w in range(workers.p)]
+        tracer = _trace.get_tracer()
+        parent = tracer.current_span_id()
+
+        def update_rows(w: int, panel: tuple) -> None:
+            _, n_b, r_block, Ra = panel
+            view = views[w]
+            for i_c, m_b in workers.runs[w]:  # 4th loop
                 q2c = Q2[i_c : i_c + m_b] if Q2 is not None else None
                 offset = None
-                with _trace.span("rank_update", rows=m_b, cols=n_b):
+                with tracer.span_under(
+                    parent, "rank_update", rows=m_b, cols=n_b
+                ):
                     if fold:
                         # Q is [-2Q | 1] and Ra is [R | r2]: one GEMM
                         # writes the raw tile r2 - 2q.r
-                        tile = arena.take_c("tile", (m_b, n_b), np.float64)
+                        tile = arena.take_c(
+                            "tile" + view.scratch, (m_b, n_b), np.float64
+                        )
                         np.matmul(Q[i_c : i_c + m_b], Ra.T, out=tile)
-                        if lists.warm(i_c, m_b):
+                        if view.warm(i_c, m_b):
                             offset = q2c  # selection finishes survivors
                         else:
                             finalize_sq_l2(tile, q2c)
                     else:
                         tile = self._tile_into_arena(
-                            Q[i_c : i_c + m_b], q2c, Ra, arena
+                            Q[i_c : i_c + m_b], q2c, Ra, arena, view.scratch
                         )
-                stats.blocks += 1
-                with _trace.span("heap", rows=m_b, cols=n_b):
-                    lists.update(i_c, tile, r_block, offset=offset)
+                with tracer.span_under(parent, "heap", rows=m_b, cols=n_b):
+                    view.update(i_c, tile, r_block, offset=offset)
                 if not use_filter:
                     # keep Var#5 merging unconditionally on later blocks too
-                    lists.row_max[i_c : i_c + m_b] = np.inf
+                    view.row_max[i_c : i_c + m_b] = np.inf
+
+        for panel in self._iter_panels(arena):  # 6th loop
+            workers.run(lambda w: update_rows(w, panel))
+            stats.blocks += workers.row_blocks
+        lists.absorb(views)
         stats.candidates_offered = lists.stats.candidates_offered
         stats.candidates_discarded = (
             lists.stats.candidates_offered - lists.stats.candidates_surviving
@@ -767,39 +812,80 @@ class GsknnPlan:
         k: int,
         stats: GsknnStats,
         arena,
+        workers: RowWorkers,
     ) -> KnnResult:
-        """Var#6: materialize the full ``m x n`` matrix, select at the end."""
+        """Var#6: materialize the full ``m x n`` matrix, select at the end.
+
+        Scores are computed per fixed ``(block_m, n_b)`` tile, like
+        Var#1's (a GEMM split by rows is not bit-stable, so the tile is
+        the unit whatever the worker count), and each worker then
+        selects the rows of its own blocks. The final sort is numpy's
+        default (SIMD on x86), about 4x faster than a stable one at
+        large k; exact ties may list their ids in any fixed order.
+        """
         m, n = Q.shape[0], self.n
         r_idx = self.r_idx
-        C = None  # a single slab's distance matrix IS the full C
-        if n > self.block_n:
-            if self.memory_budget is not None:
-                # route the scores matrix through the arena so its bytes
-                # are charged (and the variant guard already vetoed any
-                # (m, n) that cannot fit)
-                C = arena.take_c("var6_scores", (m, n), np.float64)
-            else:
-                C = np.empty((m, n), dtype=np.float64)
-        for j_c, n_b, _, Ra in self._iter_panels(arena):
+        if self.memory_budget is not None and n > self.block_n:
+            # route the scores matrix through the arena so its bytes are
+            # charged (and the variant guard already vetoed any (m, n)
+            # that cannot fit)
+            C = arena.take_c("var6_scores", (m, n), np.float64)
+        else:
+            C = np.empty((m, n), dtype=np.float64)
+        tracer = _trace.get_tracer()
+        parent = tracer.current_span_id()
+
+        def score_rows(w: int, panel: tuple) -> None:
+            j_c, n_b, _, Ra = panel
             Rc, R2c = self._panel_views(Ra)
-            with _trace.span("rank_update", rows=m, cols=n_b):
-                block = pairwise_block(Q, Rc, self.norm, Q2, R2c)
-                if C is None:
-                    C = block
-                else:
-                    C[:, j_c : j_c + n_b] = block
-            stats.blocks += 1
+            for i_c, m_b in workers.runs[w]:
+                rows = slice(i_c, i_c + m_b)
+                q2b = None if Q2 is None else Q2[rows]
+                out = C[rows, j_c : j_c + n_b]
+                with tracer.span_under(
+                    parent, "rank_update", rows=m_b, cols=n_b
+                ):
+                    if self.norm.is_l2:
+                        # pairwise_sq_l2's operations, written in place
+                        np.matmul(Q[rows], Rc.T, out=out)
+                        out *= -2.0
+                        out += q2b[:, None]
+                        out += R2c[None, :]
+                        np.maximum(out, 0.0, out=out)
+                    else:
+                        out[...] = pairwise_block(
+                            Q[rows], Rc, self.norm, q2b, R2c
+                        )
+
+        for panel in self._iter_panels(arena):
+            workers.run(lambda w: score_rows(w, panel))
+            stats.blocks += workers.row_blocks
         stats.candidates_offered = m * n
 
-        with _trace.span("heap", stage="full_select", rows=m, cols=n):
-            if k < n:
-                part = np.argpartition(C, k - 1, axis=1)[:, :k]
-            else:
-                part = np.broadcast_to(np.arange(n), (m, n)).copy()
-            rows = np.arange(m)[:, None]
-            dist = C[rows, part]
-            order = np.argsort(dist, axis=1, kind="stable")
-            return KnnResult(dist[rows, order], r_idx[part[rows, order]])
+        parts: list = [None] * workers.p
+
+        def select_rows(w: int) -> None:
+            Cw = C[workers.rows(w)]
+            span = tracer.span_under(
+                parent, "heap", stage="full_select", rows=len(Cw), cols=n
+            )
+            with span:
+                if k < n:
+                    part = np.argpartition(Cw, k - 1, axis=1)[:, :k]
+                else:
+                    part = np.broadcast_to(np.arange(n), Cw.shape).copy()
+                rows = np.arange(len(Cw))[:, None]
+                best = Cw[rows, part]
+                order = np.argsort(best, axis=1)
+                parts[w] = (best[rows, order], r_idx[part[rows, order]])
+
+        workers.run(select_rows)
+        if len(parts) == 1:
+            return KnnResult(*parts[0])
+        return KnnResult(
+            np.concatenate([dist for dist, _ in parts]),
+            np.concatenate([idx for _, idx in parts]),
+        )
 
     def _tile_into_arena(
         self,
@@ -807,27 +893,29 @@ class GsknnPlan:
         q2c: np.ndarray | None,
         Ra: np.ndarray,
         arena,
+        scratch: str,
     ) -> np.ndarray:
         """One cosine or general-``p`` block's distances, in arena buffers.
 
         Operation-for-operation the same floating-point sequence as
         :func:`repro.core.norms.pairwise_block` — only the destination
         changes — so plan results stay bit-identical to it. (l2 tiles
-        are one folded GEMM in :meth:`_run_blocked`.)
+        are one folded GEMM in :meth:`_run_blocked`.) ``scratch`` is the
+        row worker's arena-key suffix.
         """
         norm = self.norm
         Rc, R2c = self._panel_views(Ra)
         m_b, n_b = Qb.shape[0], Rc.shape[0]
-        T = arena.take_c("tile", (m_b, n_b), np.float64)
+        T = arena.take_c("tile" + scratch, (m_b, n_b), np.float64)
         if norm.is_cosine:
-            D = arena.take_c("denom", (m_b, n_b), np.float64)
+            D = arena.take_c("denom" + scratch, (m_b, n_b), np.float64)
             np.multiply(q2c[:, None], R2c[None, :], out=D)
             np.maximum(D, 0.0, out=D)
             np.sqrt(D, out=D)
             np.matmul(Qb, Rc.T, out=T)
             with np.errstate(divide="ignore", invalid="ignore"):
                 np.divide(T, D, out=T)
-            Z = arena.take_c("denom_zero", (m_b, n_b), np.bool_)
+            Z = arena.take_c("denom_zero" + scratch, (m_b, n_b), np.bool_)
             np.less_equal(D, 0.0, out=Z)
             T[Z] = 0.0
             np.clip(T, -1.0, 1.0, out=T)
@@ -845,6 +933,11 @@ class GsknnPlan:
         else:
             np.sum(np.power(diff, norm.p), axis=2, out=T)
         return finalize_tile(T, None, None, norm, out=T)
+
+
+def _stream_nbytes(block_n: int, d: int) -> int:
+    """Bytes of one streamed ``[Rc | R2c]`` panel plus its staged rows."""
+    return block_n * (2 * d + 1) * 8
 
 
 def _record_kernel_stats(stats: GsknnStats, k: int, t0: float) -> None:

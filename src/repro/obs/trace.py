@@ -248,14 +248,7 @@ class Tracer:
         """
         if not self.enabled:
             return _NULL_SPAN
-        if self.sample_every > 1:
-            self._sample_tick += 1
-            if self._sample_tick % self.sample_every:
-                return _NULL_SPAN
-        rid = current_request_id()
-        if rid is not None and "request_id" not in attrs:
-            attrs["request_id"] = rid
-        return _LiveSpan(self, name, attrs)
+        return self.span_under(None, name, **attrs)
 
     def span_under(self, parent_id: int | None, name: str, **attrs: Any):
         """A span explicitly parented under ``parent_id``.
@@ -263,15 +256,36 @@ class Tracer:
         Thread-pool workers record on the shared tracer but on their own
         per-thread stacks, so their first span would otherwise become a
         root; the submitting thread passes its current span id here to
-        keep the tree connected. A ``None`` parent degrades to a plain
-        :meth:`span`.
+        keep the tree connected. The parent applies only when this
+        thread has no open span, and a ``None`` parent degrades to a
+        plain :meth:`span`. Sampled like :meth:`span`.
         """
         if not self.enabled:
             return _NULL_SPAN
+        if self.sample_every > 1:
+            self._sample_tick += 1
+            if self._sample_tick % self.sample_every:
+                return _NULL_SPAN
         rid = current_request_id()
         if rid is not None and "request_id" not in attrs:
             attrs["request_id"] = rid
         return _LiveSpan(self, name, attrs, forced_parent=parent_id)
+
+    def annotate(self, **attrs: Any) -> None:
+        """Add attributes to the innermost open span on *this* thread.
+
+        For a decision taken inside a span that was opened before the
+        decision's inputs were known (the kernel's worker count).
+        """
+        if not self.enabled:
+            return
+        stack = self._stack()
+        if not stack:
+            return
+        with self._lock:
+            live = self._open.get(stack[-1])
+        if live is not None:
+            live.attrs.update(attrs)
 
     def current_span_id(self) -> int | None:
         """Id of the innermost open span on *this* thread, or ``None``."""

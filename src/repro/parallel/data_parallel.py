@@ -37,6 +37,7 @@ from ..errors import ValidationError
 from ..core.gsknn import gsknn, _resolve_auto_variant
 from ..core.neighbors import KnnResult, merge_neighbor_lists
 from ..core.norms import Norm
+from ..core.workers import serial_kernels
 from ..obs import trace as _trace
 from ..obs.context import coerce_request, current_request, request_scope
 from ..obs.efficiency import record_solve_efficiency
@@ -241,15 +242,16 @@ def gsknn_reference_parallel(
 
     def worker(chunk: tuple[int, int]) -> KnnResult:
         start, size = chunk
-        return gsknn(
-            X,
-            q_idx,
-            r_idx[start : start + size],
-            min(k, size),
-            norm=norm,
-            block_m=block_m,
-            block_n=block_n,
-        )
+        with serial_kernels():  # the chunk threads are the fan-out
+            return gsknn(
+                X,
+                q_idx,
+                r_idx[start : start + size],
+                min(k, size),
+                norm=norm,
+                block_m=block_m,
+                block_n=block_n,
+            )
 
     with ThreadPoolExecutor(
         max_workers=resolve_workers(p, len(chunks))

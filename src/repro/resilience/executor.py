@@ -68,6 +68,7 @@ from concurrent.futures.process import BrokenProcessPool
 from contextlib import nullcontext
 from typing import Any, Callable, Hashable, Mapping, Sequence
 
+from ..core.workers import serial_kernels
 from ..errors import BackendError
 from ..obs import trace as _trace
 from ..obs.context import current_request, request_scope
@@ -142,7 +143,8 @@ class ThreadRung(Rung):
         return self._pool.submit(self._run, key, item, attempt)
 
     def _run(self, key, item, attempt):
-        with request_scope(self._ctx):
+        # the rung is the fan-out: kernels inside an item stay serial
+        with request_scope(self._ctx), serial_kernels():
             if self._fault is not None:
                 self._fault(key, attempt)
             return self._solve(key, item), None

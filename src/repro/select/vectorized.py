@@ -32,7 +32,8 @@ Ties are broken arbitrarily, exactly like the heap.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import copy
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -113,6 +114,12 @@ class BlockUpdateStats:
     rows_merged: int = 0
     candidates_offered: int = 0
     candidates_surviving: int = 0
+
+    def add(self, other: "BlockUpdateStats") -> None:
+        """Sum ``other``'s tallies into this one (per-worker stats)."""
+        for f in fields(self):
+            total = getattr(self, f.name) + getattr(other, f.name)
+            setattr(self, f.name, total)
 
     @property
     def discard_fraction(self) -> float:
@@ -267,7 +274,10 @@ class ArenaNeighborLists(BatchedNeighborLists):
       path unchanged;
     * ``update`` also takes raw l2 tiles with their ``q2`` offset and
       finishes only the survivors of a warm tile (see the module
-      docstring and ``docs/PERF.md``).
+      docstring and ``docs/PERF.md``);
+    * :meth:`worker` hands a row worker a view that shares the lists but
+      owns its scratch keys and tallies, so workers updating disjoint
+      rows never touch the same buffer.
 
     Equivalence: a candidate at or above its row's threshold can never
     enter the final k (the threshold upper-bounds the row's kth
@@ -297,6 +307,28 @@ class ArenaNeighborLists(BatchedNeighborLists):
         # the zero-survivor shortcut must not return the stale seed then
         self._seed_dirty = False
         self.stats = BlockUpdateStats()
+        self.scratch = ""  # suffix of this view's arena scratch keys
+
+    def worker(self, w: int) -> "ArenaNeighborLists":
+        """A view for row worker ``w``: the same lists, its own scratch.
+
+        The view writes ``values``/``ids``/``row_max`` rows in place like
+        the owner, but takes its mask and survivor strip under
+        worker-suffixed arena keys (worker 0 keeps the plain names) and
+        counts into its own :class:`BlockUpdateStats`; :meth:`absorb`
+        folds the views back after the loop.
+        """
+        view = copy.copy(self)
+        view.stats = BlockUpdateStats()
+        view._seed_dirty = False
+        view.scratch = f"@{w}" if w else ""
+        return view
+
+    def absorb(self, views: list["ArenaNeighborLists"]) -> None:
+        """Fold the workers' tallies and seed-dirty flags into this one."""
+        for view in views:
+            self.stats.add(view.stats)
+            self._seed_dirty |= view._seed_dirty
 
     def seed(self, distances: np.ndarray, indices: np.ndarray) -> None:
         """Fold fully-finite warm lists into the structure itself.
@@ -405,7 +437,9 @@ class ArenaNeighborLists(BatchedNeighborLists):
             target, thr, subset = cand_values, cut, False
         else:
             target, thr, subset = cand_values[live], cut[live], True
-        mask = self._arena.take_c("lists.mask", target.shape, np.bool_)
+        mask = self._arena.take_c(
+            "lists.mask" + self.scratch, target.shape, np.bool_
+        )
         np.less(target, thr[:, None], out=mask)
         # flatnonzero on the dense mask is several times faster than the
         # generic 2-D nonzero, and divmod keeps the same row-major order
@@ -465,10 +499,12 @@ class ArenaNeighborLists(BatchedNeighborLists):
         width = int(counts.max())
         nlive = int(live_rows.size)
         pad_values = self._arena.take_c(
-            "lists.pad_values", (nlive, width), np.float64
+            "lists.pad_values" + self.scratch, (nlive, width), np.float64
         )
         pad_values.fill(np.inf)
-        pad_ids = self._arena.take_c("lists.pad_ids", (nlive, width), np.intp)
+        pad_ids = self._arena.take_c(
+            "lists.pad_ids" + self.scratch, (nlive, width), np.intp
+        )
         pad_ids.fill(-1)
         ends = np.cumsum(counts)
         pos = np.arange(surv_rows.size) - np.repeat(ends - counts, counts)

@@ -253,8 +253,11 @@ def _shard_worker_init(
     obs_spec: dict[str, Any] | None,
 ) -> None:
     from ..core.plan import PlanCache
+    from ..core.workers import serial_process
     from ..resilience.faults import FaultPlan
 
+    # the worker processes are the fan-out: their kernels stay serial
+    serial_process()
     _install_worker_obs(obs_spec)
     _shard_worker_attach(specs, init_blob)
     _SHARD_STATE["shard_id"] = int(shard_id)
