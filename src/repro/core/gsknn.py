@@ -69,7 +69,14 @@ NUMPY_VARIANT_SWITCH_K = 256
 
 @dataclass
 class GsknnStats:
-    """Execution statistics of one fused-kernel run."""
+    """Execution statistics of one fused-kernel run.
+
+    ``blocks`` counts (row block, reference panel) pairs, however many
+    panels a tile groups: a short batch whose tile spans several panels
+    still counts one block per panel. ``candidates_discarded`` counts
+    what the root filter dropped, so it depends on the tile width: a
+    wider tile filters against thresholds refreshed once per tile.
+    """
 
     variant: Variant
     blocks: int = 0

@@ -296,7 +296,7 @@ class GsknnPlan:
                 r_block = self.r_idx[j_c : j_c + n_b]
                 Ra = np.empty((n_b, self.d + self._norm_cols), np.float64)
                 self._gather_panel(r_block, Ra, rows[:n_b])
-                panels.append((j_c, n_b, r_block, Ra))
+                panels.append((j_c, n_b, Ra))
                 panel_nbytes += Ra.nbytes
             fingerprint = array_fingerprint(self.X)
         with self._lock:
@@ -613,9 +613,14 @@ class GsknnPlan:
         The worker count and its inputs are recorded on the caller's root
         span (``gsknn`` or ``plan.execute``); see :mod:`repro.core.workers`.
         """
-        blocks = list(iter_blocks(Q.shape[0], self.block_m))
+        m = Q.shape[0]
+        blocks = list(iter_blocks(m, self.block_m))
         p, attrs = row_workers(len(blocks), self._budget_workers)
-        _trace.get_tracer().annotate(**attrs)
+        # a batch shorter than block_m is one row block; its tiles take
+        # block_m // m panels, so each holds about block_m x block_n
+        # candidates (Var#6 keeps its (block_m, n_b) score tiles)
+        panels = 1 if var is Variant.VAR6 else max(1, self.block_m // m)
+        _trace.get_tracer().annotate(**attrs, panels_per_tile=panels)
         with RowWorkers(blocks, p) as workers:
             if var is Variant.VAR6:
                 result = self._run_var6(Q, Q2, k, stats, arena, workers)
@@ -623,7 +628,7 @@ class GsknnPlan:
             else:
                 result, shortcut = self._run_blocked(
                     Q, Q2, k, var is Variant.VAR1, initial, arena, stats,
-                    workers,
+                    workers, panels,
                 )
         if initial is not None and not shortcut:
             with _trace.span("heap", stage="warm_merge"):
@@ -631,7 +636,7 @@ class GsknnPlan:
         return result
 
     def _iter_panels(self, arena):
-        """Yield ``(j_c, n_b, r_block, Ra)`` — cached or streamed.
+        """Yield ``(j_c, n_b, Ra)`` — cached or streamed.
 
         An uncached plan (one-shot, budgeted, or released) *streams*:
         each pass's panels are gathered into one reusable arena buffer
@@ -651,7 +656,7 @@ class GsknnPlan:
                 )
                 rows = arena.take_c("Ra.rows", (n_b, self.d), np.float64)
                 self._gather_panel(r_block, Ra, rows)
-            yield j_c, n_b, r_block, Ra
+            yield j_c, n_b, Ra
 
     def _gather_panel(
         self, r_block: np.ndarray, Ra: np.ndarray, rows: np.ndarray
@@ -692,10 +697,16 @@ class GsknnPlan:
         arena,
         stats: GsknnStats,
         workers: RowWorkers,
+        panels: int,
     ) -> tuple[KnnResult, bool]:
         """Var#1 (root-filtered) / Var#5 (slab) fused path.
 
-        Per panel, worker ``w`` updates the row blocks ``workers.runs[w]``
+        A tile is ``panels`` consecutive reference panels wide (more than
+        one only for a batch of a single row block, see :meth:`_dispatch`).
+        Each panel's GEMM writes its own column slice of the tile, with the
+        operands and shape a one-panel tile would use, so every distance
+        keeps its bits; the tile is selected once its last panel is in.
+        Per panel, worker ``w`` runs the row blocks ``workers.runs[w]``
         through its own view of the lists. Returns ``(result, merged)``
         where ``merged`` means ``result`` already accounts for
         ``initial`` (the warm zero-survivor fast path fired, or the seed
@@ -736,35 +747,62 @@ class GsknnPlan:
         views = [lists.worker(w) for w in range(workers.p)]
         tracer = _trace.get_tracer()
         parent = tracer.current_span_id()
+        tile_cols = panels * self.block_n
 
         def update_rows(w: int, panel: tuple) -> None:
-            _, n_b, r_block, Ra = panel
+            j_c, n_b, Ra = panel
+            first = j_c - j_c % tile_cols  # the tile's first column
+            width = min(tile_cols, self.n - first)
+            cols = slice(j_c - first, j_c - first + n_b)
+            last = cols.stop == width  # this panel completes the tile
             view = views[w]
             for i_c, m_b in workers.runs[w]:  # 4th loop
                 q2c = Q2[i_c : i_c + m_b] if Q2 is not None else None
-                offset = None
                 with tracer.span_under(
                     parent, "rank_update", rows=m_b, cols=n_b
                 ):
+                    # the shape is fixed within a tile, so every panel of
+                    # it gets the same buffer
+                    tile = arena.take_c(
+                        "tile" + view.scratch, (m_b, width), np.float64
+                    )
                     if fold:
                         # Q is [-2Q | 1] and Ra is [R | r2]: one GEMM
                         # writes the raw tile r2 - 2q.r
-                        tile = arena.take_c(
-                            "tile" + view.scratch, (m_b, n_b), np.float64
-                        )
-                        np.matmul(Q[i_c : i_c + m_b], Ra.T, out=tile)
-                        if view.warm(i_c, m_b):
-                            offset = q2c  # selection finishes survivors
-                        else:
-                            finalize_sq_l2(tile, q2c)
+                        np.matmul(Q[i_c : i_c + m_b], Ra.T, out=tile[:, cols])
                     else:
-                        tile = self._tile_into_arena(
-                            Q[i_c : i_c + m_b], q2c, Ra, arena, view.scratch
+                        self._tile_into_arena(
+                            Q[i_c : i_c + m_b], q2c, Ra, arena,
+                            view.scratch, tile[:, cols],
                         )
-                with tracer.span_under(parent, "heap", rows=m_b, cols=n_b):
-                    view.update(i_c, tile, r_block, offset=offset)
+                    if not last:
+                        continue
+                    # columns selected cold, through the base path, before
+                    # the rest of the tile takes the masked path; decided
+                    # once per tile
+                    cold = 0
+                    if not view.warm(i_c, m_b):
+                        # a cold tile seeds the lists from its first
+                        # panel's columns: a row holding k candidates is
+                        # warm, so the rest of the tile is masked
+                        cold = width
+                        if use_filter and k <= self.block_n < width:
+                            cold = self.block_n
+                        if fold:
+                            finalize_sq_l2(tile[:, :cold], q2c)
+                r_tile = self.r_idx[first : first + width]
+                with tracer.span_under(parent, "heap", rows=m_b, cols=width):
+                    if cold:
+                        view.update(
+                            i_c, tile[:, :cold], r_tile[:cold], warm=False
+                        )
+                    if cold < width:
+                        view.update(
+                            i_c, tile[:, cold:], r_tile[cold:],
+                            offset=q2c if fold else None, warm=True,
+                        )
                 if not use_filter:
-                    # keep Var#5 merging unconditionally on later blocks too
+                    # keep Var#5 merging unconditionally on later tiles too
                     view.row_max[i_c : i_c + m_b] = np.inf
 
         for panel in self._iter_panels(arena):  # 6th loop
@@ -836,7 +874,7 @@ class GsknnPlan:
         parent = tracer.current_span_id()
 
         def score_rows(w: int, panel: tuple) -> None:
-            j_c, n_b, _, Ra = panel
+            j_c, n_b, Ra = panel
             Rc, R2c = self._panel_views(Ra)
             for i_c, m_b in workers.runs[w]:
                 rows = slice(i_c, i_c + m_b)
@@ -894,19 +932,20 @@ class GsknnPlan:
         Ra: np.ndarray,
         arena,
         scratch: str,
-    ) -> np.ndarray:
-        """One cosine or general-``p`` block's distances, in arena buffers.
+        T: np.ndarray,
+    ) -> None:
+        """One cosine or general-``p`` panel's distances, written into ``T``.
 
         Operation-for-operation the same floating-point sequence as
         :func:`repro.core.norms.pairwise_block` — only the destination
         changes — so plan results stay bit-identical to it. (l2 tiles
-        are one folded GEMM in :meth:`_run_blocked`.) ``scratch`` is the
-        row worker's arena-key suffix.
+        are one folded GEMM in :meth:`_run_blocked`.) ``T`` is the
+        panel's column slice of the tile; ``scratch`` is the row worker's
+        arena-key suffix for the cosine denominators.
         """
         norm = self.norm
         Rc, R2c = self._panel_views(Ra)
-        m_b, n_b = Qb.shape[0], Rc.shape[0]
-        T = arena.take_c("tile" + scratch, (m_b, n_b), np.float64)
+        m_b, n_b = T.shape
         if norm.is_cosine:
             D = arena.take_c("denom" + scratch, (m_b, n_b), np.float64)
             np.multiply(q2c[:, None], R2c[None, :], out=D)
@@ -920,7 +959,7 @@ class GsknnPlan:
             T[Z] = 0.0
             np.clip(T, -1.0, 1.0, out=T)
             np.subtract(1.0, T, out=T)
-            return T
+            return
         # General lp: the O(m_b n_b d) broadcast differences stay ephemeral
         # (matching the one-shot path's footprint); only the reduced tile
         # lives in the arena, finalized in place via finalize_tile's out=
@@ -932,7 +971,7 @@ class GsknnPlan:
             np.sum(diff, axis=2, out=T)
         else:
             np.sum(np.power(diff, norm.p), axis=2, out=T)
-        return finalize_tile(T, None, None, norm, out=T)
+        finalize_tile(T, None, None, norm, out=T)
 
 
 def _stream_nbytes(block_n: int, d: int) -> int:
