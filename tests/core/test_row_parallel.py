@@ -338,6 +338,23 @@ class TestBudgetHonesty:
         (root,) = tracer.find("plan.execute")
         assert root.attrs["workers"] == 3
 
+    def test_dense_survivors_stay_in_the_tile_budget(self):
+        # points on a line, farthest panel first: every panel beats the
+        # last, so each warm tile's whole width survives in every row —
+        # a 64 x 64 survivor strip that only fits inside the mask's bytes
+        N, d, k = 1500, 3, 13
+        X = np.zeros((N, d))
+        X[:, 0] = np.linspace(0.0, 1.0, N)
+        q = np.arange(94, dtype=np.intp)
+        r = np.arange(N, dtype=np.intp)[::-1].copy()
+        panel_nbytes = N * (d + 1) * 8
+        plan = GsknnPlan(X, r, variant=1, memory_budget=2 * panel_nbytes - 1)
+        assert plan.streams_panels
+        assert (plan.block_m, plan.block_n) == (64, 64)
+        got = plan.execute(q, k)
+        assert plan.memory_budget.peak_bytes <= plan.memory_budget.limit_bytes
+        _assert_same(got, gsknn(X, q, r, k, variant=1, block_m=64, block_n=64))
+
 
 class TestTrace:
     @pytest.mark.parametrize("variant", [1, 6])

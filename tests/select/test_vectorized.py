@@ -161,6 +161,27 @@ class TestArenaNeighborLists:
         np.testing.assert_array_equal(masked.values, legacy.values)
         np.testing.assert_array_equal(masked.ids, legacy.ids)
 
+    def test_survivors_beyond_the_strip_share_merge_in_rounds(self, rng):
+        """A 20-column tile's mask holds one 16-byte strip slot per live
+        row, so every survivor past the first merges in a later round;
+        the lists still match the legacy structure."""
+        m, k = 8, 6
+        legacy, masked = self._pair(m, k)
+        for lists in (legacy, masked):
+            lists.row_max[:] = 0.9
+            lists._touched[:] = True
+        tile = rng.random((m, 20))
+        ids = np.arange(20)
+        legacy.update(0, tile, ids)
+        masked.update(0, tile, ids)
+        assert masked.stats.candidates_surviving == int((tile < 0.9).sum())
+        ld, li = legacy.sorted()
+        md, mi = masked.sorted()
+        np.testing.assert_array_equal(md, ld)
+        np.testing.assert_array_equal(mi, li)
+        # beyond the lists themselves the arena holds only the mask
+        assert masked._arena.nbytes - m * (16 * k + 9) <= tile.size
+
     def test_zero_survivors_merge_nothing(self):
         m, k = 3, 2
         _, masked = self._pair(m, k)
