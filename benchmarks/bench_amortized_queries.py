@@ -33,6 +33,7 @@ import numpy as np
 
 from repro.core.gsknn import gsknn
 from repro.core.plan import GsknnPlan, PlanCache
+from repro.core.table import TableHandle
 from repro.data import embedded_gaussian
 from repro.trees import all_nearest_neighbors
 
@@ -104,13 +105,13 @@ def test_amortized_queries_report(benchmark, report):
 
         # Table 1's strongest column, solved end-to-end. A fixed seed
         # regrows the same trees every solve, so a persistent PlanCache
-        # turns repeated solves into the cross-call amortization case:
-        # every leaf group hits its cached reference panels and the
-        # already-grown workspace arenas.
+        # over one table handle turns repeated solves into the
+        # cross-call amortization case: every leaf group hits its cached
+        # reference panels and the already-grown workspace arenas.
         del plan  # release the kernel section's arena before timing
-        points = embedded_gaussian(
-            ALLKNN_N, D, intrinsic_dim=10, seed=0
-        ).points
+        points = TableHandle(
+            embedded_gaussian(ALLKNN_N, D, intrinsic_dim=10, seed=0).points
+        )
         plans = PlanCache(max_plans=64)
 
         def _solve(plan_reuse):

@@ -323,6 +323,7 @@ def calibrate_planner(
     """
     from ..core.neighbors import KnnResult
     from ..core.plan import GsknnPlan
+    from ..core.table import ALL_ROWS, TableHandle
     from ..trees.allknn import all_nearest_neighbors
     from ..trees.evaluation import recall_at
     from ..validation import as_coordinate_table, check_finite, check_k
@@ -359,7 +360,7 @@ def calibrate_planner(
     with _trace.span("approx.calibrate", n=n, d=d, k=k, m=m):
         # exact cost + truth, through the amortized plan (the honest
         # serving comparator: panels cached, workspaces warm)
-        plan = GsknnPlan(X, np.arange(n, dtype=np.intp))
+        plan = GsknnPlan(TableHandle.borrowed(X), ALL_ROWS)
         exact_seconds, truth = _best_of(lambda: plan.execute(q_idx, k))
         model = PerformanceModel()
         predicted = model.estimate_kernel_runtime(m, n, d, k)

@@ -11,6 +11,9 @@ Public surface:
 * :class:`~repro.core.plan.GsknnPlan` / :class:`~repro.core.plan.PlanCache`
   — the amortized repeated-query engine (cached reference panels, a
   reusable workspace arena, resolved blocking; see ``docs/PERF.md``);
+* :class:`~repro.core.table.TableHandle` — one validated, frozen
+  coordinate table with its squared norms, the unit plans key on
+  (:data:`~repro.core.table.ALL_ROWS` names its every row);
 * :class:`~repro.core.neighbors.KnnResult` and merge/recall utilities;
 * :mod:`repro.core.tuning` — blocking-parameter derivation and variant
   switching (imported lazily to keep the model package optional at
@@ -23,6 +26,7 @@ from .neighbors import KnnResult, merge_neighbor_lists, recall
 from .norms import Norm, pairwise_block, pairwise_lp, pairwise_sq_l2, resolve_norm
 from .plan import GsknnPlan, PlanCache
 from .ref_kernel import ref_knn, ref_knn_timed
+from .table import ALL_ROWS, TableHandle
 from .variants import Variant, VariantInfo, VARIANT_INFO, resolve_variant
 
 __all__ = [
@@ -31,6 +35,8 @@ __all__ = [
     "GsknnStats",
     "GsknnPlan",
     "PlanCache",
+    "TableHandle",
+    "ALL_ROWS",
     "MemoryBudget",
     "parse_bytes",
     "DEFAULT_VARIANT_SWITCH_K",

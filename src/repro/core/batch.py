@@ -17,44 +17,18 @@ from ..errors import ValidationError
 from ..model.perf_model import PerformanceModel
 from ..obs import trace as _trace
 from ..parallel.scheduler import ScheduledTask, execute_schedule, lpt_schedule
-from ..validation import as_coordinate_table, check_finite
 from .gsknn import gsknn
 from .neighbors import KnnResult
-from .norm_cache import cached_squared_norms
 from .norms import Norm
+from .plan import PlanCache
+from .table import ALL_ROWS, TableHandle, as_table
 
-__all__ = ["KnnProblem", "gsknn_batch", "reset_plan_cache"]
+__all__ = ["KnnProblem", "gsknn_batch"]
 
 #: Backends gsknn_batch can schedule onto. ``processes`` is rejected by
 #: the schedule executor (arbitrary closures break its zero-copy
 #: contract), so it is rejected here too — early, with a clear message.
 _ALLOWED_BACKENDS = ("threads", "serial")
-
-#: Shared across batches: a later call over the same table and reference
-#: sets reuses the earlier call's plans (panels + arenas). Lazy so the
-#: plan module only loads when batching is actually used.
-_PLAN_CACHE = None
-
-
-def _get_plan_cache():
-    global _PLAN_CACHE
-    if _PLAN_CACHE is None:
-        from .plan import PlanCache
-
-        _PLAN_CACHE = PlanCache(max_plans=32)
-    return _PLAN_CACHE
-
-
-def reset_plan_cache() -> None:
-    """Drop the module-global plan cache (test isolation / memory reclaim).
-
-    Callers that passed their own ``plan_cache=`` to :func:`gsknn_batch`
-    are unaffected — this only clears the default shared cache.
-    """
-    global _PLAN_CACHE
-    if _PLAN_CACHE is not None:
-        _PLAN_CACHE.clear()
-    _PLAN_CACHE = None
 
 
 def _as_problem_indices(idx: np.ndarray, name: str) -> np.ndarray:
@@ -100,7 +74,12 @@ def _as_problem_indices(idx: np.ndarray, name: str) -> np.ndarray:
 
 @dataclass(frozen=True)
 class KnnProblem:
-    """One kernel invocation of a batch: indices into the shared table."""
+    """One kernel invocation of a batch: indices into the shared table.
+
+    ``r_idx`` may be :data:`~repro.core.table.ALL_ROWS` (every row of the
+    table); ``k`` is then checked against the table in
+    :func:`gsknn_batch`.
+    """
 
     q_idx: np.ndarray
     r_idx: np.ndarray
@@ -108,17 +87,25 @@ class KnnProblem:
 
     def __post_init__(self) -> None:
         q = _as_problem_indices(self.q_idx, "q_idx")
-        r = _as_problem_indices(self.r_idx, "r_idx")
-        if not 1 <= self.k <= r.size:
+        if self.r_idx is ALL_ROWS:
+            r, n_refs = ALL_ROWS, None
+        else:
+            r = _as_problem_indices(self.r_idx, "r_idx")
+            n_refs = r.size
+        if self.k < 1 or (n_refs is not None and self.k > n_refs):
             raise ValidationError(
-                f"k={self.k} out of range for {r.size} references"
+                f"k={self.k} out of range for {n_refs} references"
             )
         object.__setattr__(self, "q_idx", q)
         object.__setattr__(self, "r_idx", r)
 
+    def n_refs(self, n_rows: int) -> int:
+        """Reference count against a table of ``n_rows`` rows."""
+        return n_rows if self.r_idx is ALL_ROWS else self.r_idx.size
+
 
 def gsknn_batch(
-    X: np.ndarray,
+    X: TableHandle | np.ndarray,
     problems: list[KnnProblem],
     *,
     p: int | str = 1,
@@ -134,21 +121,21 @@ def gsknn_batch(
 
     Results are returned in problem order. With ``p > 1`` the kernels
     are LPT-scheduled by model-estimated runtime onto ``p`` workers of
-    the chosen execution ``backend`` (``"threads"`` or ``"serial"``);
-    the squared-norm side table is shared across the batch *and across
-    batches* — repeated calls over the same table hit the identity-keyed
-    norm cache instead of recomputing the O(N d) pass. With
-    ``plan_reuse`` (default) each problem additionally runs through a
-    module-shared :class:`~repro.core.plan.PlanCache`: problems that
-    repeat a reference set — within this batch or a later one — reuse
-    its gathered panels, and every kernel in the batch shares one
-    workspace arena pool. Results are identical either way.
+    the chosen execution ``backend`` (``"threads"`` or ``"serial"``).
 
-    ``plan_cache`` injects a caller-owned
-    :class:`~repro.core.plan.PlanCache` so long-lived callers (the
-    serving front-end) control cache sizing and lifetime; the default is
-    the module-shared cache (reset with :func:`reset_plan_cache`).
-    Ignored when ``plan_reuse`` is off.
+    ``X`` is a :class:`~repro.core.table.TableHandle` or a bare array.
+    A handle was validated when it was made, and its squared norms are
+    shared by every call over it; a bare array is validated once for
+    this call (and left as it was) through a per-call handle.
+
+    With ``plan_reuse`` (default) each problem runs through a
+    :class:`~repro.core.plan.PlanCache`: problems that repeat a
+    reference set reuse its gathered panels, and every kernel in the
+    batch shares one workspace arena pool. Results are identical either
+    way. ``plan_cache`` injects a caller-owned cache so long-lived
+    callers (the serving front-end) reuse plans *across* batches — over
+    a handle, since a bare array's per-call handle never recurs; without
+    one each call gets its own cache. Ignored when ``plan_reuse`` is off.
 
     ``request`` (a :class:`~repro.obs.context.RequestContext` or bare
     request-id string) tags every span and metric the batch produces;
@@ -175,30 +162,37 @@ def gsknn_batch(
     if not problems:
         return []
     ctx = coerce_request(request) or current_request()
-    X = as_coordinate_table(X)
-    check_finite(X)
+    table = as_table(X)
+    n_rows = table.n
     for prob in problems:
-        if prob.q_idx.max() >= X.shape[0] or prob.r_idx.max() >= X.shape[0]:
+        if prob.q_idx.max() >= n_rows or (
+            prob.r_idx is not ALL_ROWS and prob.r_idx.max() >= n_rows
+        ):
             raise ValidationError("problem indices exceed the table size")
+        if prob.k > prob.n_refs(n_rows):
+            raise ValidationError(
+                f"k={prob.k} out of range for {n_rows} references"
+            )
 
-    norm_obj = norm
-    X2 = cached_squared_norms(X)
     budget = MemoryBudget.coerce(memory_budget)
     if plan_reuse:
-        plans = plan_cache if plan_cache is not None else _get_plan_cache()
+        plans = plan_cache if plan_cache is not None else PlanCache(32)
     else:
         plans = None
 
     def solve(prob: KnnProblem) -> KnnResult:
         if plans is not None:
             plan = plans.get(
-                X, prob.r_idx, norm=norm_obj, variant=variant, X2=X2,
+                table, prob.r_idx, norm=norm, variant=variant,
                 memory_budget=budget,
             )
             return plan.execute(prob.q_idx, prob.k)
+        r_idx = prob.r_idx
+        if r_idx is ALL_ROWS:
+            r_idx = np.arange(n_rows, dtype=np.intp)
         return gsknn(
-            X, prob.q_idx, prob.r_idx, prob.k, norm=norm_obj,
-            variant=variant, X2=X2, memory_budget=budget,
+            table, prob.q_idx, r_idx, prob.k, norm=norm,
+            variant=variant, memory_budget=budget,
         )
 
     with request_scope(ctx):
@@ -210,7 +204,7 @@ def gsknn_batch(
             ScheduledTask(
                 i,
                 model.estimate_kernel_runtime(
-                    prob.q_idx.size, prob.r_idx.size, X.shape[1], prob.k
+                    prob.q_idx.size, prob.n_refs(n_rows), table.d, prob.k
                 ),
                 payload=prob,
             )

@@ -217,7 +217,10 @@ def gsknn(
     Parameters
     ----------
     X:
-        ``(N, d)`` coordinate table (row = point).
+        ``(N, d)`` coordinate table (row = point), or a
+        :class:`~repro.core.table.TableHandle` (whose norms are then
+        used and ``X2`` is ignored). A bare array is validated once for
+        this call and left as it was.
     q_idx, r_idx:
         Global indices of the ``m`` query and ``n`` reference points.
         Duplicates are allowed; results carry these *global* ids.
@@ -279,10 +282,19 @@ def gsknn(
     :class:`~repro.core.neighbors.KnnResult` — rows sorted ascending —
     and, if requested, the run statistics.
     """
-    X = as_coordinate_table(X)
-    check_finite(X)
-    q_idx = as_index_array(q_idx, X.shape[0], name="q_idx")
-    r_idx = as_index_array(r_idx, X.shape[0], name="r_idx")
+    # One-shot calls run through an *ephemeral* plan (lazy imports: the
+    # plan module imports this one at load time) over a per-call table
+    # handle: panels are gathered per block into an arena borrowed for
+    # this call only, so nothing outlives the call. Callers with
+    # repeated queries build a GsknnPlan and keep it.
+    from ..obs.context import coerce_request, request_scope
+    from .plan import GsknnPlan, _record_kernel_stats
+    from .table import as_table
+
+    table = as_table(X, X2)
+    table.check()
+    q_idx = as_index_array(q_idx, table.n, name="q_idx")
+    r_idx = as_index_array(r_idx, table.n, name="r_idx")
     k = check_k(k, r_idx.size)
     if initial is not None:
         if initial.distances.shape != (q_idx.size, k):
@@ -291,35 +303,25 @@ def gsknn(
                 f"{initial.distances.shape}"
             )
 
-    # One-shot calls run through an *ephemeral* plan (lazy import: the
-    # plan module imports this one at load time): panels are gathered
-    # per block into an arena borrowed for this call only, so nothing
-    # outlives the call. Callers with repeated queries build a
-    # GsknnPlan and keep it.
-    from ..obs.context import coerce_request, request_scope
-    from .plan import GsknnPlan, _record_kernel_stats
-
     plan = GsknnPlan(
-        X,
+        table,
         r_idx,
         norm=norm,
         variant=variant,
-        X2=X2,
         block_m=block_m,
         block_n=block_n,
         blocking=blocking,
         cache_panels=False,
-        validate=False,
         memory_budget=memory_budget,
     )
-    m, n = q_idx.size, r_idx.size
+    m, n, d = q_idx.size, r_idx.size, table.d
     var = plan._resolve_variant(m, k, None)
-    stats = GsknnStats(variant=var, m=m, n=n, d=X.shape[1])
+    stats = GsknnStats(variant=var, m=m, n=n, d=d)
 
     with request_scope(coerce_request(request)):
         t0 = time.perf_counter()
         with _trace.span(
-            "gsknn", variant=int(var), m=m, n=n, d=X.shape[1], k=k
+            "gsknn", variant=int(var), m=m, n=n, d=d, k=k
         ):
             with plan.arena_pool.borrow() as arena:
                 result = plan._execute_impl(

@@ -12,9 +12,9 @@ A :class:`GsknnPlan` hoists all of that to construction time:
 * **cached reference panels** — the 6th loop's reference blocks, each
   stored once as ``R_a = [R_c | R2_c]`` (coordinates with the squared
   norms as one extra column), gathered once and reused by every
-  execute; invalidated through the same cheap content fingerprint
-  :mod:`repro.core.norm_cache` uses (in-place mutation of ``X``
-  triggers a rebuild, not a wrong answer);
+  execute. The plan holds a :class:`~repro.core.table.TableHandle`,
+  which froze the table when it was made, so the panels can never go
+  stale: an in-place write to the table raises;
 * **a workspace arena** (:mod:`repro.core.arena`) — distance tiles,
   survivor masks, and the neighbor-list state are ``out=``-written into
   grow-only buffers, so the warm steady state performs no large
@@ -53,7 +53,6 @@ from __future__ import annotations
 
 import threading
 import time
-import weakref
 import zlib
 from collections import OrderedDict
 
@@ -64,14 +63,14 @@ from ..errors import MemoryBudgetError, ValidationError
 from ..obs import trace as _trace
 from ..obs.metrics import get_registry as _get_registry
 from ..select.vectorized import ArenaNeighborLists, finalize_sq_l2
-from ..validation import as_coordinate_table, as_index_array, check_finite, check_k
+from ..validation import as_index_array, check_finite, check_k
 from .arena import ArenaPool
 from .membudget import MemoryBudget
 from .gsknn import GsknnStats, _apply_blocking, _resolve_auto_variant
 from .microkernel import finalize_tile
 from .neighbors import KnnResult, merge_neighbor_lists_fast
-from .norm_cache import array_fingerprint
 from .norms import Norm, pairwise_block, resolve_norm
+from .table import ALL_ROWS, TableHandle
 from .variants import Variant, VARIANT_INFO
 from .workers import RowWorkers, row_workers
 
@@ -83,14 +82,15 @@ class GsknnPlan:
 
     Parameters
     ----------
-    X:
-        ``(N, d)`` coordinate table. The plan holds a reference; mutating
-        it in place between executes is detected (content fingerprint)
-        and triggers a panel rebuild.
+    table:
+        A :class:`~repro.core.table.TableHandle`, or an ``(N, d)`` array
+        the plan wraps in one — which freezes the array (see
+        :mod:`repro.core.table`), so an in-place write raises instead of
+        leaving the cached panels stale.
     r_idx:
         Global indices of the ``n`` reference points — fixed for the
-        plan's lifetime.
-    norm, variant, X2, block_m, block_n, blocking:
+        plan's lifetime — or :data:`~repro.core.table.ALL_ROWS`.
+    norm, variant, block_m, block_n, blocking:
         Exactly as :func:`repro.core.gsknn.gsknn`. ``variant`` is the
         *spec* (``"auto"``/``"model"``/``"paper"``/1/5/6); resolution
         happens per execute and is memoized per ``(m, k)``.
@@ -113,37 +113,31 @@ class GsknnPlan:
         budget, and refuses Var#6 when its full scores matrix cannot
         fit. Streamed and cached executions are bit-identical at equal
         block sizes. See docs/MEMORY.md.
-
-    Every execute fingerprints ``X`` and rebuilds cached panels on a
-    mismatch. The check is O(d); see
-    :func:`repro.core.norm_cache.array_fingerprint` for what it can and
-    cannot catch.
     """
 
     def __init__(
         self,
-        X: np.ndarray,
+        table: TableHandle | np.ndarray,
         r_idx: np.ndarray,
         *,
         norm: str | float | Norm = "l2",
         variant: int | str | Variant = "auto",
-        X2: np.ndarray | None = None,
         block_m: int = DEFAULT_BLOCK_M,
         block_n: int = DEFAULT_BLOCK_N,
         blocking: str | object | None = None,
         arena_pool: ArenaPool | None = None,
         cache_panels: bool = True,
-        validate: bool = True,
         memory_budget: MemoryBudget | int | str | None = None,
     ) -> None:
-        if validate:
-            X = as_coordinate_table(X)
-            check_finite(X)
-            r_idx = as_index_array(r_idx, X.shape[0], name="r_idx")
+        if not isinstance(table, TableHandle):
+            table = TableHandle(table)
+        self.table = table
+        if r_idx is ALL_ROWS:
+            self.r_idx = np.arange(table.n, dtype=np.intp)
+            self._r_unique: bool | None = True
         else:
-            r_idx = np.asarray(r_idx, dtype=np.intp)
-        self.X = X
-        self.r_idx = r_idx
+            self.r_idx = as_index_array(r_idx, table.n, name="r_idx")
+            self._r_unique = None
         self.norm = resolve_norm(norm)
         # panels carry a squared-norm column for l2 and cosine
         self._norm_cols = int(self.norm.is_l2 or self.norm.is_cosine)
@@ -156,16 +150,6 @@ class GsknnPlan:
         self.block_m = int(block_m)
         self.block_n = int(block_n)
         self._switch_k = tuned_switch_k
-        if X2 is not None and (self.norm.is_l2 or self.norm.is_cosine):
-            X2 = np.asarray(X2, dtype=np.float64)
-            if X2.shape != (X.shape[0],):
-                raise ValidationError(
-                    f"X2 must have shape ({X.shape[0]},), got {X2.shape}"
-                )
-        else:
-            # the kernel contract: X2 is ignored for non-l2 norms
-            X2 = X2 if (self.norm.is_l2 or self.norm.is_cosine) else None
-        self.X2 = X2
         self.memory_budget = MemoryBudget.coerce(memory_budget)
         if arena_pool is None:
             arena_pool = (
@@ -199,17 +183,19 @@ class GsknnPlan:
         self._cache_panels = cache_panels
         self._panels: list | None = None
         self._panels_nbytes = 0
-        self._fingerprint: tuple | None = None
         self._variant_memo: dict[tuple[int, int], Variant] = {}
-        self._r_unique: bool | None = None
         self._lock = threading.Lock()
         self._executes = 0
-        self.stale_rebuilds = 0
         self._prev: tuple[np.ndarray, int, KnnResult] | None = None
         if self._cache_panels:
             self._build()
 
     # -- derived shape ---------------------------------------------------------
+
+    @property
+    def X(self) -> np.ndarray:
+        """The (frozen) coordinate table."""
+        return self.table.X
 
     @property
     def n(self) -> int:
@@ -281,7 +267,7 @@ class GsknnPlan:
         stream = _stream_nbytes(self.block_n, self.d)
         return max(1, (share - stream) // scratch)
 
-    # -- build / invalidation --------------------------------------------------
+    # -- panels ----------------------------------------------------------------
 
     def _build(self) -> None:
         """Gather and cache the 6th loop's reference panels."""
@@ -298,7 +284,6 @@ class GsknnPlan:
                 self._gather_panel(r_block, Ra, rows[:n_b])
                 panels.append((j_c, n_b, Ra))
                 panel_nbytes += Ra.nbytes
-            fingerprint = array_fingerprint(self.X)
         with self._lock:
             if self.memory_budget is not None:
                 if self._panels_nbytes:
@@ -307,8 +292,6 @@ class GsknnPlan:
                 self.memory_budget.reserve(panel_nbytes, site="plan.panels")
                 self._panels_nbytes = panel_nbytes
             self._panels = panels
-            self._fingerprint = fingerprint
-            self._prev = None  # panels changed: the previous result is void
         if registry.enabled:
             registry.inc("plan.builds")
 
@@ -326,17 +309,6 @@ class GsknnPlan:
                 self._panels_nbytes = 0
             self._panels = None
             self._prev = None
-
-    def _maybe_rebuild(self, registry) -> None:
-        """Rebuild cached panels when ``X``'s content fingerprint moved."""
-        if self._panels is None:
-            return
-        if array_fingerprint(self.X) == self._fingerprint:
-            return
-        self.stale_rebuilds += 1
-        if registry.enabled:
-            registry.inc("plan.stale_rebuilds")
-        self._build()
 
     # -- variant resolution ----------------------------------------------------
 
@@ -433,8 +405,8 @@ class GsknnPlan:
                 )
         else:
             q_idx = np.asarray(q_idx, dtype=np.intp)
+        self.table.check()
         registry = _get_registry()
-        self._maybe_rebuild(registry)
         auto_warm = False
         if initial is None and warm_start:
             with self._lock:
@@ -512,8 +484,8 @@ class GsknnPlan:
                 raise ValidationError("Q must have at least one query row")
             check_finite(Q, name="Q")
             k = check_k(k, self.r_idx.size)
+        self.table.check()
         registry = _get_registry()
-        self._maybe_rebuild(registry)
         m = Q.shape[0]
         var = self._resolve_variant(m, k, variant)
         stats = GsknnStats(variant=var, m=m, n=self.n, d=self.d)
@@ -588,8 +560,9 @@ class GsknnPlan:
                 Q[...] = rows
             Q2 = None
             if self._norm_cols:
-                if self.X2 is not None and rows is None:
-                    Q2 = self.X2[q_idx]
+                X2 = self.table.X2
+                if X2 is not None and rows is None:
+                    Q2 = X2[q_idx]
                 else:
                     Q2 = arena.take_c("Q2", (m,), np.float64)
                     np.einsum("ij,ij->i", Q, Q, out=Q2)
@@ -674,8 +647,9 @@ class GsknnPlan:
         np.take(self.X, r_block, axis=0, out=rows, mode="clip")
         Rc[...] = rows
         if R2c is not None:
-            if self.X2 is not None:
-                R2c[...] = self.X2[r_block]
+            X2 = self.table.X2
+            if X2 is not None:
+                R2c[...] = X2[r_block]
             else:
                 np.einsum("ij,ij->i", rows, rows, out=R2c)
 
@@ -996,16 +970,27 @@ def _record_kernel_stats(stats: GsknnStats, k: int, t0: float) -> None:
 
 
 class PlanCache:
-    """LRU cache of :class:`GsknnPlan` keyed by table identity + ``r_idx`` content.
+    """LRU cache of :class:`GsknnPlan` keyed by table handle + reference set.
 
     The drivers' entry point for plan reuse: ``get`` returns an existing
-    plan when the same coordinate table object and the same reference
-    index content (CRC-keyed, then verified with ``np.array_equal`` so a
-    hash collision can never alias two reference sets) were seen before,
-    and builds one otherwise. All plans share one workspace
+    plan when the same :class:`~repro.core.table.TableHandle` and the
+    same reference set were seen before, and builds one otherwise.
+
+    * :data:`~repro.core.table.ALL_ROWS` keys on the handle alone, so a
+      long-lived owner's lookup (the serving front-end's) is one dict
+      hit plus the handle's O(1) :meth:`~repro.core.table.TableHandle.check`.
+    * An explicit id array keys on its content (CRC-keyed, then verified
+      with ``np.array_equal`` so a hash collision can never alias two
+      reference sets) — cheap at leaf and bucket sizes, and how
+      recurring leaves and buckets find their plans.
+
+    A bare array is wrapped in an owned handle on a miss, which freezes
+    it; later lookups with the same array object hit. (An array the
+    handle had to copy — a view over a writeable base — is never cached:
+    its contents could still change.) All plans share one workspace
     :class:`~repro.core.arena.ArenaPool`, so even cache *misses* reuse
-    tile buffers. Cached plans hold strong references to their tables —
-    an entry's ``id(X)`` therefore cannot be recycled while it lives.
+    tile buffers. Entries hold strong references to the table they were
+    keyed on, so an entry's ``id`` cannot be recycled while it lives.
     """
 
     def __init__(
@@ -1015,13 +1000,9 @@ class PlanCache:
             raise ValidationError(f"max_plans must be >= 1, got {max_plans}")
         self.max_plans = int(max_plans)
         self._lock = threading.Lock()
-        self._plans: OrderedDict[tuple, GsknnPlan] = OrderedDict()
+        # key -> (the table object the key's id names, plan)
+        self._plans: OrderedDict[tuple, tuple[object, GsknnPlan]] = OrderedDict()
         self._pool = arena_pool if arena_pool is not None else ArenaPool()
-        # tables already validated (finite, 2-D float) by an earlier plan
-        # construction — repeated misses against the same table (distinct
-        # groups, as in the tree solver) skip the O(N d) finiteness scan.
-        # Weakrefs guard against id() recycling: a dead entry revalidates.
-        self._validated_tables: dict[tuple, weakref.ref] = {}
 
     @staticmethod
     def _blocking_key(blocking):
@@ -1043,28 +1024,29 @@ class PlanCache:
 
     def get(
         self,
-        X: np.ndarray,
-        r_idx: np.ndarray,
+        table: TableHandle | np.ndarray,
+        r_idx,
         *,
         norm: str | float | Norm = "l2",
         variant: int | str | Variant = "auto",
-        X2: np.ndarray | None = None,
         block_m: int = DEFAULT_BLOCK_M,
         block_n: int = DEFAULT_BLOCK_N,
         blocking: str | object | None = None,
         memory_budget: MemoryBudget | int | str | None = None,
     ) -> GsknnPlan:
-        r = np.asarray(r_idx, dtype=np.intp)
+        if r_idx is ALL_ROWS:
+            r = r_key = ALL_ROWS
+        else:
+            r = np.asarray(r_idx, dtype=np.intp)
+            r_key = (int(r.size), zlib.crc32(np.ascontiguousarray(r).tobytes()))
         norm_obj = resolve_norm(norm)
         var_key = variant.lower() if isinstance(variant, str) else int(variant)
         budget = MemoryBudget.coerce(memory_budget)
         key = (
-            id(X),
-            np.asarray(X).shape,
+            id(table),
+            r_key,
             norm_obj,
             var_key,
-            int(r.size),
-            zlib.crc32(np.ascontiguousarray(r).tobytes()),
             int(block_m),
             int(block_n),
             self._blocking_key(blocking),
@@ -1072,52 +1054,47 @@ class PlanCache:
         )
         registry = _get_registry()
         with self._lock:
-            plan = self._plans.get(key)
-            if plan is not None:
-                if plan.X is X and np.array_equal(plan.r_idx, r):
+            entry = self._plans.get(key)
+            if entry is not None:
+                source, plan = entry
+                if source is table and (
+                    r is ALL_ROWS or np.array_equal(plan.r_idx, r)
+                ):
                     self._plans.move_to_end(key)
-                    if registry.enabled:
-                        registry.inc("plan.cache_hits")
-                    return plan
-                del self._plans[key]
-            table_token = (id(X), np.asarray(X).shape)
-            known = self._validated_tables.get(table_token)
-            validate = known is None or known() is not X
-        if not validate:
-            # the table is known good; the group indices still need their
-            # (cheap) bounds check
-            r = as_index_array(r, np.asarray(X).shape[0], name="r_idx")
+                    hit = plan
+                else:
+                    del self._plans[key]
+                    hit = None
+            else:
+                hit = None
+        if hit is not None:
+            hit.table.check()
+            if registry.enabled:
+                registry.inc("plan.cache_hits")
+            return hit
         plan = GsknnPlan(
-            X,
+            table,
             r,
             norm=norm_obj,
             variant=variant,
-            X2=X2,
             block_m=block_m,
             block_n=block_n,
             blocking=blocking,
             # a budgeted plan gets its own budget-charging pool — the
             # shared pool's arenas are uncapped by design
             arena_pool=self._pool if budget is None else None,
-            validate=validate,
             memory_budget=budget,
         )
-        with self._lock:
-            if len(self._validated_tables) > 256:
-                self._validated_tables = {
-                    tok: wr
-                    for tok, wr in self._validated_tables.items()
-                    if wr() is not None
-                }
-            self._validated_tables[table_token] = weakref.ref(plan.X)
         if registry.enabled:
             registry.inc("plan.cache_misses")
+        if not isinstance(table, TableHandle) and plan.X is not table:
+            return plan
         evicted = []
         with self._lock:
-            self._plans[key] = plan
+            self._plans[key] = (table, plan)
             self._plans.move_to_end(key)
             while len(self._plans) > self.max_plans:
-                evicted.append(self._plans.popitem(last=False)[1])
+                evicted.append(self._plans.popitem(last=False)[1][1])
         for old in evicted:
             if old.memory_budget is not None:
                 # return the evicted plan's cached-panel bytes to its
@@ -1131,9 +1108,8 @@ class PlanCache:
 
     def clear(self) -> None:
         with self._lock:
-            dropped = list(self._plans.values())
+            dropped = [plan for _, plan in self._plans.values()]
             self._plans.clear()
-            self._validated_tables.clear()
         for old in dropped:
             if old.memory_budget is not None:
                 old.release()

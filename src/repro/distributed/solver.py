@@ -39,7 +39,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from ..core.neighbors import KnnResult, merge_neighbor_lists_fast
-from ..core.norm_cache import cached_squared_norms
+from ..core.table import TableHandle, as_table
 from ..core.ref_kernel import ref_knn
 from ..errors import ValidationError
 from ..model.perf_model import PerformanceModel
@@ -49,7 +49,7 @@ from ..parallel.scheduler import ScheduledTask, lpt_schedule
 from ..resilience.executor import InlineRung, ThreadRung, run_ladder
 from ..resilience.retry import RetryPolicy
 from ..trees.rkdtree import RandomizedKDTree
-from ..validation import as_coordinate_table, check_finite, check_k
+from ..validation import check_k
 from .comm import AlphaBetaModel, SimComm
 
 __all__ = ["DistributedAllKnn", "DistributedReport"]
@@ -178,29 +178,29 @@ class DistributedAllKnn:
         return [[t.payload for t in rank] for rank in schedule.assignments]
 
     def _solve_leaf(
-        self, X: np.ndarray, group: np.ndarray, k: int, X2: np.ndarray
+        self, table: TableHandle, group: np.ndarray, k: int
     ) -> tuple[np.ndarray, np.ndarray]:
         """One leaf kernel in this process (a simulated rank, or the
         parent re-solving a leaf its rank worker could not)."""
         if self.kernel == "gemm":
-            res = ref_knn(X, group, group, k, X2=X2)
+            res = ref_knn(table.X, group, group, k, X2=table.norms)
         elif self.backend != "serial" and self.workers_per_rank > 1:
             from ..parallel.data_parallel import gsknn_data_parallel
 
             res = gsknn_data_parallel(
-                X, group, group, k,
-                p=self.workers_per_rank, backend=self.backend, X2=X2,
+                table.X, group, group, k,
+                p=self.workers_per_rank, backend=self.backend,
+                X2=table.norms,
             )
         else:
-            res = self._plans.get(X, group, X2=X2).execute(group, k)
+            res = self._plans.get(table, group).execute(group, k)
         return res.distances, res.indices
 
     def _run_kernel(
         self,
-        X: np.ndarray,
+        table: TableHandle,
         group: np.ndarray,
         k: int,
-        X2: np.ndarray,
         *,
         rank: int,
         key: str,
@@ -218,7 +218,7 @@ class DistributedAllKnn:
         unchanged by injection.
         """
         def open_parent():
-            return lambda rank, task: self._solve_leaf(X, task[1], task[3], X2)
+            return lambda rank, task: self._solve_leaf(table, task[1], task[3])
 
         parent = InlineRung(open_parent)
         if self._rank_workers is not None:
@@ -260,6 +260,11 @@ class DistributedAllKnn:
         request=None,
     ) -> DistributedReport:
         """Run the simulated distributed solve.
+
+        ``X`` is an array or a :class:`~repro.core.table.TableHandle`. An
+        array is validated once for this solve and left as it was; pass a
+        handle to validate once across solves and let recurring leaves
+        find their cached plans.
 
         Resilience: ``deadline`` (a :class:`~repro.resilience.Deadline`
         or a budget in seconds) bounds the whole solve — it is checked
@@ -307,8 +312,8 @@ class DistributedAllKnn:
     ) -> DistributedReport:
         from ..resilience import Deadline, FaultPlan
 
-        X = as_coordinate_table(X)
-        check_finite(X)
+        table = as_table(X)
+        X = table.X
         n, d = X.shape
         k = check_k(k, n)
         if self.leaf_size <= k:
@@ -325,7 +330,6 @@ class DistributedAllKnn:
         comm = SimComm(self.n_ranks, deadline=deadline)
         model = PerformanceModel()
         home = self._home_rank(n)
-        X2 = cached_squared_norms(X)
         if self.transport == "process":
             from ..shard.transport import ProcessTransport, ShardWorld
 
@@ -336,7 +340,7 @@ class DistributedAllKnn:
             workers.start(
                 ShardWorld(
                     X=X,
-                    X2=X2,
+                    X2=table.norms,
                     local_ids=[
                         np.empty(0, dtype=np.intp)
                         for _ in range(self.n_ranks)
@@ -352,7 +356,7 @@ class DistributedAllKnn:
             self._rank_workers = workers
         try:
             return self._solve_inner(
-                X, k, n, d, comm, model, home, X2,
+                table, k, n, d, comm, model, home,
                 deadline=deadline, retry=retry, fault_plan=fault_plan,
             )
         finally:
@@ -362,19 +366,19 @@ class DistributedAllKnn:
 
     def _solve_inner(
         self,
-        X: np.ndarray,
+        table: TableHandle,
         k: int,
         n: int,
         d: int,
         comm: SimComm,
         model: PerformanceModel,
         home: np.ndarray,
-        X2: np.ndarray,
         *,
         deadline=None,
         retry=None,
         fault_plan=None,
     ) -> DistributedReport:
+        X = table.X
         current = KnnResult(
             np.full((n, k), np.inf), np.full((n, k), -1, dtype=np.intp)
         )
@@ -440,7 +444,7 @@ class DistributedAllKnn:
                         lane=_RANK_LANE + solver_rank,
                     ):
                         local = self._run_kernel(
-                            X, leaf, k, X2,
+                            table, leaf, k,
                             rank=solver_rank,
                             key=f"{iteration}:{solver_rank}:{leaf_index}",
                             deadline=deadline,

@@ -161,7 +161,7 @@ def _absorb_worker_obs(
             registry.merge_snapshot(metrics)
 
 
-def _chunk_solver(X, q_idx, r_idx, k, kernel_kwargs):
+def _chunk_solver(table, q_idx, r_idx, k, kernel_kwargs):
     """Open the in-process chunk solver of the serial and threads rungs.
 
     Runs once as the rung is entered: one plan serves every chunk (its
@@ -171,7 +171,7 @@ def _chunk_solver(X, q_idx, r_idx, k, kernel_kwargs):
     """
     from ..core.plan import GsknnPlan
 
-    plan = GsknnPlan(X, r_idx, **kernel_kwargs)
+    plan = GsknnPlan(table, r_idx, **kernel_kwargs)
     tracer = _get_tracer()
     parent_id = tracer.current_span_id()
 
@@ -201,7 +201,7 @@ class ExecutionBackend:
 
     def rung(
         self,
-        X: np.ndarray,
+        table,
         q_idx: np.ndarray,
         r_idx: np.ndarray,
         k: int,
@@ -209,8 +209,9 @@ class ExecutionBackend:
         kernel_kwargs: dict[str, Any],
         fault_plan=None,
     ) -> Rung:
-        """This backend's rung for the chunk list; items are keyed by
-        chunk start, ``fault_plan`` fires in scope ``"chunk"``."""
+        """This backend's rung for the chunk list over ``table`` (the
+        solve's :class:`~repro.core.table.TableHandle`); items are keyed
+        by chunk start, ``fault_plan`` fires in scope ``"chunk"``."""
         raise NotImplementedError
 
 
@@ -223,9 +224,11 @@ class SerialBackend(ExecutionBackend):
         # p accepted (and ignored) so backends are constructor-compatible
         self.p = 1
 
-    def rung(self, X, q_idx, r_idx, k, chunks, kernel_kwargs, fault_plan=None):
+    def rung(
+        self, table, q_idx, r_idx, k, chunks, kernel_kwargs, fault_plan=None
+    ):
         return InlineRung(
-            partial(_chunk_solver, X, q_idx, r_idx, k, kernel_kwargs)
+            partial(_chunk_solver, table, q_idx, r_idx, k, kernel_kwargs)
         )
 
 
@@ -239,9 +242,11 @@ class ThreadBackend(ExecutionBackend):
             raise ValidationError(f"need p >= 1 workers, got {p}")
         self.p = int(p)
 
-    def rung(self, X, q_idx, r_idx, k, chunks, kernel_kwargs, fault_plan=None):
+    def rung(
+        self, table, q_idx, r_idx, k, chunks, kernel_kwargs, fault_plan=None
+    ):
         return ThreadRung(
-            partial(_chunk_solver, X, q_idx, r_idx, k, kernel_kwargs),
+            partial(_chunk_solver, table, q_idx, r_idx, k, kernel_kwargs),
             self.p,
             fault=None if fault_plan is None else partial(
                 fault_plan.apply, "chunk"
@@ -413,25 +418,23 @@ class ProcessBackend(ExecutionBackend):
         self.p = int(p)
         self.mp_context = mp_context
 
-    def rung(self, X, q_idx, r_idx, k, chunks, kernel_kwargs, fault_plan=None):
-        from ..core.norms import resolve_norm, squared_norms
+    def rung(
+        self, table, q_idx, r_idx, k, chunks, kernel_kwargs, fault_plan=None
+    ):
+        from ..core.norms import resolve_norm
         from ..shard.transport import ProcessTransport, ShardWorld
         from .chunking import resolve_workers
 
         # the l2 side table is computed once here and shared with every
         # worker, never redone per worker or per chunk
-        kwargs = dict(kernel_kwargs)
-        X2 = kwargs.pop("X2", None)
-        norm = resolve_norm(kwargs.get("norm", "l2"))
-        if (norm.is_l2 or norm.is_cosine) and X2 is None:
-            X2 = squared_norms(np.ascontiguousarray(X, dtype=np.float64))
+        norm = resolve_norm(kernel_kwargs.get("norm", "l2"))
         workers = resolve_workers(self.p, max(len(chunks), 1))
         world = ShardWorld(
-            X=X,
-            X2=X2,
+            X=table.X,
+            X2=table.norms if norm.is_l2 or norm.is_cosine else None,
             local_ids=[r_idx] * workers,
             epoch=0,
-            kernel_kwargs=kwargs,
+            kernel_kwargs=kernel_kwargs,
             fault_spec=None if fault_plan is None else fault_plan.spec(),
         )
         return _ChunkRung(

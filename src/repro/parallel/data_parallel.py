@@ -37,6 +37,7 @@ from ..errors import ValidationError
 from ..core.gsknn import gsknn, _resolve_auto_variant
 from ..core.neighbors import KnnResult, merge_neighbor_lists
 from ..core.norms import Norm
+from ..core.table import as_table
 from ..core.workers import serial_kernels
 from ..obs import trace as _trace
 from ..obs.context import coerce_request, current_request, request_scope
@@ -122,7 +123,9 @@ def gsknn_data_parallel(
         )
     q_idx = np.asarray(q_idx, dtype=np.intp)
     r_idx = np.asarray(r_idx, dtype=np.intp)
-    d = np.asarray(X).shape[1]
+    # validated once for the whole solve; every rung shares its norms
+    table = as_table(X, X2)
+    d = table.d
     # Resolve "auto"/"model" on the FULL problem: a model-driven choice
     # made per chunk could differ from the serial kernel's.
     var = _resolve_auto_variant(variant, q_idx.size, r_idx.size, d, k)
@@ -146,8 +149,6 @@ def gsknn_data_parallel(
                 f"across {p} workers"
             )
         kernel_kwargs["memory_budget"] = share
-    if X2 is not None:
-        kernel_kwargs["X2"] = X2
     ctx = coerce_request(request) or current_request()
     if deadline is None and ctx is not None:
         deadline = ctx.deadline
@@ -186,7 +187,8 @@ def gsknn_data_parallel(
                 {chunk[0]: chunk for chunk in chunks},
                 [
                     b.rung(
-                        X, q_idx, r_idx, k, chunks, kernel_kwargs, fault_plan
+                        table, q_idx, r_idx, k, chunks, kernel_kwargs,
+                        fault_plan,
                     )
                     for b in ladder
                 ],

@@ -35,7 +35,10 @@ The moving parts, each in its own module:
   service-owned :class:`~repro.core.plan.PlanCache`, so reference
   panels stay packed across windows; literal-row requests fuse through
   :meth:`~repro.core.plan.GsknnPlan.execute_rows` on plans from the
-  same cache;
+  same cache. The service holds one
+  :class:`~repro.core.table.TableHandle`: the table is validated once,
+  at construction, and frozen, so a window re-checks nothing and its
+  plan lookup (on :data:`~repro.core.table.ALL_ROWS`) is one dict hit;
 * faults — each solve of a window is a one-item ladder on the
   resilience layer's one retry loop (:func:`~repro.resilience.run_ladder`);
   an active :class:`~repro.resilience.FaultPlan` (e.g. from
@@ -69,15 +72,15 @@ import numpy as np
 from ..core.batch import KnnProblem, gsknn_batch
 from ..core.membudget import MemoryBudget
 from ..core.neighbors import KnnResult
-from ..core.norm_cache import cached_squared_norms
 from ..core.plan import PlanCache
+from ..core.table import ALL_ROWS, TableHandle
 from ..errors import KernelTimeoutError, OverloadError, ValidationError
 from ..model.perf_model import PerformanceModel
 from ..obs.context import RequestContext, request_scope
 from ..obs.metrics import get_registry as _get_registry
 from ..resilience import Deadline, FaultPlan, RetryPolicy
 from ..resilience.executor import InlineRung, ThreadRung, run_ladder
-from ..validation import as_coordinate_table, as_index_array, check_finite, check_k
+from ..validation import as_index_array, check_finite, check_k
 from .config import ServeConfig
 from .policy import CoalescingPolicy
 from .queueing import FairQueue, PendingRequest
@@ -123,7 +126,11 @@ class KnnQueryService:
     Parameters
     ----------
     X:
-        The shared ``(n, d)`` reference table every request queries.
+        The shared ``(n, d)`` reference table every request queries, or
+        a :class:`~repro.core.table.TableHandle` over it. An array is
+        validated once and frozen (its ``writeable`` flag is cleared),
+        not copied: writing to it afterwards raises, so a request can
+        never see panels packed from older contents.
     config:
         A :class:`~repro.serve.config.ServeConfig`; default tunables
         otherwise.
@@ -169,8 +176,7 @@ class KnnQueryService:
         graph_index: Any = None,
         planner: Any = None,
     ) -> None:
-        self.X = as_coordinate_table(X)
-        check_finite(self.X)
+        self._table = X if isinstance(X, TableHandle) else TableHandle(X)
         self.config = config if config is not None else ServeConfig()
         if graph_index is not None and graph_index.X.shape != self.X.shape:
             raise ValidationError(
@@ -182,7 +188,6 @@ class KnnQueryService:
         self._approx_windows = 0
         self._norm = norm
         self._variant = variant
-        self._r_all = np.arange(self.X.shape[0], dtype=np.intp)
         # One budget object for the whole service: every window's plans
         # and arenas charge against the same cap (ServeConfig validated
         # the spec at construction, so this coerce cannot fail late).
@@ -232,6 +237,11 @@ class KnnQueryService:
         self._batch_seconds_ewma = 0.0
         self._occupancy_ewma = 1.0
 
+    @property
+    def X(self) -> np.ndarray:
+        """The served (frozen) coordinate table."""
+        return self._table.X
+
     # -- lifecycle --------------------------------------------------------
 
     def start(self) -> "KnnQueryService":
@@ -239,7 +249,7 @@ class KnnQueryService:
             from ..shard import ShardedAllKnn
 
             self._sharded = ShardedAllKnn(
-                self.X,
+                self._table,
                 self.config.shards,
                 transport=self.config.shard_transport,
                 norm=self._norm,
@@ -595,8 +605,8 @@ class KnnQueryService:
         if self._sharded is not None:
             return [self._sharded.solve(q_idx, k) for q_idx, k in queries]
         return gsknn_batch(
-            self.X,
-            [KnnProblem(q_idx, self._r_all, k) for q_idx, k in queries],
+            self._table,
+            [KnnProblem(q_idx, ALL_ROWS, k) for q_idx, k in queries],
             p=self.config.p,
             norm=self._norm,
             variant=self._variant,
@@ -615,9 +625,8 @@ class KnnQueryService:
         if self._sharded is not None:
             return [self._sharded.solve_rows(Q_cat, k)]
         plan = self._plans.get(
-            self.X, self._r_all, norm=self._norm,
-            variant=self._variant, X2=cached_squared_norms(self.X),
-            memory_budget=self._budget,
+            self._table, ALL_ROWS, norm=self._norm,
+            variant=self._variant, memory_budget=self._budget,
         )
         return [plan.execute_rows(Q_cat, k, validate=False)]
 
@@ -651,9 +660,8 @@ class KnnQueryService:
         rows = min(8, Q_cat.shape[0])
         Qs = np.ascontiguousarray(Q_cat[:rows])
         plan = self._plans.get(
-            self.X, self._r_all, norm=self._norm,
-            variant=self._variant, X2=cached_squared_norms(self.X),
-            memory_budget=self._budget,
+            self._table, ALL_ROWS, norm=self._norm,
+            variant=self._variant, memory_budget=self._budget,
         )
         exact = plan.execute_rows(Qs, k, validate=False)
         from ..core.neighbors import recall as _recall

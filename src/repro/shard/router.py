@@ -39,7 +39,8 @@ import numpy as np
 from ..config import DEFAULT_BLOCK_M, DEFAULT_BLOCK_N
 from ..core.gsknn import _resolve_auto_variant
 from ..core.neighbors import KnnResult
-from ..core.norms import resolve_norm, squared_norms
+from ..core.norms import resolve_norm
+from ..core.table import TableHandle
 from ..errors import BackendError, ValidationError
 from ..obs.metrics import get_registry as _get_registry
 from ..obs.trace import get_tracer as _get_tracer
@@ -66,8 +67,12 @@ class ShardedAllKnn:
     Parameters
     ----------
     X:
-        ``(n, d)`` float64 reference table. Copied: the router owns its
-        table so streaming mutations never alias caller memory.
+        ``(n, d)`` reference table, or a
+        :class:`~repro.core.table.TableHandle` over it. An array is
+        validated once (non-finite coordinates raise here, before any
+        worker starts) and frozen rather than copied; each
+        :meth:`insert` appends to a new handle, so the caller's array is
+        never written.
     n_shards:
         Number of shards (>= 1). With the process transport this is the
         number of long-lived worker processes.
@@ -106,24 +111,16 @@ class ShardedAllKnn:
         fault_plan: FaultPlan | str | None = None,
         mp_context: str | None = None,
     ) -> None:
-        X = np.ascontiguousarray(X, dtype=np.float64)
-        if X.ndim != 2 or X.shape[0] < 1:
-            raise ValidationError(
-                f"X must be a non-empty (n, d) table, got shape {X.shape}"
-            )
         if block_m < 1 or block_n < 1:
             raise ValidationError("block_m and block_n must be >= 1")
-        self._X = X.copy()
+        self._table = X if isinstance(X, TableHandle) else TableHandle(X)
         self._norm = resolve_norm(norm)
         self._variant_spec = variant
         self._block_m = int(block_m)
         self._block_n = int(block_n)
-        self._X2 = (
-            squared_norms(self._X)
-            if (self._norm.is_l2 or getattr(self._norm, "is_cosine", False))
-            else None
+        self.map = ShardMap(
+            self._table.n, n_shards, panel_width=self._block_n
         )
-        self.map = ShardMap(X.shape[0], n_shards, panel_width=self._block_n)
         self.retry = retry if retry is not None else RetryPolicy()
         self._default_deadline = deadline
         self._fault_plan = FaultPlan.coerce(fault_plan)
@@ -145,8 +142,12 @@ class ShardedAllKnn:
 
     def _world(self) -> ShardWorld:
         return ShardWorld(
-            X=self._X,
-            X2=self._X2,
+            X=self._table.X,
+            X2=(
+                self._table.norms
+                if self._norm.is_l2 or self._norm.is_cosine
+                else None
+            ),
             local_ids=[
                 self.map.local_ids(s) for s in range(self.map.n_shards)
             ],
@@ -183,35 +184,28 @@ class ShardedAllKnn:
 
     @property
     def dim(self) -> int:
-        return self._X.shape[1]
+        return self._table.d
 
     @property
     def table(self) -> np.ndarray:
-        """Read-only view of the full table (including tombstoned rows)."""
-        view = self._X.view()
-        view.flags.writeable = False
-        return view
+        """The full (frozen) table, including tombstoned rows."""
+        return self._table.X
 
     # -- streaming membership ------------------------------------------------
 
     def insert(self, rows: np.ndarray) -> np.ndarray:
         """Append new reference rows; returns their global ids.
 
-        The table is re-exported to fresh shared segments, the panel
-        grid re-derived, and every shard worker re-attaches and drops
-        its packed plan (per-shard plan invalidation).
+        The rows are validated before anything changes (a rejected
+        insert leaves the table, the map and the workers as they were);
+        then the appended table is re-exported to fresh shared segments,
+        the panel grid re-derived, and every shard worker re-attaches and
+        drops its packed plan (per-shard plan invalidation).
         """
-        rows = np.ascontiguousarray(rows, dtype=np.float64)
+        rows = np.asarray(rows)
         if rows.ndim == 1:
             rows = rows[None, :]
-        if rows.ndim != 2 or rows.shape[1] != self.dim:
-            raise ValidationError(
-                f"rows must be (m, {self.dim}), got shape {rows.shape}"
-            )
-        self._X = np.ascontiguousarray(np.vstack([self._X, rows]))
-        if self._X2 is not None:
-            # per-row norms: appending batch norms == full recompute
-            self._X2 = np.concatenate([self._X2, squared_norms(rows)])
+        self._table = self._table.append(rows)
         ids = self.map.append(rows.shape[0])
         self._refresh("insert", rows=rows.shape[0])
         return ids
@@ -243,7 +237,7 @@ class ShardedAllKnn:
 
         Bit-identical to :meth:`solve_reference` on the same membership.
         """
-        q_idx = as_index_array(q_idx, self._X.shape[0], name="q_idx")
+        q_idx = as_index_array(q_idx, self._table.n, name="q_idx")
         k = self._check_k(k)
         var = int(
             _resolve_auto_variant(
@@ -286,13 +280,12 @@ class ShardedAllKnn:
         from ..core.gsknn import gsknn
 
         return gsknn(
-            self._X,
-            as_index_array(q_idx, self._X.shape[0], name="q_idx"),
+            self._table,
+            as_index_array(q_idx, self._table.n, name="q_idx"),
             self.map.alive_ids(),
             self._check_k(k),
             norm=self._norm,
             variant=self._variant_spec,
-            X2=self._X2,
             block_m=self._block_m,
             block_n=self._block_n,
         )

@@ -10,10 +10,13 @@ Two implementations of one contract (:class:`ShardTransport`):
   once and attached by every worker (the zero-copy
   :class:`~repro.parallel.backends.SharedSegments` protocol); only
   query ids/rows and the ``(m, k)`` partials cross the process
-  boundary. Each worker holds its own :class:`~repro.core.plan.GsknnPlan`
-  over its partition plus a :class:`~repro.core.plan.PlanCache` for
-  ad-hoc group solves, both invalidated when the membership epoch
-  moves. Three callers run on it: the shard router (a partition per
+  boundary. Each worker wraps every attached epoch's table in one
+  :class:`~repro.core.table.TableHandle` (validated once per attach,
+  norms taken from the shared side table) and holds its own
+  :class:`~repro.core.plan.GsknnPlan` over its partition plus a
+  :class:`~repro.core.plan.PlanCache` for ad-hoc group solves, both
+  invalidated when the membership epoch moves. Three callers run on
+  it: the shard router (a partition per
   worker), the distributed solver's rank workers (empty partitions,
   explicit group tasks), and the data-parallel ``processes`` backend (a
   per-solve transport whose every worker holds the whole reference set
@@ -41,6 +44,7 @@ from typing import Any
 
 import numpy as np
 
+from ..core.table import TableHandle
 from ..errors import BackendError, ValidationError
 from ..obs.metrics import get_registry as _get_registry
 from ..obs.trace import get_tracer as _get_tracer
@@ -124,7 +128,7 @@ class ShardTransport:
         self.close()
 
 
-def _solve_task(plan, plan_cache, X, task, kernel_kwargs):
+def _solve_task(plan, plan_cache, table, task, kernel_kwargs):
     """Execute one solve task against a shard's engine.
 
     Shared verbatim by the in-process transport and the worker process,
@@ -143,7 +147,7 @@ def _solve_task(plan, plan_cache, X, task, kernel_kwargs):
     kind = task[0]
     if kind == "group":
         _, q_idx, r_idx, k = task
-        group_plan = plan_cache.get(X, r_idx, **kernel_kwargs)
+        group_plan = plan_cache.get(table, r_idx, **kernel_kwargs)
         res = group_plan.execute(q_idx, k, warm_start=False)
         return res.distances, res.indices
     if plan is None:
@@ -157,13 +161,6 @@ def _solve_task(plan, plan_cache, X, task, kernel_kwargs):
     else:  # pragma: no cover - defended against protocol drift
         raise ValidationError(f"unknown shard task kind {kind!r}")
     return res.distances, res.indices
-
-
-def _shard_kwargs(kernel_kwargs: dict[str, Any], X2) -> dict[str, Any]:
-    kwargs = dict(kernel_kwargs)
-    if X2 is not None:
-        kwargs["X2"] = X2
-    return kwargs
 
 
 # -- in-process transport ----------------------------------------------------
@@ -181,31 +178,30 @@ class LocalTransport(ShardTransport):
 
     def __init__(self) -> None:
         self._world: ShardWorld | None = None
+        self._table = None
         self._plans: list[Any] = []
         self._cache = None
 
     def start(self, world: ShardWorld) -> None:
         from ..core.plan import PlanCache
 
-        self._world = world
         self._cache = PlanCache()
-        self._build_plans()
-
-    def _build_plans(self) -> None:
-        from ..core.plan import GsknnPlan
-
-        assert self._world is not None
-        kwargs = _shard_kwargs(self._world.kernel_kwargs, self._world.X2)
-        self._plans = [
-            GsknnPlan(self._world.X, ids, **kwargs) if ids.size else None
-            for ids in self._world.local_ids
-        ]
+        self.refresh(world)
 
     def refresh(self, world: ShardWorld) -> None:
+        from ..core.plan import GsknnPlan
+
+        if self._world is None or world.X is not self._world.X:
+            self._table = TableHandle(world.X, world.X2)
         self._world = world
         if self._cache is not None:
             self._cache.clear()
-        self._build_plans()
+        self._plans = [
+            GsknnPlan(self._table, ids, **world.kernel_kwargs)
+            if ids.size
+            else None
+            for ids in world.local_ids
+        ]
 
     def submit(self, shard: int, task: tuple, *, attempt: int = 0) -> Future:
         assert self._world is not None
@@ -218,11 +214,9 @@ class LocalTransport(ShardTransport):
                 out = _solve_task(
                     self._plans[shard],
                     self._cache,
-                    self._world.X,
+                    self._table,
                     task,
-                    _shard_kwargs(
-                        self._world.kernel_kwargs, self._world.X2
-                    ),
+                    self._world.kernel_kwargs,
                 )
             if registry.enabled:
                 registry.inc("shard.solves", labels={"shard": str(shard)})
@@ -234,6 +228,7 @@ class LocalTransport(ShardTransport):
     def close(self) -> None:
         self._plans = []
         self._world = None
+        self._table = None
         self._cache = None
 
 
@@ -272,7 +267,9 @@ def _shard_worker_attach(specs: dict[str, Any], init_blob: bytes) -> None:
     init = pickle.loads(init_blob)
     old = _SHARD_STATE.pop("segments", {})
     # keep the handles alive for the views' lifetime
-    _SHARD_STATE["segments"], _SHARD_STATE["arrays"] = attach_segments(specs)
+    _SHARD_STATE["segments"], arrays = attach_segments(specs)
+    # the epoch's one table handle
+    _SHARD_STATE["table"] = TableHandle(arrays["X"], arrays["X2"])
     _SHARD_STATE["kernel_kwargs"] = init["kernel_kwargs"]
     _SHARD_STATE["local_ids"] = init["local_ids"]
     _SHARD_STATE["epoch"] = init["epoch"]
@@ -322,22 +319,18 @@ def _shard_worker_solve(
         # hard_exit: an injected crash must be a real process death so
         # the caller exercises BrokenProcessPool recovery
         fault_plan.apply(*site, attempt, hard_exit=True)
-    arrays = _SHARD_STATE["arrays"]
-    kwargs = _shard_kwargs(_SHARD_STATE["kernel_kwargs"], arrays.get("X2"))
+    table = _SHARD_STATE["table"]
+    kwargs = _SHARD_STATE["kernel_kwargs"]
     if "plan" not in _SHARD_STATE:
         from ..core.plan import GsknnPlan
 
         ids = _SHARD_STATE["local_ids"]
         _SHARD_STATE["plan"] = (
-            GsknnPlan(arrays["X"], ids, **kwargs) if ids.size else None
+            GsknnPlan(table, ids, **kwargs) if ids.size else None
         )
     with _get_tracer().span(span[0], **span[1]):
         out = _solve_task(
-            _SHARD_STATE["plan"],
-            _SHARD_STATE["cache"],
-            arrays["X"],
-            task,
-            kwargs,
+            _SHARD_STATE["plan"], _SHARD_STATE["cache"], table, task, kwargs
         )
     registry = _get_registry()
     if registry.enabled and chunk is None:
@@ -459,18 +452,25 @@ class ProcessTransport(ShardTransport):
         self._init_blobs = [
             self._init_blob(world, s) for s in range(world.n_shards)
         ]
+        # all workers re-attach (and validate their epoch's table) at
+        # once; a worker that died before/during the refresh comes back
+        # with the new state baked into its initargs
+        pending = {}
         for s, pool in enumerate(self._pools):
             if pool is None:
                 continue
             try:
-                pool.submit(
+                pending[s] = pool.submit(
                     _shard_worker_refresh,
                     self._table.specs,
                     self._init_blobs[s],
-                ).result()
+                )
             except Exception:
-                # a worker that died before/during the refresh comes
-                # back with the new state baked into its initargs
+                self.restart(s)
+        for s, future in pending.items():
+            try:
+                future.result()
+            except Exception:
                 self.restart(s)
         if stale is not None:
             stale.unlink()

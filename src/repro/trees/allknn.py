@@ -21,10 +21,10 @@ import numpy as np
 
 from ..core.gsknn import gsknn
 from ..core.neighbors import KnnResult, merge_neighbor_lists_fast, recall
-from ..core.norms import squared_norms
 from ..core.ref_kernel import ref_knn
+from ..core.table import TableHandle, as_table
 from ..errors import ValidationError
-from ..validation import as_coordinate_table, check_finite, check_k
+from ..validation import check_k
 from .lsh import LSHSolver
 from .rkdtree import RandomizedKDForest
 
@@ -60,10 +60,9 @@ class AllKnnReport:
 
 def _run_kernel(
     kernel: str,
-    X: np.ndarray,
+    table: TableHandle,
     group: np.ndarray,
     k: int,
-    X2: np.ndarray,
     variant: int | str,
     initial: KnnResult | None = None,
     plans: "PlanCache | None" = None,
@@ -80,15 +79,15 @@ def _run_kernel(
     if kernel == "gsknn":
         warm = initial if (initial is not None and k_eff == k) else None
         if plans is not None:
-            plan = plans.get(X, group, variant=variant, X2=X2)
+            plan = plans.get(table, group, variant=variant)
             res = plan.execute(group, k_eff, initial=warm)
         else:
             res = gsknn(
-                X, group, group, k_eff, X2=X2, variant=variant, initial=warm
+                table, group, group, k_eff, variant=variant, initial=warm
             )
         folded = warm is not None
     elif kernel == "gemm":
-        res = ref_knn(X, group, group, k_eff, X2=X2)
+        res = ref_knn(table.X, group, group, k_eff, X2=table.norms)
     else:
         raise ValidationError(
             f"kernel must be 'gsknn' or 'gemm', got {kernel!r}"
@@ -106,10 +105,9 @@ def _run_kernel(
 
 def _solve_groups(
     kernel: str,
-    X: np.ndarray,
+    table: TableHandle,
     groups: list[np.ndarray],
     k: int,
-    X2: np.ndarray,
     variant: int | str,
     n_workers: int,
     current: KnnResult,
@@ -127,7 +125,7 @@ def _solve_groups(
 
     if n_workers == 1 or len(groups) <= 1:
         return [
-            _run_kernel(kernel, X, g, k, X2, variant, warm(g), plans)
+            _run_kernel(kernel, table, g, k, variant, warm(g), plans)
             for g in groups
         ]
 
@@ -140,7 +138,7 @@ def _solve_groups(
         ScheduledTask(
             i,
             model.estimate_kernel_runtime(
-                g.size, g.size, X.shape[1], min(k, g.size)
+                g.size, g.size, table.d, min(k, g.size)
             ),
             payload=g,
         )
@@ -150,7 +148,7 @@ def _solve_groups(
     results = execute_schedule(
         schedule,
         lambda t: _run_kernel(
-            kernel, X, t.payload, k, X2, variant, warm(t.payload), plans
+            kernel, table, t.payload, k, variant, warm(t.payload), plans
         ),
     )
     return [results[i] for i in range(len(groups))]
@@ -168,20 +166,18 @@ def exact_all_knn(
     O(N^2 d) — the ground truth for recall evaluation at small N. Queries
     run in batches so memory stays bounded.
     """
-    X = as_coordinate_table(X)
-    check_finite(X)
-    n = X.shape[0]
+    table = as_table(X)
+    n = table.n
     k = check_k(k, n)
     all_idx = np.arange(n, dtype=np.intp)
-    X2 = squared_norms(X)
     dist = np.empty((n, k), dtype=np.float64)
     idx = np.empty((n, k), dtype=np.intp)
     for start in range(0, n, batch):
         q = all_idx[start : start + batch]
         if kernel == "gsknn":
-            res = gsknn(X, q, all_idx, k, X2=X2)
+            res = gsknn(table, q, all_idx, k)
         elif kernel == "gemm":
-            res = ref_knn(X, q, all_idx, k, X2=X2)
+            res = ref_knn(table.X, q, all_idx, k, X2=table.norms)
         else:
             raise ValidationError(
                 f"kernel must be 'gsknn' or 'gemm', got {kernel!r}"
@@ -300,8 +296,8 @@ def all_nearest_neighbors(
         (``k_build`` is clamped up to ``k`` so the lists stay wide
         enough for the answer).
     """
-    X = as_coordinate_table(X)
-    check_finite(X)
+    table = as_table(X)
+    X = table.X
     n = X.shape[0]
     k = check_k(k, n)
 
@@ -391,7 +387,6 @@ def all_nearest_neighbors(
             f"'auto', got {method!r}"
         )
 
-    X2 = squared_norms(X)
     plans = None
     if kernel == "gsknn":
         from ..core.plan import PlanCache
@@ -428,7 +423,7 @@ def all_nearest_neighbors(
         group_size_total += int(sum(g.size for g in groups))
         t0 = time.perf_counter()
         locals_by_group = _solve_groups(
-            kernel, X, groups, k, X2, variant, n_workers, current, plans
+            kernel, table, groups, k, variant, n_workers, current, plans
         )
         kernel_seconds += time.perf_counter() - t0
         for group, local in zip(groups, locals_by_group):

@@ -25,7 +25,7 @@ from __future__ import annotations
 import numpy as np
 
 from ..core.neighbors import KnnResult, merge_neighbor_lists_fast
-from ..core.norm_cache import cached_squared_norms
+from ..core.table import TableHandle
 from ..errors import ValidationError
 from ..obs import trace as _trace
 from ..obs.context import coerce_request, current_request, request_scope
@@ -110,7 +110,8 @@ class StreamingAllKnn:
         from ..core.plan import PlanCache
 
         self._plans = PlanCache(max_plans=16)
-        self._points = np.empty((0, dim), dtype=np.float64)
+        # one frozen table handle per insert epoch (None until the first)
+        self._table: TableHandle | None = None
         self._distances = np.empty((0, k), dtype=np.float64)
         self._indices = np.empty((0, k), dtype=np.intp)
         self._alive = np.empty(0, dtype=bool)
@@ -122,11 +123,15 @@ class StreamingAllKnn:
         return self._points.shape[0]
 
     @property
+    def _points(self) -> np.ndarray:
+        if self._table is None:
+            return np.empty((0, self.dim), dtype=np.float64)
+        return self._table.X
+
+    @property
     def points(self) -> np.ndarray:
-        """The current coordinate table (read-only view)."""
-        view = self._points.view()
-        view.setflags(write=False)
-        return view
+        """The current coordinate table (read-only)."""
+        return self._points
 
     def neighbors(self) -> KnnResult:
         """Current neighbor lists for all ingested points."""
@@ -144,7 +149,7 @@ class StreamingAllKnn:
         from ..shard import ShardedAllKnn
 
         router = ShardedAllKnn(
-            self._points, self._shards, transport=self._shard_transport
+            self._table, self._shards, transport=self._shard_transport
         )
         dead = np.flatnonzero(~self._alive)
         if dead.size:
@@ -178,11 +183,10 @@ class StreamingAllKnn:
         from ..core.gsknn import gsknn
 
         return gsknn(
-            self._points,
+            self._points if self._table is None else self._table,
             np.asarray(q_idx, dtype=np.intp),
             np.flatnonzero(self._alive),
             k,
-            X2=cached_squared_norms(self._points),
             memory_budget=self._memory_budget,
         )
 
@@ -207,7 +211,14 @@ class StreamingAllKnn:
             "stream.insert", batch=int(batch.shape[0])
         ):
             n_new = batch.shape[0]
-            self._points = np.vstack([self._points, batch])
+            # the new epoch's handle: a copy of the first batch (the
+            # caller's array stays writeable), then appends that norm
+            # only the new rows
+            self._table = (
+                TableHandle(batch.copy())
+                if self._table is None
+                else self._table.append(batch)
+            )
             # the old table object is gone; drop plans built against it so
             # the cache never pins dead coordinate arrays in memory
             self._plans.clear()
@@ -307,14 +318,10 @@ class StreamingAllKnn:
 
     def _refresh(self, tables: int) -> int:
         alive_ids = np.flatnonzero(self._alive)
-        # Identity-keyed cache: refresh() rounds between inserts reuse
-        # the same table object, so only the first round pays the O(N d)
-        # pass; an insert vstacks a new array and invalidates naturally.
-        X2 = cached_squared_norms(self._points)
         if alive_ids.size <= self.max_bucket:
             # The whole live population fits one kernel: solve exactly —
             # hashing only starts paying once buckets are real subsets.
-            self._solve_bucket(alive_ids, X2)
+            self._solve_bucket(alive_ids)
             return 1
         solver = LSHSolver(
             n_tables=tables,
@@ -324,14 +331,14 @@ class StreamingAllKnn:
         kernels = 0
         for table in solver.buckets(self._points[alive_ids]):
             for bucket in table:
-                self._solve_bucket(alive_ids[bucket], X2)
+                self._solve_bucket(alive_ids[bucket])
                 kernels += 1
         return kernels
 
-    def _solve_bucket(self, bucket: np.ndarray, X2: np.ndarray) -> None:
+    def _solve_bucket(self, bucket: np.ndarray) -> None:
         k_eff = min(self.k, bucket.size)
         plan = self._plans.get(
-            self._points, bucket, X2=X2, memory_budget=self._memory_budget
+            self._table, bucket, memory_budget=self._memory_budget
         )
         local = plan.execute(bucket, k_eff)
         if k_eff < self.k:

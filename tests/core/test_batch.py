@@ -5,7 +5,8 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from repro.core.batch import KnnProblem, gsknn_batch, reset_plan_cache
+from repro.core.batch import KnnProblem, gsknn_batch
+from repro.core.table import TableHandle
 from repro.core.gsknn import gsknn
 from repro.core.plan import PlanCache
 from repro.errors import ValidationError
@@ -179,25 +180,25 @@ class TestPlanCacheInjection:
             KnnProblem(np.array([7]), r, 3),
         ]
         mine = PlanCache(max_plans=4)
-        gsknn_batch(table, problems, plan_cache=mine)
-        gsknn_batch(table, problems, plan_cache=mine)
+        handle = TableHandle(table)  # plans outlive a call per handle
+        gsknn_batch(handle, problems, plan_cache=mine)
+        gsknn_batch(handle, problems, plan_cache=mine)
         assert len(mine) == 1  # one reference set -> one plan, reused
 
-    def test_reset_plan_cache_drops_default_cache(self, table, rng):
-        from repro.core import batch as batch_mod
-
-        gsknn_batch(table, _problems(rng, count=2))
-        assert batch_mod._PLAN_CACHE is not None
-        assert len(batch_mod._PLAN_CACHE) > 0
-        reset_plan_cache()
-        assert batch_mod._PLAN_CACHE is None
-        # and the path rebuilds cleanly afterwards
-        gsknn_batch(table, _problems(rng, count=2))
-        assert batch_mod._PLAN_CACHE is not None
-
-    def test_reset_leaves_injected_caches_alone(self, table, rng):
+    def test_bare_array_is_left_writeable(self, table, rng):
+        """A bare table gets a per-call handle: validated, not frozen."""
         mine = PlanCache(max_plans=4)
         gsknn_batch(table, _problems(rng, count=2), plan_cache=mine)
-        populated = len(mine)
-        reset_plan_cache()
-        assert len(mine) == populated
+        assert table.flags.writeable
+
+    def test_default_cache_does_not_pin_the_table(self, rng):
+        """Without an injected cache nothing outlives the call."""
+        import gc
+        import weakref
+
+        X = rng.random((200, 8))
+        alive = weakref.ref(X)
+        gsknn_batch(X, _problems(rng, count=2))
+        del X
+        gc.collect()
+        assert alive() is None

@@ -11,6 +11,8 @@ import pytest
 from repro.core.gsknn import gsknn
 from repro.core.neighbors import KnnResult, merge_neighbor_lists_fast
 from repro.core.plan import GsknnPlan, PlanCache
+from repro.core.ref_kernel import ref_knn
+from repro.core.table import ALL_ROWS, TableHandle
 from repro.errors import ValidationError
 from repro.obs.metrics import MetricsRegistry, get_registry, set_registry
 
@@ -81,7 +83,7 @@ class TestPlanEquivalence:
         X, q, r = problem
         X2 = (X**2).sum(axis=1)
         want = gsknn(X, q, r, 6, X2=X2)
-        got = GsknnPlan(X, r, X2=X2).execute(q, 6)
+        got = GsknnPlan(TableHandle(X, X2), r).execute(q, 6)
         np.testing.assert_array_equal(got.distances, want.distances)
         np.testing.assert_array_equal(got.indices, want.indices)
 
@@ -180,37 +182,40 @@ class TestRepeatedReferenceIds:
             np.testing.assert_array_equal(res.indices, want.indices)
 
 
-class TestStaleness:
-    def test_inplace_mutation_triggers_rebuild(self, problem):
-        X, q, r = problem
-        X = X.copy()
-        plan = GsknnPlan(X, r)
-        plan.execute(q, 6)
-        X[0] += 1.0  # first row is fingerprinted
-        got = plan.execute(q, 6)
-        assert plan.stale_rebuilds == 1
-        want = gsknn(X, q, r, 6)
-        np.testing.assert_array_equal(got.distances, want.distances)
-        np.testing.assert_array_equal(got.indices, want.indices)
+class TestFrozenTable:
+    """A plan freezes its table: an interior-row write cannot go stale."""
 
-    def test_rebuild_drops_previous_result(self, problem):
-        """A stale rebuild must void the auto-warm seed: the old result
-        may contain distances the mutated table no longer attains."""
+    def test_interior_row_write_raises_and_answers_stay_current(self, rng):
+        X = rng.random((5000, 8))
+        q, mid = np.arange(3, 40), 2500
+        plan = GsknnPlan(X, np.arange(5000))
+        plan.execute(q, 6)
+        # a content fingerprint of the first and last rows misses this
+        try:
+            X[mid] = X[3] + 1e-9
+            wrote = True
+        except ValueError:
+            wrote = False
+        got = plan.execute(q, 6)
+        want = ref_knn(X, q, np.arange(5000), 6)
+        np.testing.assert_array_equal(got.indices, want.indices)
+        np.testing.assert_allclose(got.distances, want.distances, atol=1e-12)
+        assert not wrote, "the planned table accepted an in-place write"
+
+    def test_unfrozen_table_is_refused(self, problem):
         X, q, r = problem
-        X = X.copy()
         plan = GsknnPlan(X, r)
         plan.execute(q, 6)
-        X[-1] *= 3.0
-        old = set_registry(MetricsRegistry(enabled=True))
-        try:
-            got = plan.execute(q, 6)
-            snap = get_registry().snapshot()["counters"]
-            assert snap["plan.stale_rebuilds"] == 1
-            assert snap.get("plan.warm_starts", 0) == 0
-        finally:
-            set_registry(old)
-        want = gsknn(X, q, r, 6)
-        np.testing.assert_array_equal(got.distances, want.distances)
+        X.flags.writeable = True
+        with pytest.raises(ValidationError, match="writeable"):
+            plan.execute(q, 6)
+        with pytest.raises(ValidationError, match="writeable"):
+            plan.execute_rows(X[:4], 6)
+
+    def test_one_shot_leaves_the_array_writeable(self, problem):
+        X, q, r = problem
+        gsknn(X, q, r, 6)
+        assert X.flags.writeable
 
 
 class TestValidation:
@@ -233,7 +238,7 @@ class TestValidation:
     def test_bad_x2_shape_rejected(self, problem):
         X, _, r = problem
         with pytest.raises(ValidationError, match="X2"):
-            GsknnPlan(X, r, X2=np.zeros(X.shape[0] - 1))
+            GsknnPlan(TableHandle(X, np.zeros(X.shape[0] - 1)), r)
 
 
 class TestPlanCache:
@@ -288,6 +293,39 @@ class TestPlanCache:
         X, _, r = problem
         with pytest.raises(ValidationError, match="blocking"):
             PlanCache().get(X, r, blocking=42)
+
+    def test_all_rows_hit_reads_no_id_array(self, problem, monkeypatch):
+        import repro.core.plan as plan_mod
+
+        X, _, _ = problem
+        handle = TableHandle(X)
+        cache = PlanCache()
+        first = cache.get(handle, ALL_ROWS)
+        np.testing.assert_array_equal(first.r_idx, np.arange(X.shape[0]))
+
+        def unread(*_args, **_kwargs):
+            raise AssertionError("an id array was read on an ALL_ROWS hit")
+
+        monkeypatch.setattr(plan_mod.zlib, "crc32", unread)
+        monkeypatch.setattr(plan_mod.np, "array_equal", unread)
+        assert cache.get(handle, ALL_ROWS) is first
+        assert cache.get(handle, ALL_ROWS) is first
+
+    def test_handles_key_by_identity(self, problem):
+        X, _, r = problem
+        cache = PlanCache()
+        one, other = TableHandle(X), TableHandle(X.copy())
+        assert cache.get(one, r) is cache.get(one, r)
+        assert cache.get(one, r) is not cache.get(other, r)
+
+    def test_view_over_writeable_base_is_not_cached(self, problem):
+        """The handle copies such a view; the base can still change."""
+        X, _, r = problem
+        view = X[:200]
+        cache = PlanCache()
+        assert cache.get(view, r[r < 200]) is not cache.get(view, r[r < 200])
+        assert len(cache) == 0
+        assert X.flags.writeable
 
     def test_bad_max_plans_rejected(self):
         with pytest.raises(ValidationError):

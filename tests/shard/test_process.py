@@ -14,7 +14,7 @@ import time
 import numpy as np
 import pytest
 
-from repro.errors import KernelTimeoutError
+from repro.errors import KernelTimeoutError, ValidationError
 from repro.resilience.faults import FaultPlan
 from repro.resilience.retry import RetryPolicy
 from repro.shard import ShardedAllKnn
@@ -172,3 +172,28 @@ class TestProcessDeadlines:
                 router.solve(np.arange(20), 5, deadline=budget)
             elapsed = time.perf_counter() - t0
         assert elapsed < 2 * budget
+
+
+class TestNonFiniteRejected:
+    """Non-finite rows are refused before they reach any state."""
+
+    def test_constructor_rejects_non_finite_table(self, table):
+        bad = table.copy()
+        bad[17, 3] = np.nan
+        with pytest.raises(ValidationError, match="non-finite"):
+            ShardedAllKnn(bad, 2, transport="process", **BLOCKS)
+
+    def test_rejected_insert_changes_nothing(self, table):
+        with ShardedAllKnn(table, 2, transport="process", **BLOCKS) as router:
+            q = np.arange(0, 300, 11)
+            before = router.solve(q, 8)
+            epoch, alive = router.map.epoch, router.map.alive_ids()
+            rows = np.ones((3, 13))
+            rows[1, 4] = np.nan
+            with pytest.raises(ValidationError, match="non-finite"):
+                router.insert(rows)
+            assert router.table.shape == (300, 13)
+            assert router.map.epoch == epoch
+            np.testing.assert_array_equal(router.map.alive_ids(), alive)
+            assert_bit_identical(router.solve(q, 8), before)
+            assert router.insert(np.ones((2, 13))).tolist() == [300, 301]

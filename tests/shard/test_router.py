@@ -157,12 +157,16 @@ class TestLifecycle:
         assert sum(s["shard_sizes"]) == 300
         assert s["panel_width"] == 64
 
-    def test_table_copied_and_readonly(self, table):
+    def test_table_frozen_and_readonly(self, table):
         with make(table, 2) as router:
-            table[0, 0] = 123.0  # caller mutation must not leak in
+            with pytest.raises(ValueError):
+                table[0, 0] = 123.0  # caller mutation must not leak in
             assert router.table[0, 0] != 123.0
             with pytest.raises(ValueError):
                 router.table[0, 0] = 0.0
+            router.insert(np.ones((2, 13)))
+            assert router.table.shape == (302, 13)
+            assert table.shape == (300, 13)  # appends never touch it
 
     def test_unknown_transport_rejected(self, table):
         with pytest.raises(ValidationError):
@@ -183,3 +187,28 @@ class TestObservability:
             assert snap["counters"]['shard.refreshes{op="insert"}'] == 1
         finally:
             disable_metrics()
+
+
+class TestNonFiniteRejected:
+    """Non-finite rows are refused before they reach any state."""
+
+    def test_constructor_rejects_non_finite_table(self, table):
+        bad = table.copy()
+        bad[17, 3] = np.nan
+        with pytest.raises(ValidationError, match="non-finite"):
+            ShardedAllKnn(bad, 2, transport="local", **BLOCKS)
+
+    def test_rejected_insert_changes_nothing(self, table):
+        with ShardedAllKnn(table, 2, transport="local", **BLOCKS) as router:
+            q = np.arange(0, 300, 11)
+            before = router.solve(q, 8)
+            epoch, alive = router.map.epoch, router.map.alive_ids()
+            rows = np.ones((3, 13))
+            rows[1, 4] = np.nan
+            with pytest.raises(ValidationError, match="non-finite"):
+                router.insert(rows)
+            assert router.table.shape == (300, 13)
+            assert router.map.epoch == epoch
+            np.testing.assert_array_equal(router.map.alive_ids(), alive)
+            assert_bit_identical(router.solve(q, 8), before)
+            assert router.insert(np.ones((2, 13))).tolist() == [300, 301]
