@@ -25,21 +25,25 @@ A :class:`GsknnPlan` hoists all of that to construction time:
 Every caller runs one loop nest with one selection structure. Plan
 executes, batches, serving and shards use a long-lived plan; the
 one-shot :func:`repro.core.gsknn.gsknn` builds an ephemeral plan that
-caches nothing and borrows one arena for the call. Selection is
-threshold-masked: once a row is warm, one compare pass extracts only
-the candidates that can possibly enter its list, so warm tiles touch a
-few survivors per row instead of copying and partitioning whole tiles.
+caches nothing and borrows one arena for the call. Selection is masked
+on every Var#1 tile, cold or warm: each row gets a cut — its threshold
+once its list is full, else the ``k``-th smallest of strided bin minima
+of the tile (:func:`repro.select.vectorized.cut_bins`) — and one
+compare pass extracts only the candidates that can still enter its
+list. No tile is copied and partitioned whole; Var#5, which never
+filters, merges each tile wholesale.
 
-For the l2 norm a Var#1/Var#5 tile is **one GEMM and no epilogue**
+For the l2 norm a Var#1 tile is **one GEMM and no epilogue**
 (paper §2.3 keeps the epilogue in registers; TPU-KNN folds the norms
 into the operands). Queries are gathered straight into
 ``Q_a = [-2 Q | 1]`` — ``q2`` is taken before the exact ``x -2`` — so
 ``Q_a @ R_a^T = r2 - 2 q.r`` lands in the arena tile directly. The
-selection lists take that raw tile with ``q2`` as an offset and finish
-only the candidates that survive the root filter (see
-:mod:`repro.select.vectorized`); a row's first (cold) tile is finished
-whole under the ``rank_update`` span. Var#6, cosine and the general
-``p`` norms keep :func:`repro.core.norms.pairwise_block` arithmetic on
+selection lists take that raw tile with ``q2`` as an offset, cut cold
+rows on the raw values (finishing is monotone) and finish only the
+candidates that survive a row's cut (see
+:mod:`repro.select.vectorized`); Var#5 shares the GEMM and finishes
+each tile whole before merging it. Var#6, cosine and the general ``p``
+norms keep :func:`repro.core.norms.pairwise_block` arithmetic on
 the same panels, read through ``R_c``/``R2_c`` views of ``R_a``.
 
 Repeated executes against the *same* queries warm-start automatically:
@@ -62,7 +66,7 @@ from ..config import DEFAULT_BLOCK_M, DEFAULT_BLOCK_N, iter_blocks
 from ..errors import MemoryBudgetError, ValidationError
 from ..obs import trace as _trace
 from ..obs.metrics import get_registry as _get_registry
-from ..select.vectorized import ArenaNeighborLists, finalize_sq_l2
+from ..select.vectorized import ArenaNeighborLists, cut_bins
 from ..validation import as_index_array, check_finite, check_k
 from .arena import ArenaPool
 from .membudget import MemoryBudget
@@ -593,7 +597,14 @@ class GsknnPlan:
         # block_m // m panels, so each holds about block_m x block_n
         # candidates (Var#6 keeps its (block_m, n_b) score tiles)
         panels = 1 if var is Variant.VAR6 else max(1, self.block_m // m)
-        _trace.get_tracer().annotate(**attrs, panels_per_tile=panels)
+        # strided bins cutting each row block's first (cold) Var#1 tile;
+        # 0 where no cut forms and those rows keep every candidate
+        bins = 0
+        if var is Variant.VAR1:
+            bins = cut_bins(k, min(panels * self.block_n, self.n))
+        _trace.get_tracer().annotate(
+            **attrs, panels_per_tile=panels, cut_bins=bins
+        )
         with RowWorkers(blocks, p) as workers:
             if var is Variant.VAR6:
                 result = self._run_var6(Q, Q2, k, stats, arena, workers)
@@ -687,7 +698,7 @@ class GsknnPlan:
         was folded into the lists) and must not be merged with it again.
         """
         m = Q.shape[0]
-        lists = ArenaNeighborLists(m, k, arena)
+        lists = ArenaNeighborLists(m, k, arena, wholesale=not use_filter)
         folded = False
         if use_filter and initial is not None:
             finite = np.isfinite(initial.distances)
@@ -706,16 +717,10 @@ class GsknnPlan:
                 # skip the identity merge too
                 folded = True
             else:
-                warm = initial.distances.max(axis=1)
-                lists.row_max[:] = warm
-                # mark warm rows touched so the min-pass filter engages
-                # at once
-                lists._touched[:] = np.isfinite(warm)
-        if not use_filter:
-            # Var#5 semantics: every slab is merged wholesale (no register-
-            # level early discard). Disable the filter by keeping row_max at
-            # +inf — updates then always merge.
-            lists.row_max[:] = np.inf
+                # a complete seed row filters from its first tile; a
+                # partly-filled one (max +inf) is cut by bins like a
+                # cold row
+                lists.row_max[:] = initial.distances.max(axis=1)
 
         fold = self.norm.is_l2
         views = [lists.worker(w) for w in range(workers.p)]
@@ -749,35 +754,13 @@ class GsknnPlan:
                             Q[i_c : i_c + m_b], q2c, Ra, arena,
                             view.scratch, tile[:, cols],
                         )
-                    if not last:
-                        continue
-                    # columns selected cold, through the base path, before
-                    # the rest of the tile takes the masked path; decided
-                    # once per tile
-                    cold = 0
-                    if not view.warm(i_c, m_b):
-                        # a cold tile seeds the lists from its first
-                        # panel's columns: a row holding k candidates is
-                        # warm, so the rest of the tile is masked
-                        cold = width
-                        if use_filter and k <= self.block_n < width:
-                            cold = self.block_n
-                        if fold:
-                            finalize_sq_l2(tile[:, :cold], q2c)
+                if not last:
+                    continue
                 r_tile = self.r_idx[first : first + width]
                 with tracer.span_under(parent, "heap", rows=m_b, cols=width):
-                    if cold:
-                        view.update(
-                            i_c, tile[:, :cold], r_tile[:cold], warm=False
-                        )
-                    if cold < width:
-                        view.update(
-                            i_c, tile[:, cold:], r_tile[cold:],
-                            offset=q2c if fold else None, warm=True,
-                        )
-                if not use_filter:
-                    # keep Var#5 merging unconditionally on later tiles too
-                    view.row_max[i_c : i_c + m_b] = np.inf
+                    view.update(
+                        i_c, tile, r_tile, offset=q2c if fold else None
+                    )
 
         for panel in self._iter_panels(arena):  # 6th loop
             workers.run(lambda w: update_rows(w, panel))

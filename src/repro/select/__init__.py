@@ -33,6 +33,7 @@ from .quickselect import quickselect_smallest
 from .vectorized import (
     ArenaNeighborLists,
     BatchedNeighborLists,
+    cut_bins,
     finalize_sq_l2,
     merge_block,
 )
@@ -47,6 +48,7 @@ __all__ = [
     "merge_select",
     "ArenaNeighborLists",
     "BatchedNeighborLists",
+    "cut_bins",
     "finalize_sq_l2",
     "merge_block",
     "bitonic_sort_rows",

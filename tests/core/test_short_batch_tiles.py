@@ -17,6 +17,7 @@ from repro import gsknn
 from repro.core import GsknnPlan
 from repro.core.neighbors import KnnResult
 from repro.obs.trace import Tracer, set_tracer
+from repro.select import ArenaNeighborLists, cut_bins
 
 BLOCK_M, BLOCK_N = 256, 32
 N_TABLE, D, K = 2500, 16, 7
@@ -90,13 +91,80 @@ def _seed(kind, solve):
     return KnnResult(dist, idx)
 
 
+def _spy_tiles(monkeypatch, solve):
+    """Run ``solve()``, recording each tile selection receives."""
+    tiles = []
+    real = ArenaNeighborLists.update
+
+    def spy(self, row_start, cand_values, cand_ids, offset=None):
+        tiles.append((
+            cand_values.copy(),
+            np.array(cand_ids),
+            None if offset is None else offset.copy(),
+        ))
+        return real(self, row_start, cand_values, cand_ids, offset)
+
+    with monkeypatch.context() as patch:
+        patch.setattr(ArenaNeighborLists, "update", spy)
+        return (*solve(), tiles)
+
+
+def _expected_surviving(tiles, initial, folded):
+    """Candidates one row block's Var#1 tiles keep, from the rows' cuts.
+
+    A row's threshold is the ``K``-th smallest distance it has seen,
+    capped by a complete seed row's largest; a folded seed counts as
+    seen, and its listed ids never survive twice. While the threshold
+    is +inf the row is cut at the ``K``-th smallest of the tile's
+    ``cut_bins`` strided bin minima, taken on the tile as handed over
+    (raw ``r2 - 2 q.r`` for l2), and keeps what is at or below it.
+    """
+    m = tiles[0][0].shape[0]
+    total = 0
+    for i in range(m):
+        pool = {}  # folded: id -> distance of the seed and every column
+        seen = []  # otherwise: every distance seen
+        cap = np.inf
+        if folded:
+            pool.update(zip(initial.indices[i], initial.distances[i]))
+        elif initial is not None:
+            cap = initial.distances[i].max()
+        for raw, ids, offset in tiles:
+            row = raw[i]
+            dist = row if offset is None else np.maximum(row + offset[i], 0.0)
+            if folded:
+                listed = sorted(pool, key=pool.get)[:K]
+                thr = pool[listed[-1]]
+            else:
+                thr = np.sort(seen)[K - 1] if len(seen) >= K else np.inf
+                thr = min(cap, thr)
+            if np.isinf(thr):
+                bins = cut_bins(K, row.size)
+                if bins:
+                    groups = row.size // bins
+                    mins = row[: groups * bins].reshape(groups, bins).min(axis=0)
+                    total += int((row <= np.sort(mins)[K - 1]).sum())
+                else:
+                    total += row.size
+            else:
+                hit = dist < thr
+                if folded:
+                    hit &= ~np.isin(ids, listed)
+                total += int(hit.sum())
+            if folded:
+                pool.update(zip(ids, dist))
+            else:
+                seen.extend(dist)
+    return total
+
+
 @pytest.mark.parametrize("seed", ["none", "folded", "unfolded"])
 @pytest.mark.parametrize("storage", ["cached", "oneshot", "streamed"])
 @pytest.mark.parametrize("norm", ["l2", "cosine", 1])
 @pytest.mark.parametrize("variant", [1, 5])
 @pytest.mark.parametrize("m", M_CASES)
 def test_grouped_tiles_match_one_panel_tiles(
-    table, m, variant, norm, storage, seed
+    table, m, variant, norm, storage, seed, monkeypatch
 ):
     X, r, r_rep = table
     refs = r if seed == "folded" else r_rep
@@ -111,7 +179,9 @@ def test_grouped_tiles_match_one_panel_tiles(
         )
 
     initial = _seed(seed, solve)
-    got, st = solve(K, initial, BLOCK_M)
+    got, st, tiles = _spy_tiles(
+        monkeypatch, lambda: solve(K, initial, BLOCK_M)
+    )
     want, st_want = solve(K, initial)
     np.testing.assert_array_equal(got.indices, want.indices)
     np.testing.assert_array_equal(
@@ -123,16 +193,18 @@ def test_grouped_tiles_match_one_panel_tiles(
     if BLOCK_M // m <= 1:
         assert st == st_want
     elif variant == 1:
-        # a wide tile filters against thresholds refreshed once per
-        # tile, never tighter than the per-panel ones
-        assert st.candidates_discarded <= st_want.candidates_discarded
+        # a wide tile is cut once: by its rows' thresholds from before
+        # it, or by bins while a row has none
+        surviving = _expected_surviving(tiles, initial, seed == "folded")
+        assert st.candidates_discarded == m * refs.size - surviving
 
 
 @pytest.mark.parametrize("k", [1, BLOCK_N, BLOCK_N + 9])
 @pytest.mark.parametrize("m", [1, 4, 37])
 def test_k_around_the_panel_width(table, m, k):
-    """``k > block_n``: a cold tile is selected whole, not seeded from
-    one panel (its rows are not warm after one panel's columns)."""
+    """``k`` at and past one panel's width: a wide cold tile's bin cut
+    spans all its panels, so it keeps each row's ``k`` best even where
+    one panel alone could not fill a row."""
     X, r, _ = table
     q = _queries(m)
     plan = GsknnPlan(X, r, block_m=BLOCK_M, block_n=BLOCK_N)
@@ -183,6 +255,28 @@ def test_root_span_records_panels_per_tile(table, tracer, m, panels):
     assert execute.attrs["panels_per_tile"] == panels
     assert one_shot.attrs["panels_per_tile"] == panels
     assert var6.attrs["panels_per_tile"] == 1  # Var#6 keeps its tiles
+
+
+@pytest.mark.parametrize(
+    "m, k, variant, bins",
+    [
+        (4, K, 1, 128),  # one 500-column tile: 128 bins of 3 columns
+        (BLOCK_M, K, 1, BLOCK_N),  # one-panel tiles: a bin per column
+        (BLOCK_M, BLOCK_N + 1, 1, 0),  # a panel narrower than k: no cut
+        (4, K, 5, 0),  # Var#5 never cuts
+        (4, K, 6, 0),
+    ],
+)
+def test_root_span_records_cut_bins(table, tracer, m, k, variant, bins):
+    X, r, _ = table
+    q = _queries(m)
+    GsknnPlan(X, r, block_m=BLOCK_M, block_n=BLOCK_N).execute(
+        q, k, variant=variant
+    )
+    gsknn(X, q, r, k, variant=variant, block_m=BLOCK_M, block_n=BLOCK_N)
+    (execute,) = tracer.find("plan.execute")
+    (one_shot,) = tracer.find("gsknn")
+    assert execute.attrs["cut_bins"] == one_shot.attrs["cut_bins"] == bins
 
 
 def test_wide_tile_fits_the_tile_budget(table):

@@ -14,7 +14,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.core.arena import WorkspaceArena
-from repro.select import ArenaNeighborLists, finalize_sq_l2
+from repro.select import (
+    ArenaNeighborLists,
+    BatchedNeighborLists,
+    finalize_sq_l2,
+)
 
 SCALES = [1e-3, 1.0, 1e3, 1e6]
 
@@ -90,17 +94,25 @@ def test_boundary_is_exercised():
     assert (np.abs(gap) <= 4 * np.spacing(lists.row_max)[:, None]).sum() > 50
 
 
-def test_cold_tile_with_offset_is_finished_whole():
-    """Cold rows take the base path on a tile finished in place."""
+def test_cold_tile_cut_by_bins_equals_finish_then_select():
+    """Cold rows are cut at their k-th strided bin minimum on the raw
+    tile; the lists equal finishing the whole tile and selecting its k
+    best, and the tile itself is left as it was."""
     rng = np.random.default_rng(5)
-    raw = rng.random((4, 9)) - 0.5
-    q2 = rng.random(4)
-    a = ArenaNeighborLists(4, 3, WorkspaceArena())
-    b = ArenaNeighborLists(4, 3, WorkspaceArena())
+    m, n_b, k = 4, 300, 3  # 128 bins of 2 columns, 44 only compared
+    raw = rng.random((m, n_b)) - 0.5
+    q2 = 0.5 + rng.random(m)  # no clamp, so no ties at zero
+    a = ArenaNeighborLists(m, k, WorkspaceArena())
+    b = BatchedNeighborLists(m, k)
     tile = raw.copy()
-    a.update(0, tile, np.arange(9), offset=q2)
-    b.update(0, finalize_sq_l2(raw.copy(), q2), np.arange(9))
-    np.testing.assert_array_equal(tile, finalize_sq_l2(raw.copy(), q2))
-    np.testing.assert_array_equal(a.values, b.values)
-    np.testing.assert_array_equal(a.ids, b.ids)
-    assert a.stats == b.stats
+    a.update(0, tile, np.arange(n_b), offset=q2)
+    b.update(0, finalize_sq_l2(raw.copy(), q2), np.arange(n_b))
+    np.testing.assert_array_equal(tile, raw)
+    for got, want in zip(a.sorted(), b.sorted()):
+        np.testing.assert_array_equal(got, want)
+    np.testing.assert_array_equal(a.row_max, b.row_max)
+    # survivors: the raw values at or below the k-th bin minimum
+    mins = raw[:, :256].reshape(m, 2, 128).min(axis=1)
+    cut = np.sort(mins, axis=1)[:, k - 1]
+    assert a.stats.candidates_surviving == int((raw <= cut[:, None]).sum())
+    assert a.stats.rows_merged == m
