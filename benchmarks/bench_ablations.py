@@ -12,6 +12,10 @@
    efficient for Var#6 (k = 2048)" observation at host scale.
 4. **Block-size sensitivity**: the fused path's block_n swept across
    powers of two — the cache-blocking argument at numpy granularity.
+5. **Panel layout** (§2.2's packing argument): the folded tile GEMMs of
+   plan-shaped tiles against row-major ``[R | r2]`` panels (read
+   transposed) and against depth-major ``[R | r2]^T`` panels (read
+   untransposed, the layout the plans store), at d = 16. Ungated.
 """
 
 from __future__ import annotations
@@ -19,6 +23,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
+from repro.config import DEFAULT_BLOCK_M, DEFAULT_BLOCK_N
 from repro.core.gsknn import gsknn
 from repro.core.ref_kernel import ref_knn
 from repro.model import PerformanceModel
@@ -139,6 +144,63 @@ def test_ablation_block_size(benchmark, report):
         # mid-range blocks beat degenerate extremes on at least one side
         assert min(times.values()) <= times[128] + 1e-9
 
+
+    run_report(benchmark, _run)
+
+
+def test_ablation_panel_layout(benchmark, report):
+    """Row-major vs depth-major reference panels, GEMMs only.
+
+    Each tile is ``block_m // m`` panels of ``block_n`` columns, one
+    GEMM per panel writing its column slice, as the plan's short-batch
+    tiles do. Both layouts compute the same products; only the B
+    operand's layout (and with it the BLAS route) differs. Timings are
+    interleaved best-of-5 over one pass across all panels.
+    """
+
+    def _run():
+        d, panels = 16, 64 * SCALE
+        n = panels * DEFAULT_BLOCK_N
+        rep = report(
+            "ablation_panel_layout",
+            f"Panel layout (n={n}, d={d}, block {DEFAULT_BLOCK_M}x"
+            f"{DEFAULT_BLOCK_N}; folded tile GEMMs, ms per pass)\n"
+            f"{'m':>5} {'row-major':>10} {'depth-major':>12} {'ratio':>6}",
+        )
+        rng = np.random.default_rng(5)
+        R = rng.random((n, d))
+        r2 = np.einsum("ij,ij->i", R, R)
+        row_major, depth_major = [], []
+        for j in range(0, n, DEFAULT_BLOCK_N):
+            cols = slice(j, j + DEFAULT_BLOCK_N)
+            Ra = np.empty((DEFAULT_BLOCK_N, d + 1))
+            Ra[:, :d], Ra[:, d] = R[cols], r2[cols]
+            row_major.append(Ra)
+            depth_major.append(np.ascontiguousarray(Ra.T))
+        for m in (1, 4, 16, 256):
+            Qa = np.ones((m, d + 1))
+            Qa[:, :d] = -2.0 * rng.random((m, d))
+            per_tile = max(1, DEFAULT_BLOCK_M // m)
+            tile = np.empty((m, per_tile * DEFAULT_BLOCK_N))
+
+            def one_pass(panels_, transposed):
+                for i, B in enumerate(panels_):
+                    c = (i % per_tile) * DEFAULT_BLOCK_N
+                    np.matmul(
+                        Qa, B.T if transposed else B,
+                        out=tile[:, c : c + DEFAULT_BLOCK_N],
+                    )
+
+            t_row = t_depth = np.inf
+            for _ in range(5):
+                t_row = min(t_row, best_time(lambda: one_pass(row_major, True), 1))
+                t_depth = min(
+                    t_depth, best_time(lambda: one_pass(depth_major, False), 1)
+                )
+            rep.row(
+                f"{m:>5} {t_row * 1e3:>10.2f} {t_depth * 1e3:>12.2f} "
+                f"{t_row / t_depth:>6.2f}"
+            )
 
     run_report(benchmark, _run)
 

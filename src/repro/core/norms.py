@@ -150,7 +150,9 @@ def pairwise_lp(Q: np.ndarray, R: np.ndarray, p: float) -> np.ndarray:
 
     O(m * n * d) memory during evaluation — callers block the inputs (the
     fused kernel evaluates one cache block at a time, exactly as its
-    micro-kernel would).
+    micro-kernel would). The differences are formed C-ordered whatever
+    the operands' layout, so the sums' order, and with it every bit, does
+    not depend on it.
     """
     Q = np.asarray(Q, dtype=np.float64)
     R = np.asarray(R, dtype=np.float64)
@@ -158,7 +160,8 @@ def pairwise_lp(Q: np.ndarray, R: np.ndarray, p: float) -> np.ndarray:
         raise ValidationError(
             f"Q and R must be 2-D with equal width, got {Q.shape} and {R.shape}"
         )
-    diff = np.abs(Q[:, None, :] - R[None, :, :])
+    diff = np.subtract(Q[:, None, :], R[None, :, :], order="C")
+    np.abs(diff, out=diff)
     if np.isinf(p):
         return diff.max(axis=2)
     if p == 1.0:
@@ -177,7 +180,10 @@ def pairwise_cosine(
     Like squared l2, cosine needs only the inner-product matrix plus the
     per-point squared norms — the reason the paper lists it as the other
     metric the GEMM-based kernel supports. Zero vectors are treated as
-    maximally distant (distance 1) rather than NaN.
+    maximally distant (distance 1) rather than NaN. The GEMM reads ``R``
+    depth-major, an untransposed B operand (free when ``R`` is already a
+    transposed view of a depth-major panel): a one-row ``Q`` takes BLAS's
+    matrix-vector route, whose bits depend on that layout.
     """
     Q = np.asarray(Q, dtype=np.float64)
     R = np.asarray(R, dtype=np.float64)
@@ -189,7 +195,7 @@ def pairwise_cosine(
     R2 = squared_norms(R) if R2 is None else np.asarray(R2, dtype=np.float64)
     denom = np.sqrt(np.maximum(Q2[:, None] * R2[None, :], 0.0))
     with np.errstate(divide="ignore", invalid="ignore"):
-        sim = (Q @ R.T) / denom
+        sim = (Q @ np.ascontiguousarray(R.T)) / denom
     sim = np.where(denom > 0.0, sim, 0.0)
     np.clip(sim, -1.0, 1.0, out=sim)
     return 1.0 - sim

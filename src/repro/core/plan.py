@@ -10,8 +10,10 @@ re-resolved the variant, and reallocated every distance/merge temporary.
 A :class:`GsknnPlan` hoists all of that to construction time:
 
 * **cached reference panels** — the 6th loop's reference blocks, each
-  stored once as ``R_a = [R_c | R2_c]`` (coordinates with the squared
-  norms as one extra column), gathered once and reused by every
+  stored once, depth-major, as ``R_a^T = [R_c | R2_c]^T`` (the
+  coordinates' transpose with the squared norms as one extra row; the
+  order §2.2 packs micro-panels in, so every tile GEMM reads an
+  untransposed B operand), gathered once and reused by every
   execute. The plan holds a :class:`~repro.core.table.TableHandle`,
   which froze the table when it was made, so the panels can never go
   stale: an in-place write to the table raises;
@@ -44,7 +46,7 @@ candidates that survive a row's cut (see
 :mod:`repro.select.vectorized`); Var#5 shares the GEMM and finishes
 each tile whole before merging it. Var#6, cosine and the general ``p``
 norms keep :func:`repro.core.norms.pairwise_block` arithmetic on
-the same panels, read through ``R_c``/``R2_c`` views of ``R_a``.
+the same panels, read through ``R_c``/``R2_c`` views of ``R_a^T``.
 
 Repeated executes against the *same* queries warm-start automatically:
 the previous result seeds the root filter, and when nothing beats it
@@ -224,14 +226,14 @@ class GsknnPlan:
         """Shrink block sizes until one pass's tile state fits the budget.
 
         The per-pass footprint a block size controls — the distance tile,
-        its survivor mask, and (when streaming) the gathered ``[Rc | R2c]``
-        panel with its staging rows — must fit *half* the budget; the other half is headroom
-        for the O(m) query-side state (the ``Qa`` rows, neighbor lists)
-        that no block size can shrink. Halves the larger dimension first,
-        never below 64: results stay exact at any block size, only GEMM
-        efficiency trades down. Callers comparing runs bit-for-bit
-        should read the fitted sizes back from ``plan.block_m`` /
-        ``plan.block_n``.
+        its survivor mask, and (when streaming) the gathered depth-major
+        ``[Rc | R2c]^T`` panel with its staging rows — must fit *half* the
+        budget; the other half is headroom for the O(m) query-side state
+        (the ``Qa`` rows, neighbor lists) that no block size can shrink.
+        Halves the larger dimension first, never below 64: results stay
+        exact at any block size, only GEMM efficiency trades down.
+        Callers comparing runs bit-for-bit should read the fitted sizes
+        back from ``plan.block_m`` / ``plan.block_n``.
         """
         share = self.memory_budget.limit_bytes // 2
         d = self.X.shape[1]
@@ -284,10 +286,10 @@ class GsknnPlan:
             rows = np.empty((min(self.n, self.block_n), self.d), np.float64)
             for j_c, n_b in iter_blocks(self.n, self.block_n):
                 r_block = self.r_idx[j_c : j_c + n_b]
-                Ra = np.empty((n_b, self.d + self._norm_cols), np.float64)
-                self._gather_panel(r_block, Ra, rows[:n_b])
-                panels.append((j_c, n_b, Ra))
-                panel_nbytes += Ra.nbytes
+                RaT = np.empty((self.d + self._norm_cols, n_b), np.float64)
+                self._gather_panel(r_block, RaT, rows[:n_b])
+                panels.append((j_c, n_b, RaT))
+                panel_nbytes += RaT.nbytes
         with self._lock:
             if self.memory_budget is not None:
                 if self._panels_nbytes:
@@ -620,7 +622,7 @@ class GsknnPlan:
         return result
 
     def _iter_panels(self, arena):
-        """Yield ``(j_c, n_b, Ra)`` — cached or streamed.
+        """Yield ``(j_c, n_b, RaT)`` — cached or streamed.
 
         An uncached plan (one-shot, budgeted, or released) *streams*:
         each pass's panels are gathered into one reusable arena buffer
@@ -635,26 +637,27 @@ class GsknnPlan:
         for j_c, n_b in iter_blocks(self.n, self.block_n):
             r_block = self.r_idx[j_c : j_c + n_b]
             with _trace.span("pack", which="R", rows=n_b, j_c=j_c):
-                Ra = arena.take_c(
-                    "Ra", (n_b, self.d + self._norm_cols), np.float64
+                RaT = arena.take_c(
+                    "Ra", (self.d + self._norm_cols, n_b), np.float64
                 )
                 rows = arena.take_c("Ra.rows", (n_b, self.d), np.float64)
-                self._gather_panel(r_block, Ra, rows)
-            yield j_c, n_b, Ra
+                self._gather_panel(r_block, RaT, rows)
+            yield j_c, n_b, RaT
 
     def _gather_panel(
-        self, r_block: np.ndarray, Ra: np.ndarray, rows: np.ndarray
+        self, r_block: np.ndarray, RaT: np.ndarray, rows: np.ndarray
     ) -> None:
-        """Gather ``[X[r_block] | r2]`` into ``Ra``, staged through ``rows``.
+        """Gather ``[X[r_block] | r2]^T`` into ``RaT``, staged through ``rows``.
 
-        ``r2`` is the squared-norm column (from ``X2`` when given), present
-        for l2 and cosine only. ``np.take`` into a strided ``out`` copies
-        ``out`` in and back out; taking into the contiguous ``rows`` and
-        copying them over once is about twice as fast. ``r_idx`` is
-        bounds-checked before a plan is built, so ``mode="clip"`` — the
-        mode numpy does not buffer — never clips.
+        ``RaT`` is the C-contiguous ``(d + norm_cols, n_b)`` depth-major
+        panel; ``r2`` is its squared-norm row (from ``X2`` when given),
+        present for l2 and cosine only. ``np.take`` gathers whole table
+        rows into the contiguous ``rows``, which are then transposed into
+        the panel in one copy. ``r_idx`` is bounds-checked before a plan
+        is built, so ``mode="clip"`` — the mode numpy does not buffer —
+        never clips.
         """
-        Rc, R2c = self._panel_views(Ra)
+        Rc, R2c = self._panel_views(RaT)
         np.take(self.X, r_block, axis=0, out=rows, mode="clip")
         Rc[...] = rows
         if R2c is not None:
@@ -665,12 +668,15 @@ class GsknnPlan:
                 np.einsum("ij,ij->i", rows, rows, out=R2c)
 
     def _panel_views(
-        self, Ra: np.ndarray
+        self, RaT: np.ndarray
     ) -> tuple[np.ndarray, np.ndarray | None]:
-        """``(Rc, R2c)`` views of a stored ``[Rc | R2c]`` panel."""
-        if not self._norm_cols:
-            return Ra, None
-        return Ra[:, : self.d], Ra[:, self.d]
+        """``(Rc, R2c)`` views of a stored ``[Rc | R2c]^T`` panel.
+
+        ``Rc`` is ``(n_b, d)`` and F-ordered, so ``Rc.T`` is the panel's
+        C-contiguous coordinate rows: the untransposed B operand.
+        """
+        R2c = RaT[self.d] if self._norm_cols else None
+        return RaT[: self.d].T, R2c
 
     def _run_blocked(
         self,
@@ -729,7 +735,7 @@ class GsknnPlan:
         tile_cols = panels * self.block_n
 
         def update_rows(w: int, panel: tuple) -> None:
-            j_c, n_b, Ra = panel
+            j_c, n_b, RaT = panel
             first = j_c - j_c % tile_cols  # the tile's first column
             width = min(tile_cols, self.n - first)
             cols = slice(j_c - first, j_c - first + n_b)
@@ -746,12 +752,13 @@ class GsknnPlan:
                         "tile" + view.scratch, (m_b, width), np.float64
                     )
                     if fold:
-                        # Q is [-2Q | 1] and Ra is [R | r2]: one GEMM
-                        # writes the raw tile r2 - 2q.r
-                        np.matmul(Q[i_c : i_c + m_b], Ra.T, out=tile[:, cols])
+                        # Q is [-2Q | 1] and RaT is [R | r2]^T: one GEMM,
+                        # its B operand untransposed, writes the raw tile
+                        # r2 - 2q.r
+                        np.matmul(Q[i_c : i_c + m_b], RaT, out=tile[:, cols])
                     else:
                         self._tile_into_arena(
-                            Q[i_c : i_c + m_b], q2c, Ra, arena,
+                            Q[i_c : i_c + m_b], q2c, RaT, arena,
                             view.scratch, tile[:, cols],
                         )
                 if not last:
@@ -831,8 +838,8 @@ class GsknnPlan:
         parent = tracer.current_span_id()
 
         def score_rows(w: int, panel: tuple) -> None:
-            j_c, n_b, Ra = panel
-            Rc, R2c = self._panel_views(Ra)
+            j_c, n_b, RaT = panel
+            Rc, R2c = self._panel_views(RaT)
             for i_c, m_b in workers.runs[w]:
                 rows = slice(i_c, i_c + m_b)
                 q2b = None if Q2 is None else Q2[rows]
@@ -886,7 +893,7 @@ class GsknnPlan:
         self,
         Qb: np.ndarray,
         q2c: np.ndarray | None,
-        Ra: np.ndarray,
+        RaT: np.ndarray,
         arena,
         scratch: str,
         T: np.ndarray,
@@ -901,7 +908,7 @@ class GsknnPlan:
         arena-key suffix for the cosine denominators.
         """
         norm = self.norm
-        Rc, R2c = self._panel_views(Ra)
+        Rc, R2c = self._panel_views(RaT)
         m_b, n_b = T.shape
         if norm.is_cosine:
             D = arena.take_c("denom" + scratch, (m_b, n_b), np.float64)
@@ -920,8 +927,11 @@ class GsknnPlan:
         # General lp: the O(m_b n_b d) broadcast differences stay ephemeral
         # (matching the one-shot path's footprint); only the reduced tile
         # lives in the arena, finalized in place via finalize_tile's out=
-        # path (which eliminates the l1/l-inf copy).
-        diff = np.abs(Qb[:, None, :] - Rc[None, :, :])
+        # path (which eliminates the l1/l-inf copy). They are formed
+        # C-ordered, as pairwise_lp forms them: numpy would lay them out
+        # after the F-ordered Rc, and the sums would change order.
+        diff = np.subtract(Qb[:, None, :], Rc[None, :, :], order="C")
+        np.abs(diff, out=diff)
         if norm.is_linf:
             np.max(diff, axis=2, out=T)
         elif norm.p == 1.0:
@@ -932,7 +942,7 @@ class GsknnPlan:
 
 
 def _stream_nbytes(block_n: int, d: int) -> int:
-    """Bytes of one streamed ``[Rc | R2c]`` panel plus its staged rows."""
+    """Bytes of one streamed ``[Rc | R2c]^T`` panel plus its staged rows."""
     return block_n * (2 * d + 1) * 8
 
 

@@ -377,6 +377,41 @@ class TestMemoryAmortization:
         assert transient < 4 * 2**20, f"transient peak {transient / 2**20:.2f} MiB"
 
 
+class TestPanelLayout:
+    """Panels are stored depth-major, so every tile GEMM reads an
+    untransposed B operand (paper §2.2's packing order). Feeding a
+    row-major panel's transpose to the GEMM costs about 2x on a short
+    batch while most results keep their bits, so this guard is what
+    fails first."""
+
+    @pytest.mark.parametrize(
+        "norm,norm_cols", [("l2", 1), ("cosine", 1), ("l1", 0)]
+    )
+    def test_cached_and_streamed_panels_are_depth_major(
+        self, rng, norm, norm_cols
+    ):
+        X = rng.random((700, 12))
+        r = rng.permutation(700)[:300]
+        cached = GsknnPlan(X, r, norm=norm, block_n=64, memory_budget="64MiB")
+        streamed = GsknnPlan(X, r, norm=norm, block_n=64, cache_panels=False)
+        assert cached.panels_cached and streamed.streams_panels
+        for plan in (cached, streamed):
+            with plan.arena_pool.borrow() as arena:
+                widths = []
+                for j_c, n_b, RaT in plan._iter_panels(arena):
+                    assert RaT.shape == (12 + norm_cols, n_b)
+                    assert RaT.flags.c_contiguous
+                    Rc, R2c = plan._panel_views(RaT)
+                    np.testing.assert_array_equal(Rc, X[r[j_c : j_c + n_b]])
+                    assert Rc.T.flags.c_contiguous
+                    assert (R2c is None) == (norm_cols == 0)
+                    widths.append(n_b)
+            assert widths == [64] * 4 + [44]
+        # panel bytes did not change with the layout
+        assert cached._panels_nbytes == 300 * (12 + norm_cols) * 8
+        assert cached.memory_budget.used_bytes >= cached._panels_nbytes
+
+
 class TestEphemeralOneShot:
     def test_gsknn_retains_nothing(self, problem):
         """The one-shot path's ephemeral plan must not pin panel memory."""
