@@ -4,19 +4,21 @@ Subcommands:
 
 * ``kernel`` — run one kNN kernel (gsknn / gemm) on synthetic data and
   report timing, achieved GFLOPS, and the span-derived phase breakdown;
-  ``--backend {serial,threads,processes}`` / ``-p`` pick the execution
-  backend, ``--blocking tuned`` applies the persisted autotuner result,
-  and ``--trace-out PATH`` also writes a ``chrome://tracing`` JSON;
+  the kernel deals its row blocks to the cores the process may use,
+  ``--blocking tuned`` applies the persisted autotuner result, and
+  ``--trace-out PATH`` also writes a ``chrome://tracing`` JSON;
 * ``compare`` — run both kernels on the same problem and print the
   speedup (a one-problem slice of the Figure 6 grid); also accepts
-  ``--backend``/``-p``/``--blocking`` and ``--trace-out``;
+  ``--blocking`` and ``--trace-out``;
 
-``kernel``, ``compare``, and ``distributed`` additionally take the
-resilience flags ``--deadline-ms`` (budget the solve; expiry exits 3
-with partial progress on stderr), ``--fault-plan SPEC`` (deterministic
-fault injection — see ``docs/RESILIENCE.md``), and ``--retries N``;
-any ``resilience.*`` counters the run produced are printed after the
-phase table.
+``kernel``, ``compare``, ``stats`` and ``distributed`` additionally
+take the resilience flags ``--deadline-ms`` (budget the solve; expiry
+exits 3 with partial progress on stderr), ``--fault-plan SPEC``
+(deterministic fault injection — see ``docs/RESILIENCE.md``), and
+``--retries N``; with any of them the gsknn kernel runs as a schedule
+of one task (a thread, fault scope ``"task"``, then inline in the
+calling thread). Any ``resilience.*`` counters the run produced are
+printed after the phase table.
 
 * ``stats`` — run one kernel with full observability on and print the
   metrics-registry snapshot (``--json`` for the raw dict);
@@ -133,7 +135,7 @@ def build_parser() -> argparse.ArgumentParser:
             default=None,
             metavar="SPEC",
             help="deterministic fault injection, e.g. "
-            "'seed=7,crash=0.3,slow=0.2,slow_ms=20,crash_at=0|128' "
+            "'seed=7,crash=0.3,slow=0.2,slow_ms=20' "
             "(also read from $REPRO_FAULT_PLAN)",
         )
         p.add_argument(
@@ -141,24 +143,11 @@ def build_parser() -> argparse.ArgumentParser:
             type=int,
             default=None,
             metavar="N",
-            help="max attempts per failed chunk before backend fallback "
-            "(default 3 when a fault plan or deadline is active)",
+            help="max attempts per rung before falling back to the next "
+            "(default 3)",
         )
 
-    def add_backend_args(p: argparse.ArgumentParser) -> None:
-        p.add_argument(
-            "--backend",
-            choices=("serial", "threads", "processes"),
-            default="serial",
-            help="execution backend for the data-parallel driver",
-        )
-        p.add_argument(
-            "-p",
-            "--workers",
-            default="1",
-            metavar="P",
-            help="worker count for the chosen backend ('auto' = host cores)",
-        )
+    def add_kernel_args(p: argparse.ArgumentParser) -> None:
         p.add_argument(
             "--blocking",
             choices=("default", "tuned"),
@@ -182,7 +171,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     kern.add_argument("--norm", default="l2")
     kern.add_argument("--variant", default="auto")
-    add_backend_args(kern)
+    add_kernel_args(kern)
     kern.add_argument(
         "--repeat",
         type=int,
@@ -219,7 +208,7 @@ def build_parser() -> argparse.ArgumentParser:
     comp = sub.add_parser("compare", help="GSKNN vs GEMM approach")
     add_problem_args(comp)
     comp.add_argument("--repeats", type=int, default=3)
-    add_backend_args(comp)
+    add_kernel_args(comp)
     add_resilience_args(comp)
     comp.add_argument(
         "--trace-out",
@@ -233,7 +222,7 @@ def build_parser() -> argparse.ArgumentParser:
         "stats", help="run one kernel and print the metrics snapshot"
     )
     add_problem_args(stats)
-    add_backend_args(stats)
+    add_kernel_args(stats)
     add_resilience_args(stats)
     stats.add_argument("--kernel", choices=("gsknn", "gemm"), default="gsknn")
     stats.add_argument("--norm", default="l2")
@@ -407,8 +396,8 @@ def build_parser() -> argparse.ArgumentParser:
         "--budget",
         choices=("small", "medium", "large"),
         default=None,
-        help="run the persistent autotuner (blocking, workers/backend, "
-        "switch-k) at this budget and save the winner per host",
+        help="run the persistent autotuner (blocking, switch-k) at this "
+        "budget and save the winner per host",
     )
     tune.add_argument(
         "--cache",
@@ -556,10 +545,6 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _parse_workers(value: str):
-    return value if value == "auto" else int(value)
-
-
 def _resilience_kwargs(args: argparse.Namespace) -> dict:
     """deadline/retry/fault_plan kwargs from CLI flags ({} when unused)."""
     kwargs: dict = {}
@@ -613,20 +598,35 @@ def _print_timeout(exc) -> int:
     return 3
 
 
+def _resilient(solve, res_kwargs: dict):
+    """``solve()`` run as a one-task schedule, or plainly without flags.
+
+    The task runs on one thread (fault scope ``"task"``), then inline in
+    the calling thread, fault-free; ``retry`` defaults to
+    :class:`~repro.resilience.RetryPolicy` so that second rung is
+    always there.
+    """
+    if not res_kwargs:
+        return solve()
+    from .parallel.scheduler import Schedule, ScheduledTask, execute_schedule
+    from .resilience import RetryPolicy
+
+    res_kwargs = {"retry": RetryPolicy(), **res_kwargs}
+    schedule = Schedule(1, [[ScheduledTask(0, 0.0)]])
+    return execute_schedule(
+        schedule, lambda _task: solve(), backend="threads", **res_kwargs
+    )[0]
+
+
 def _run_one_kernel(args: argparse.Namespace):
     from .core.gsknn import gsknn
     from .core.ref_kernel import ref_knn
     from .data import uniform_hypercube
-    from .parallel.chunking import resolve_workers
-    from .parallel.data_parallel import gsknn_data_parallel
 
     ds = uniform_hypercube(max(args.m, args.n), args.d, seed=args.seed)
     q = np.arange(args.m)
     r = np.arange(args.n)
-    backend = getattr(args, "backend", "serial")
-    workers = resolve_workers(_parse_workers(getattr(args, "workers", "1")))
     blocking = getattr(args, "blocking", "default")
-    blocking = None if blocking == "default" else blocking
     kwargs = {"norm": args.norm}
     res_kwargs = _resilience_kwargs(args)
     membudget = getattr(args, "memory_budget", None)
@@ -634,37 +634,21 @@ def _run_one_kernel(args: argparse.Namespace):
         print("--memory-budget requires --kernel gsknn", file=sys.stderr)
         raise SystemExit(2)
     if args.kernel == "gsknn":
-        kwargs["variant"] = args.variant
-        if membudget is not None:
-            kwargs["memory_budget"] = membudget
-        # resilience flags route through the data-parallel driver even at
-        # p=1/serial: that is where the deadline and retry machinery live
-        if workers > 1 or backend != "serial" or res_kwargs:
-            tuned = _load_tuned_blocks(blocking)
-            if tuned is not None:
-                kwargs.update(block_m=tuned[0], block_n=tuned[1])
-            runner = lambda X, q, r, k, **kw: gsknn_data_parallel(  # noqa: E731
-                X, q, r, k, p=workers, backend=backend, **res_kwargs, **kw
-            )
-        else:
-            kwargs["blocking"] = blocking
-            runner = gsknn
+        kwargs.update(
+            variant=args.variant,
+            blocking=None if blocking == "default" else blocking,
+            memory_budget=membudget,
+        )
+        runner = gsknn
     else:
         runner = ref_knn
+        res_kwargs = {}
     t0 = time.perf_counter()
-    result = runner(ds.points, q, r, args.k, **kwargs)
+    result = _resilient(
+        lambda: runner(ds.points, q, r, args.k, **kwargs), res_kwargs
+    )
     elapsed = time.perf_counter() - t0
     return result, elapsed
-
-
-def _load_tuned_blocks(blocking):
-    """(block_m, block_n) from the tuning cache, or None for defaults."""
-    if blocking != "tuned":
-        return None
-    from .tune import load_tuned_config
-
-    config = load_tuned_config()
-    return None if config is None else (config.block_m, config.block_n)
 
 
 def _run_plan_kernel(args: argparse.Namespace, repeat: int):
@@ -788,15 +772,7 @@ def _cmd_kernel(args: argparse.Namespace) -> int:
     finally:
         disable_tracing()
     absorb_tracer(tracer, registry)
-    backend = getattr(args, "backend", "serial")
-    workers = getattr(args, "workers", "1")
-    suffix = (
-        f" backend={backend} p={workers}"
-        if not args.plan and (backend != "serial" or workers not in ("1", 1))
-        else ""
-    )
-    if args.plan:
-        suffix += " [plan: cold build+execute]"
+    suffix = " [plan: cold build+execute]" if args.plan else ""
     print(
         f"{args.kernel}: m={args.m} n={args.n} d={args.d} k={args.k} "
         f"time={elapsed * 1e3:.1f} ms "
@@ -822,32 +798,22 @@ def _cmd_compare(args: argparse.Namespace) -> int:
     from .core.gsknn import gsknn
     from .core.ref_kernel import ref_knn
     from .data import uniform_hypercube
-    from .parallel.chunking import resolve_workers
-    from .parallel.data_parallel import gsknn_data_parallel
 
     ds = uniform_hypercube(max(args.m, args.n), args.d, seed=args.seed)
     q = np.arange(args.m)
     r = np.arange(args.n)
-    workers = resolve_workers(_parse_workers(args.workers))
     blocking = None if args.blocking == "default" else args.blocking
-    gsknn_kwargs = {}
     res_kwargs = _resilience_kwargs(args)
-    if args.memory_budget is not None:
-        gsknn_kwargs["memory_budget"] = args.memory_budget
-    if workers > 1 or args.backend != "serial" or res_kwargs:
-        tuned = _load_tuned_blocks(blocking)
-        if tuned is not None:
-            gsknn_kwargs.update(block_m=tuned[0], block_n=tuned[1])
-        gsknn_runner = lambda X, q, r, k: gsknn_data_parallel(  # noqa: E731
-            X, q, r, k, p=workers, backend=args.backend,
-            **res_kwargs, **gsknn_kwargs
+
+    def gsknn_runner(X, q, r, k):
+        return _resilient(
+            lambda: gsknn(
+                X, q, r, k, blocking=blocking,
+                memory_budget=args.memory_budget,
+            ),
+            res_kwargs,
         )
-        label = f"gsknn[{args.backend} p={workers}]"
-    else:
-        gsknn_runner = lambda X, q, r, k: gsknn(  # noqa: E731
-            X, q, r, k, blocking=blocking, **gsknn_kwargs
-        )
-        label = "gsknn"
+
     registry = enable_metrics()
     tracer = enable_tracing()
 
@@ -874,7 +840,7 @@ def _cmd_compare(args: argparse.Namespace) -> int:
     absorb_tracer(tracer, registry)
     print(
         f"m={args.m} n={args.n} d={args.d} k={args.k}  "
-        f"{label}={t_gsknn * 1e3:.1f} ms  gemm={t_gemm * 1e3:.1f} ms  "
+        f"gsknn={t_gsknn * 1e3:.1f} ms  gemm={t_gemm * 1e3:.1f} ms  "
         f"speedup={t_gemm / t_gsknn:.2f}x"
     )
     # phase totals cover every repeat of both kernels
@@ -1318,10 +1284,9 @@ def _cmd_autotune(args: argparse.Namespace) -> int:
     print(f"  host: {fingerprint_key()}")
     print(
         f"  winner: block_m={cfg.block_m} block_n={cfg.block_n} "
-        f"p={cfg.p} chunks/worker={cfg.chunks_per_worker} "
-        f"backend={cfg.backend} switch_k={cfg.switch_k}"
+        f"switch_k={cfg.switch_k}"
     )
-    for stage in ("blocking", "execution", "switch"):
+    for stage in ("blocking", "switch"):
         best = report.best_seconds(stage)
         print(f"  best {stage:>9} candidate: {best * 1e3:8.1f} ms")
     if args.dry_run:

@@ -18,7 +18,7 @@ Two pieces:
   :mod:`repro.core.workers` take *disjoint* keys concurrently, so
   growth (the only step that touches shared bookkeeping) is locked.
 * :class:`ArenaPool` — a thread-safe borrow/return pool of arenas.
-  Concurrent executions (thread backends, task-parallel group solves)
+  Concurrent executions (task-parallel group solves, serve windows)
   each borrow a private arena, so reuse never races.
 """
 
@@ -163,7 +163,7 @@ class ArenaPool:
     """Thread-safe borrow/return pool of workspace arenas.
 
     A plan owns one pool; every ``execute`` borrows a private arena for
-    the duration of the call. Under a thread backend, concurrent
+    the duration of the call. Under task-parallel threads, concurrent
     executions each get their own arena (the pool grows to the peak
     concurrency and then stops allocating); serial repetition always
     reuses the same one.

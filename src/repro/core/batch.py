@@ -25,11 +25,6 @@ from .table import ALL_ROWS, TableHandle, as_table
 
 __all__ = ["KnnProblem", "gsknn_batch"]
 
-#: Backends gsknn_batch can schedule onto. ``processes`` is rejected by
-#: the schedule executor (arbitrary closures break its zero-copy
-#: contract), so it is rejected here too — early, with a clear message.
-_ALLOWED_BACKENDS = ("threads", "serial")
-
 
 def _as_problem_indices(idx: np.ndarray, name: str) -> np.ndarray:
     """Coerce a problem index array to ``intp`` without silent truncation.
@@ -152,11 +147,11 @@ def gsknn_batch(
     from ..obs.context import coerce_request, current_request, request_scope
     from ..parallel.chunking import resolve_workers
 
-    if isinstance(backend, str) and backend not in _ALLOWED_BACKENDS:
+    # checked here as well as in execute_schedule: a p == 1 batch never
+    # reaches the schedule
+    if backend not in ("threads", "serial"):
         raise ValidationError(
-            f"backend must be one of {_ALLOWED_BACKENDS}, got {backend!r} "
-            "(the processes backend's zero-copy contract does not cover "
-            "batch problems)"
+            f"backend must be 'threads' or 'serial', got {backend!r}"
         )
     p = resolve_workers(p)
     if not problems:

@@ -12,7 +12,7 @@ and any reservation that would cross the line raises
 The budget mirrors :class:`repro.resilience.Deadline` deliberately —
 ``coerce`` accepts a ready budget, a raw byte count, a human spec like
 ``"64MiB"``, or ``None``, so every layer of the stack (config →
-plan/arena → data-parallel driver → batch/streaming/serve → CLI) can
+plan/arena → batch/streaming/serve → CLI) can
 thread one optional parameter without caring which form the caller
 used.
 
@@ -90,7 +90,7 @@ class MemoryBudget:
     """A byte cap on kernel workspace, with live reserve/release accounting.
 
     Thread-safe: one budget may be shared by every arena of a plan's
-    pool (thread backends borrow concurrent arenas; their combined
+    pool (concurrent executes borrow concurrent arenas; their combined
     footprint is what must stay under the limit).
 
     Parameters

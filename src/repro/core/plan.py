@@ -3,8 +3,8 @@ amortization, carried *across* calls).
 
 GSKNN's in-call trick is amortization — gather/pack once per cache
 block, reuse across the micro-kernel loops — but the repeated-call
-drivers (tree iterations, streaming refreshes, batches, data-parallel
-chunks) historically rebuilt everything between calls: re-gathered the
+drivers (tree iterations, streaming refreshes, batches, shard
+workers) historically rebuilt everything between calls: re-gathered the
 same reference rows, recomputed their squared-norm side table,
 re-resolved the variant, and reallocated every distance/merge temporary.
 A :class:`GsknnPlan` hoists all of that to construction time:

@@ -10,7 +10,9 @@ worker 0, and every worker is joined before the next panel is gathered
 ``matmul``, ``argpartition``, the ufuncs and ``flatnonzero``, so the
 threads overlap. A tile is the same unit of work whatever ``p`` is and
 each row's tiles are applied in panel order, so results do not depend
-on ``p``.
+on ``p``. This is the package's only 4th-loop decomposition: every
+caller of the kernel (one-shot ``gsknn``, plans, batches, serve
+windows, shard and rank workers) reaches it through the plan.
 
 ``p`` has no knob: ``min(row blocks, usable cores // BLAS threads)``,
 where usable cores come from ``os.sched_getaffinity`` and BLAS threads
@@ -18,11 +20,15 @@ from the loaded OpenBLAS where it can be asked. An unknown BLAS counts
 as using every core, so such a host stays serial. A budgeted plan caps
 ``p`` further at the scratch sets its budget affords.
 
-A kernel reached from a fan-out of its own — a ``ThreadRung`` item or a
-process worker — runs its row blocks in its own thread: those sites
+A kernel reached from a fan-out of its own — a ``ThreadRung`` item
+(a task-parallel schedule's task, a simulated rank) or a shard or rank
+worker process — runs its row blocks in its own thread: those sites
 enter :func:`serial_kernels`, so the host's cores are never
-oversubscribed by nesting. The thread pool lives for one execute only:
-a pool kept across calls would be inherited, dead, by forked workers.
+oversubscribed by nesting. The host is probed once per process, so a
+process that wants fewer cores narrows its affinity
+(``os.sched_setaffinity``) before its first kernel call. The thread
+pool lives for one execute only: a pool kept across calls would be
+inherited, dead, by forked workers.
 """
 
 from __future__ import annotations

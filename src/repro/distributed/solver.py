@@ -97,8 +97,6 @@ class DistributedAllKnn:
         kernel: str = "gsknn",
         comm_model: AlphaBetaModel | None = None,
         seed: int | None = 0,
-        backend: str = "serial",
-        workers_per_rank: int = 1,
         transport: str = "sim",
     ) -> None:
         if n_ranks < 1:
@@ -110,16 +108,6 @@ class DistributedAllKnn:
         if kernel not in ("gsknn", "gemm"):
             raise ValidationError(
                 f"kernel must be 'gsknn' or 'gemm', got {kernel!r}"
-            )
-        from ..parallel.backends import BACKENDS
-
-        if backend not in BACKENDS:
-            raise ValidationError(
-                f"backend must be one of {sorted(BACKENDS)}, got {backend!r}"
-            )
-        if workers_per_rank < 1:
-            raise ValidationError(
-                f"workers_per_rank must be >= 1, got {workers_per_rank}"
             )
         if transport not in ("sim", "process"):
             raise ValidationError(
@@ -136,19 +124,14 @@ class DistributedAllKnn:
         self.kernel = kernel
         self.comm_model = comm_model if comm_model is not None else AlphaBetaModel()
         self.seed = 0 if seed is None else int(seed)
-        #: execution backend for the per-leaf kernels: each simulated
-        #: rank's leaf kernel may itself run data-parallel (the paper's
-        #: node-level §2.5 scheme nested under the rank-level one)
-        self.backend = backend
-        self.workers_per_rank = int(workers_per_rank)
         #: "sim" = in-process ranks over SimComm (historical behavior);
         #: "process" = per-rank leaf kernels in long-lived worker
         #: processes over shared memory (bit-identical results)
         self.transport = transport
         self._rank_workers = None
-        # Per-leaf kernels on the serial path run through cached plans:
-        # every leaf of a solve shares one workspace arena pool, and a
-        # leaf that recurs across iterations reuses its gathered panels.
+        # Per-leaf kernels run through cached plans: every leaf of a
+        # solve shares one workspace arena pool, and a leaf that recurs
+        # across iterations reuses its gathered panels.
         from ..core.plan import PlanCache
 
         self._plans = PlanCache(max_plans=32)
@@ -184,14 +167,6 @@ class DistributedAllKnn:
         parent re-solving a leaf its rank worker could not)."""
         if self.kernel == "gemm":
             res = ref_knn(table.X, group, group, k, X2=table.norms)
-        elif self.backend != "serial" and self.workers_per_rank > 1:
-            from ..parallel.data_parallel import gsknn_data_parallel
-
-            res = gsknn_data_parallel(
-                table.X, group, group, k,
-                p=self.workers_per_rank, backend=self.backend,
-                X2=table.norms,
-            )
         else:
             res = self._plans.get(table, group).execute(group, k)
         return res.distances, res.indices

@@ -36,17 +36,17 @@ class ConvergenceError(ReproError, RuntimeError):
 class BackendError(ReproError, RuntimeError):
     """An execution backend failed mid-flight.
 
-    Raised e.g. when a worker process of the ``processes`` backend dies
-    (OOM-kill, segfault in a native extension) — the pool's low-level
+    Raised e.g. when a shard or rank worker process dies (OOM-kill,
+    segfault in a native extension) — the pool's low-level
     ``BrokenProcessPool`` is translated into this library error so
     callers see one clean failure instead of a hang or a foreign
     exception type.
 
-    Without a retry policy this is terminal. Under the resilience layer
-    (:mod:`repro.resilience`) the same condition is instead handled
-    per chunk: only the failed ``(chunk_m, k)`` pieces are resubmitted,
-    with backend fallback, and ``BackendError`` only escapes once every
-    rung of the ladder is exhausted.
+    On a one-rung, one-attempt ladder this is terminal. Under a
+    fallback ladder (:mod:`repro.resilience`) the same condition is
+    instead handled per item: only the failed items are resubmitted,
+    then degraded to the next rung, and ``BackendError`` only escapes
+    once every rung of the ladder is exhausted.
     """
 
 

@@ -23,10 +23,7 @@ import numpy as np
 
 from ..config import BlockingParams, IVY_BRIDGE_BLOCKING
 from ..errors import ValidationError
-
-# NOTE: repro.parallel.chunking is imported lazily inside the driver —
-# a module-level import would cycle (gemm package -> parallel package ->
-# data_parallel -> core.gsknn -> gemm.packing).
+from ..parallel.chunking import block_aligned_chunks, resolve_workers
 from .blocked import BlockedGemm, GemmObserver
 
 __all__ = ["parallel_blocked_gemm"]
@@ -45,8 +42,6 @@ def parallel_blocked_gemm(
     Identical results to :meth:`BlockedGemm.multiply_nt` — the split is
     over output rows, which no two workers share.
     """
-    from ..parallel.chunking import block_aligned_chunks, resolve_workers
-
     p = resolve_workers(p)
     A = np.ascontiguousarray(A, dtype=np.float64)
     B = np.ascontiguousarray(B, dtype=np.float64)

@@ -13,7 +13,8 @@ Propagation uses :mod:`contextvars`, with two deliberate caveats:
 
 * **threads do not inherit context** — pools must capture the current
   context at submission time and re-enter it in the worker (see
-  :func:`bind_request` and the wrappers in ``parallel/backends.py``);
+  :func:`bind_request`, ``ThreadRung`` in ``resilience/executor.py``
+  and ``RowWorkers`` in ``core/workers.py``);
 * **process workers cannot share a ContextVar** — the spec shipped to
   the worker initializer (``_shard_worker_init`` in
   ``shard/transport.py``) carries ``request_id``/``tenant`` and the

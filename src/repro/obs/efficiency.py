@@ -102,8 +102,8 @@ def record_solve_efficiency(
     elapsed time — the timer was too coarse for the problem).
 
     ``scope`` distinguishes the accounting level: ``"kernel"`` for one
-    ``gsknn`` kernel execution, ``"solve"`` for a whole data-parallel /
-    distributed solve (whose wall clock includes scheduling and
+    ``gsknn`` kernel execution; a caller timing a whole multi-kernel
+    solve passes its own scope (its wall clock includes scheduling and
     shipping, so its ratio is a lower bound on kernel efficiency).
     """
     registry = registry if registry is not None else get_registry()

@@ -7,45 +7,23 @@ Two regimes, as in the paper:
   across processors by greedy first-termination list scheduling on a
   runtime-sorted task list (LPT), with runtimes estimated by the
   performance model;
-* **data parallelism** (:mod:`repro.parallel.data_parallel`) — one big
-  kernel parallelized over the 4th loop (query blocks), which is safe
-  because each query owns its neighbor list; parallelizing the
-  reference side instead requires per-thread private lists merged at
-  the end (footnote 5), also provided.
+* **data parallelism** — one big kernel parallelized over the 4th loop
+  (query blocks), which is safe because each query owns its neighbor
+  list. Every kernel call does this itself: its row blocks go to the
+  host's free cores (:mod:`repro.core.workers`).
 
-Where the decomposed work executes is an orthogonal choice:
-:mod:`repro.parallel.backends` provides interchangeable ``serial``,
-``threads``, and ``processes`` (zero-copy shared-memory) execution
-backends, and :mod:`repro.parallel.chunking` the shared partitioning /
-worker-resolution arithmetic every driver uses.
+:mod:`repro.parallel.chunking` holds the worker-count and block-aligned
+partitioning arithmetic the drivers share.
 """
 
-from .backends import (
-    BACKENDS,
-    ExecutionBackend,
-    ProcessBackend,
-    SerialBackend,
-    ThreadBackend,
-    resolve_backend,
-)
-from .chunking import block_aligned_chunks, contiguous_chunks, resolve_workers
+from .chunking import block_aligned_chunks, resolve_workers
 from .scheduler import ScheduledTask, Schedule, lpt_schedule, graham_bound
-from .data_parallel import gsknn_data_parallel, gsknn_reference_parallel
 
 __all__ = [
-    "BACKENDS",
-    "ExecutionBackend",
-    "SerialBackend",
-    "ThreadBackend",
-    "ProcessBackend",
-    "resolve_backend",
     "resolve_workers",
-    "contiguous_chunks",
     "block_aligned_chunks",
     "ScheduledTask",
     "Schedule",
     "lpt_schedule",
     "graham_bound",
-    "gsknn_data_parallel",
-    "gsknn_reference_parallel",
 ]

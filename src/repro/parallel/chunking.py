@@ -1,23 +1,13 @@
-"""Contiguous work partitioning shared by every parallel driver.
+"""Contiguous work partitioning shared by the parallel drivers.
 
-Three modules used to carry private copies of the same two pieces of
-arithmetic — how many workers to actually start, and how to split a
-contiguous range of rows between them:
-
-* ``parallel/data_parallel.py`` had ``_query_chunks`` (near-equal
-  chunks, also reused for the reference side);
-* ``gemm/parallel.py`` had ``_row_chunks`` (whole-``m_c``-block chunks)
-  and capped its pool at ``min(p, len(chunks))`` while the data-parallel
-  driver passed ``max_workers=p`` even with fewer chunks;
-* ``parallel/scheduler.py`` sized its pool straight off
-  ``schedule.n_processors``.
-
-This module is the single home for both:
-:func:`resolve_workers` turns a requested worker count (or ``"auto"``)
-into the number of workers worth starting, and :func:`contiguous_chunks`
-/ :func:`block_aligned_chunks` produce ``(start, size)`` partitions with
-the invariants the property tests pin — full coverage of ``[0, total)``,
-no empty chunks, near-equal (or whole-block) sizes.
+Two pieces of arithmetic live here, in one place: how many workers to
+actually start, and how to split a contiguous range of rows between
+them. :func:`resolve_workers` turns a requested worker count (or
+``"auto"``) into the number of workers worth starting; the scheduler,
+the batch driver and the GEMM driver use it. :func:`block_aligned_chunks`
+produces the GEMM driver's ``(start, size)`` partitions with the
+invariants the property tests pin: full coverage of ``[0, total)``, no
+empty chunks, whole-block sizes.
 """
 
 from __future__ import annotations
@@ -26,7 +16,7 @@ import os
 
 from ..errors import ValidationError
 
-__all__ = ["resolve_workers", "contiguous_chunks", "block_aligned_chunks"]
+__all__ = ["resolve_workers", "block_aligned_chunks"]
 
 
 def resolve_workers(p: int | str, n_chunks: int | None = None) -> int:
@@ -56,35 +46,12 @@ def resolve_workers(p: int | str, n_chunks: int | None = None) -> int:
     return p
 
 
-def contiguous_chunks(total: int, parts: int) -> list[tuple[int, int]]:
-    """Split ``[0, total)`` into <= ``parts`` near-equal ``(start, size)`` runs.
-
-    The dynamic-``m_c`` load balancing of §2.5: sizes differ by at most
-    one, chunks are contiguous and in order, empty chunks are never
-    emitted (so fewer than ``parts`` chunks come back when
-    ``total < parts``).
-    """
-    if total < 0:
-        raise ValidationError(f"total must be >= 0, got {total}")
-    if parts < 1:
-        raise ValidationError(f"parts must be >= 1, got {parts}")
-    base, extra = divmod(total, parts)
-    chunks: list[tuple[int, int]] = []
-    start = 0
-    for i in range(parts):
-        size = base + (1 if i < extra else 0)
-        if size:
-            chunks.append((start, size))
-        start += size
-    return chunks
-
-
 def block_aligned_chunks(
     total: int, parts: int, block: int
 ) -> list[tuple[int, int]]:
     """Split ``[0, total)`` into <= ``parts`` chunks of whole ``block`` units.
 
-    The GEMM driver's variant: every worker gets a whole number of
+    The GEMM driver's partition: every worker gets a whole number of
     ``m_c`` blocks (only the final chunk may end ragged), so block
     boundaries — and therefore packing layouts — are identical to the
     serial loop nest.

@@ -117,7 +117,7 @@ def execute_schedule(
     schedule: Schedule,
     run: Callable[[ScheduledTask], Any],
     *,
-    backend: str | Any = "threads",
+    backend: str = "threads",
     deadline=None,
     retry=None,
     fault_plan=None,
@@ -130,10 +130,9 @@ def execute_schedule(
     driven by measured rather than estimated completion times.
     ``backend`` is ``"threads"`` (default — on kernels that release the
     GIL during BLAS this gives true overlap) or ``"serial"`` (one task
-    at a time, for debugging and single-core determinism); a backend
-    instance counts by its name. The ``processes`` backend is rejected:
-    schedule payloads are arbitrary closures, and its zero-copy
-    contract only covers GSKNN query chunks.
+    at a time, for debugging and single-core determinism). A kernel
+    inside a threads task runs its row blocks in that task's thread:
+    the schedule is the fan-out.
 
     The tasks run on the resilience layer's one retry/fallback loop
     (:func:`repro.resilience.executor.run_ladder`). ``deadline`` (a
@@ -150,15 +149,11 @@ def execute_schedule(
     """
     from ..resilience import Deadline, FaultPlan, RetryPolicy
     from ..resilience.executor import InlineRung, ThreadRung, run_ladder
-    from .backends import resolve_backend
 
-    engine = resolve_backend(backend, schedule.n_processors)
-    if engine.name not in ("serial", "threads"):
+    if backend not in ("serial", "threads"):
         raise ValidationError(
-            f"schedules run on the serial or threads backend, got "
-            f"{engine.name!r} (the processes backend only executes GSKNN "
-            f"query chunks: its operands travel via shared memory, not "
-            f"pickles)"
+            f"schedules run on the 'serial' or 'threads' backend, got "
+            f"{backend!r}"
         )
     deadline = Deadline.coerce(deadline)
     fault_plan = FaultPlan.coerce(fault_plan)
@@ -195,10 +190,10 @@ def execute_schedule(
 
         return solve
 
-    if retry is None and engine.name == "serial":
+    if retry is None and backend == "serial":
         rungs = [InlineRung(open_solver)]
     else:
-        workers = 1 if engine.name == "serial" else resolve_workers(
+        workers = 1 if backend == "serial" else resolve_workers(
             max(schedule.n_processors, 1), len(tasks)
         )
         fault = None if fault_plan is None else partial(

@@ -7,22 +7,20 @@ bounded latency are first-class concerns, so this package threads three
 primitives through every execution path:
 
 * :class:`Deadline` — one monotonic wall-clock budget shared by the
-  data-parallel driver, the backend wait loops, the schedule executor,
-  and the distributed solver; expiry raises
+  ladder's wait loops, the schedule executor, the shard router and the
+  distributed solver; expiry raises
   :class:`~repro.errors.KernelTimeoutError` with partial-result
   metadata instead of hanging, with workers reaped and shared-memory
   segments unlinked;
-* :class:`RetryPolicy` + the ``processes -> threads -> serial``
-  fallback ladder (:data:`FALLBACK_LADDER`), run by the one loop in
-  :func:`~repro.resilience.executor.run_ladder` for data-parallel
-  chunks, shard partitions, schedule tasks, distributed rank kernels
-  and serve window groups alike — failed items are resubmitted
-  with exponential backoff and degraded per item, so a dead worker
-  costs one item's recomputation, not the solve, and the answer stays
-  bit-identical (the variant and the decomposition were resolved once
-  on the full problem);
+* :class:`RetryPolicy` + the fallback ladders run by the one loop in
+  :func:`~repro.resilience.executor.run_ladder` for shard partitions,
+  schedule tasks, distributed rank kernels and serve window groups
+  alike — failed items are resubmitted with exponential backoff and
+  degraded per item, so a dead worker costs one item's recomputation,
+  not the solve, and the answer stays bit-identical (the variant and
+  the decomposition were resolved once on the full problem);
 * :class:`FaultPlan` — a seeded, deterministic schedule of worker
-  crashes, slow chunks, and injected allocation failures, fired inside
+  crashes, slow items, and injected allocation failures, fired inside
   the tasks of every ladder rung that injects them, so
   every recovery path is pinned by tests (and the CI fault-matrix job)
   rather than luck.
@@ -36,7 +34,7 @@ the ``resilience.*`` counter family (``retries``, ``fallbacks``,
 
 from .deadline import Deadline
 from .faults import FAULT_PLAN_ENV, FaultPlan
-from .retry import FALLBACK_LADDER, RetryPolicy, is_retryable
+from .retry import RetryPolicy, is_retryable
 from .executor import run_ladder
 
 __all__ = [
@@ -44,7 +42,6 @@ __all__ = [
     "FaultPlan",
     "FAULT_PLAN_ENV",
     "RetryPolicy",
-    "FALLBACK_LADDER",
     "is_retryable",
     "run_ladder",
 ]

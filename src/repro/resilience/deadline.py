@@ -2,18 +2,18 @@
 
 A :class:`Deadline` is an absolute point on a monotonic clock, created
 from a relative budget and passed *down* the call stack — through
-:func:`repro.parallel.data_parallel.gsknn_data_parallel`, the backend
-wait loops, :func:`repro.parallel.scheduler.execute_schedule`, and
-:meth:`repro.distributed.solver.DistributedAllKnn.solve` — so that
-every layer slices its waits from the same shrinking budget instead of
-each inventing its own timeout.
+:func:`repro.parallel.scheduler.execute_schedule`, the shard router,
+:meth:`repro.distributed.solver.DistributedAllKnn.solve`, and the wait
+loops of :func:`repro.resilience.executor.run_ladder` under them — so
+that every layer slices its waits from the same shrinking budget
+instead of each inventing its own timeout.
 
 Expiry raises :class:`repro.errors.KernelTimeoutError` (never a hang):
-the checking site attaches *partial-result metadata* (how many chunks
+the checking site attaches *partial-result metadata* (how many items
 completed, where the budget died) so callers can distinguish "almost
 done" from "never started". Enforcement is cooperative — checks happen
-between chunks and at pool waits — so the guarantee is expiry within
-one chunk's runtime past the budget, not preemption mid-GEMM.
+between items and at pool waits — so the guarantee is expiry within
+one item's runtime past the budget, not preemption mid-GEMM.
 """
 
 from __future__ import annotations

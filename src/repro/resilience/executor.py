@@ -1,17 +1,15 @@
 """The one retry/fallback loop every recoverable fan-out runs on.
 
-Five callers decompose their work into independent items whose answers
+Four callers decompose their work into independent items whose answers
 do not depend on where they run, and hand the items to
 :func:`run_ladder` together with a ladder of :class:`Rung` s:
 
-* the data-parallel driver splits the query side into ``(chunk_m, k)``
-  chunks (paper §2.5) — processes, then a thread pool, then inline
-  serial;
 * the shard router splits the reference side into partitions — the
   shards' own workers, then parent-side threads, then inline serial;
 * the LPT schedule executor submits independent tasks in schedule
   order to ``n_processors`` threads (the greedy list schedule), then
-  inline serial;
+  inline serial — the CLI's resilient one-shot kernel is a schedule of
+  one task;
 * the distributed solver runs each leaf kernel as a one-item ladder —
   the rank (a thread for a simulated rank, a worker process for a real
   one), then inline in the parent;
@@ -19,11 +17,10 @@ do not depend on where they run, and hand the items to
   a single fault-injected rung that retries without backoff.
 
 Every rung that leaves the calling process runs on one worker stack,
-:class:`~repro.shard.transport.ProcessTransport`: the processes chunk
-rung (a per-solve transport whose workers all hold the whole reference
-set), the shard workers, and the rank worker processes. Its workers
-map the table from shared memory, fire their item's injected fault
-with a hard exit, and ship span/metric deltas back with each result.
+:class:`~repro.shard.transport.ProcessTransport`: the shard workers
+and the rank worker processes. Its workers map the table from shared
+memory, fire their item's injected fault with a hard exit, and ship
+span/metric deltas back with each result.
 
 A rung only says how to submit one item and how to recover a dead
 worker; the loop owns everything else:
@@ -191,7 +188,7 @@ def run_ladder(
     — that item's last error, a dead worker translated to
     :class:`BackendError`.
     """
-    from ..parallel.backends import _absorb_worker_obs
+    from ..shard.transport import _absorb_worker_obs
 
     pending = dict(items)
     total = len(pending)

@@ -2,8 +2,8 @@
 
 A :class:`FaultPlan` is a *seeded schedule* of three fault kinds,
 fired inside the tasks of the resilience layer's one retry/fallback
-loop — by all three backends, the schedule executor, the distributed
-rank kernels, shard workers and serve windows:
+loop — by the schedule executor, the distributed rank kernels, shard
+workers and serve windows:
 
 * **crash** — the executing site dies: ``os._exit`` in a process
   worker (a real ``BrokenProcessPool``), an :class:`InjectedFault`
@@ -21,17 +21,16 @@ fires at ``(scope, key, attempt)`` is a pure hash of those coordinates
 plus the plan's seed. Worker processes therefore need no shared RNG —
 the same plan makes the same faults fire in the same places on every
 run, which is what lets tests pin every recovery path instead of
-relying on luck. The ``attempt`` coordinate means a chunk that crashed
+relying on luck. The ``attempt`` coordinate means an item that crashed
 on attempt 0 rolls fresh dice on attempt 1; a ladder's fault-free last
-rung guarantees completion whatever the rates. Explicit ``crash_at``
-entries fire on *every* attempt, forcing the full fallback ladder.
+rung guarantees completion whatever the rates. A rate of ``1.0`` fires
+on *every* attempt, forcing the full fallback ladder.
 
 Grammar (CLI ``--fault-plan``, env ``REPRO_FAULT_PLAN``)::
 
-    seed=7,crash=0.3,slow=0.2,slow_ms=20,alloc=0.1,crash_at=0|128
+    seed=7,crash=0.3,slow=0.2,slow_ms=20,alloc=0.1
 
-comma-separated ``key=value`` pairs; rates in ``[0, 1]``;
-``crash_at`` is a ``|``-separated list of chunk starts.
+comma-separated ``key=value`` pairs; rates in ``[0, 1]``.
 """
 
 from __future__ import annotations
@@ -39,7 +38,7 @@ from __future__ import annotations
 import hashlib
 import os
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from ..errors import InjectedFault, ValidationError
 from ..obs.metrics import get_registry as _get_registry
@@ -47,10 +46,11 @@ from ..obs.metrics import get_registry as _get_registry
 __all__ = ["FaultPlan", "FAULT_PLAN_ENV"]
 
 #: Environment variable holding a fault-plan spec string. Read once at
-#: the driver entry points (``gsknn_data_parallel``,
-#: ``execute_schedule``, ``DistributedAllKnn.solve``) — which also
-#: switch on a default retry policy, so a plan in the environment turns
-#: every suite run into a recovery-path exercise that must still pass.
+#: the driver entry points (``execute_schedule``,
+#: ``DistributedAllKnn.solve``, ``ShardedAllKnn``, ``KnnQueryService``)
+#: — which also switch on a default retry policy, so a plan in the
+#: environment turns every suite run into a recovery-path exercise that
+#: must still pass.
 FAULT_PLAN_ENV = "REPRO_FAULT_PLAN"
 
 _RATE_KEYS = ("crash", "slow", "alloc")
@@ -60,7 +60,7 @@ def _unit(seed: int, kind: str, scope: str, key: object, attempt: int) -> float:
     """Deterministic uniform value in [0, 1) for one decision site.
 
     blake2b, not ``zlib.crc32``: CRC is linear, so single-character
-    differences between site strings (adjacent chunk starts, successive
+    differences between site strings (adjacent task ids, successive
     attempts) produce tightly correlated values — a 0.5 crash rate would
     fire on nearly all sites or nearly none, seed depending. A
     cryptographic hash gives independent decisions per coordinate.
@@ -76,8 +76,7 @@ def _unit(seed: int, kind: str, scope: str, key: object, attempt: int) -> float:
 class FaultPlan:
     """A seeded, deterministic schedule of injected failures.
 
-    Rates are per-(scope, key, attempt) probabilities; ``crash_at``
-    chunk starts crash unconditionally on every attempt.
+    Rates are per-(scope, key, attempt) probabilities.
     """
 
     seed: int = 0
@@ -85,7 +84,6 @@ class FaultPlan:
     slow: float = 0.0
     alloc: float = 0.0
     slow_seconds: float = 0.02
-    crash_at: tuple[int, ...] = field(default_factory=tuple)
 
     def __post_init__(self) -> None:
         for name in _RATE_KEYS:
@@ -123,10 +121,6 @@ class FaultPlan:
                     kwargs["slow_seconds"] = float(value) / 1e3
                 elif key == "slow_s":
                     kwargs["slow_seconds"] = float(value)
-                elif key == "crash_at":
-                    kwargs["crash_at"] = tuple(
-                        int(v) for v in value.split("|") if v != ""
-                    )
                 else:
                     raise ValidationError(
                         f"unknown fault-plan key {key!r} (full spec: {text!r})"
@@ -160,17 +154,11 @@ class FaultPlan:
                 parts.append(f"{name}={rate}")
         if self.slow:
             parts.append(f"slow_s={self.slow_seconds}")
-        if self.crash_at:
-            parts.append(
-                "crash_at=" + "|".join(str(c) for c in self.crash_at)
-            )
         return ",".join(parts)
 
     @property
     def active(self) -> bool:
-        return bool(
-            self.crash or self.slow or self.alloc or self.crash_at
-        )
+        return bool(self.crash or self.slow or self.alloc)
 
     # -- decisions ------------------------------------------------------------
 
@@ -179,12 +167,11 @@ class FaultPlan:
     ) -> str | None:
         """Which fault (if any) fires at this site — pure, no side effects.
 
-        ``scope`` names the execution layer (``"chunk"``, ``"task"``,
-        ``"rank"``), ``key`` the work item within it, ``attempt`` the
-        0-based retry count. Order: crash beats alloc beats slow.
+        ``scope`` names the execution layer (``"task"``, ``"rank"``,
+        ``"shard"``, ``"serve.window"``), ``key`` the work item within
+        it, ``attempt`` the 0-based retry count. Order: crash beats
+        alloc beats slow.
         """
-        if scope == "chunk" and isinstance(key, int) and key in self.crash_at:
-            return "crash"
         if self.crash and _unit(self.seed, "crash", scope, key, attempt) < self.crash:
             return "crash"
         if self.alloc and _unit(self.seed, "alloc", scope, key, attempt) < self.alloc:

@@ -1,12 +1,12 @@
-"""Bounded retry with exponential backoff, and the backend fallback ladder.
+"""Bounded retry with exponential backoff.
 
-The policy is deliberately small: a failed chunk is retried up to
-``max_attempts`` times *per rung* of the backend ladder
-(``processes -> threads -> serial``), sleeping ``backoff_base *
-backoff_factor**attempt`` (capped) between rounds. Because the variant
-and the chunk decomposition were resolved once on the full problem,
-re-running a chunk on a different rung cannot change the answer — the
-ladder trades throughput for completion, never correctness.
+The policy is deliberately small: a failed item is retried up to
+``max_attempts`` times *per rung* of a fallback ladder (see
+:mod:`repro.resilience.executor`), sleeping ``backoff_base *
+backoff_factor**attempt`` (capped) between rounds. Every caller
+decomposes its work before the ladder runs, so re-running an item on
+a different rung cannot change the answer — the ladder trades
+throughput for completion, never correctness.
 """
 
 from __future__ import annotations
@@ -22,26 +22,16 @@ from ..errors import (
     ValidationError,
 )
 
-__all__ = ["RetryPolicy", "FALLBACK_LADDER", "is_retryable"]
-
-#: Degradation order per primary backend. Each rung re-runs only the
-#: chunks the previous rung failed to complete; ``serial`` is the rung
-#: of last resort and executes fault-free.
-FALLBACK_LADDER: dict[str, tuple[str, ...]] = {
-    "processes": ("processes", "threads", "serial"),
-    "threads": ("threads", "serial"),
-    "serial": ("serial",),
-}
-
+__all__ = ["RetryPolicy", "is_retryable"]
 
 @dataclass(frozen=True)
 class RetryPolicy:
-    """How many times to retry a failed chunk, and how long to wait.
+    """How many times to retry a failed item, and how long to wait.
 
     Parameters
     ----------
     max_attempts:
-        Attempts per chunk *per ladder rung* (>= 1). ``1`` means no
+        Attempts per item *per ladder rung* (>= 1). ``1`` means no
         retry on a rung — a failure falls straight through to the next.
     backoff_base:
         Sleep before the second attempt, in seconds.
@@ -89,7 +79,7 @@ class RetryPolicy:
 
 
 def is_retryable(exc: BaseException) -> bool:
-    """Should a chunk failure be retried / degraded rather than raised?
+    """Should an item's failure be retried / degraded rather than raised?
 
     Worker deaths (:class:`BackendError`), injected faults, allocation
     failures, and OS-level errors are transient-by-assumption; a

@@ -18,7 +18,7 @@ it).
 
 Failure semantics: a batch's shard partitions run on the resilience
 layer's one retry/fallback loop (:func:`repro.resilience.executor.run_ladder`),
-the same loop the data-parallel chunks run on. The ladder is the
+the same loop the schedule tasks run on. The ladder is the
 shards' own workers (a dead one is restarted and its partition
 resubmitted, up to ``retry.max_attempts`` rounds), then an in-parent
 thread pool (faults still injected, so drills exercise it), then an

@@ -8,19 +8,16 @@ Two implementations of one contract (:class:`ShardTransport`):
   its packed panels — survives across calls). The reference table and
   its squared-norm side table live in shared-memory segments exported
   once and attached by every worker (the zero-copy
-  :class:`~repro.parallel.backends.SharedSegments` protocol); only
+  :class:`SharedSegments` protocol); only
   query ids/rows and the ``(m, k)`` partials cross the process
   boundary. Each worker wraps every attached epoch's table in one
   :class:`~repro.core.table.TableHandle` (validated once per attach,
   norms taken from the shared side table) and holds its own
   :class:`~repro.core.plan.GsknnPlan` over its partition plus a
   :class:`~repro.core.plan.PlanCache` for ad-hoc group solves, both
-  invalidated when the membership epoch moves. Three callers run on
-  it: the shard router (a partition per
-  worker), the distributed solver's rank workers (empty partitions,
-  explicit group tasks), and the data-parallel ``processes`` backend (a
-  per-solve transport whose every worker holds the whole reference set
-  and solves query chunks).
+  invalidated when the membership epoch moves. Two callers run on
+  it: the shard router (a partition per worker) and the distributed
+  solver's rank workers (empty partitions, explicit group tasks).
 
 * :class:`LocalTransport` — the same contract executed synchronously in
   the calling process (per-shard plans parent-side). This is the
@@ -33,6 +30,12 @@ callers are transport-agnostic. :class:`_TransportRung` is how they
 reach a transport from the resilience layer's one retry/fallback loop
 (:func:`repro.resilience.executor.run_ladder`): the shard router's
 partitions and the distributed solver's rank kernels both run on it.
+
+The module also holds the worker stack's two shared protocols:
+:class:`SharedSegments` / :func:`attach_segments` export and attach
+arrays by name, and the ``_obs_spec`` / ``_install_worker_obs`` /
+``_drain_worker_obs`` / ``_absorb_worker_obs`` helpers carry
+observability across the process boundary.
 """
 
 from __future__ import annotations
@@ -46,15 +49,11 @@ import numpy as np
 
 from ..core.table import TableHandle
 from ..errors import BackendError, ValidationError
-from ..obs.metrics import get_registry as _get_registry
-from ..obs.trace import get_tracer as _get_tracer
-from ..parallel.backends import (
-    SharedSegments,
-    _drain_worker_obs,
-    _install_worker_obs,
-    _obs_spec,
-    attach_segments,
-)
+from ..obs.context import RequestContext, bind_request, current_request
+from ..obs.metrics import MetricsRegistry, get_registry as _get_registry
+from ..obs.metrics import set_registry as _set_registry
+from ..obs.trace import Tracer, get_tracer as _get_tracer
+from ..obs.trace import set_tracer as _set_tracer
 from ..resilience.executor import Rung
 
 __all__ = [
@@ -64,7 +63,185 @@ __all__ = [
     "ProcessTransport",
     "resolve_transport",
     "TRANSPORTS",
+    "SharedSegments",
+    "attach_segments",
 ]
+
+# -- cross-process observability propagation ---------------------------------
+#
+# Process workers cannot share the parent's tracer, registry, or
+# ContextVars. The parent captures its observability state as a small
+# picklable spec, ships it through the pool initializer, and each worker
+# installs *fresh* local equivalents (also neutralizing any enabled
+# tracer/registry a fork-started worker inherited — recording into the
+# parent's buffers from the wrong pid would corrupt the trace). After
+# each task the worker drains its buffers into a payload that rides
+# back with the task's result; the parent re-parents the spans under its
+# own driver span and folds the metric deltas in.
+
+
+def _obs_spec() -> dict[str, Any] | None:
+    """Picklable snapshot of the caller's observability state, or ``None``."""
+    tracer = _get_tracer()
+    registry = _get_registry()
+    ctx = current_request()
+    if not tracer.enabled and not registry.enabled and ctx is None:
+        return None
+    return {
+        "trace": tracer.enabled,
+        "sample_every": tracer.sample_every,
+        "metrics": registry.enabled,
+        "request_id": ctx.request_id if ctx is not None else None,
+        "tenant": ctx.tenant if ctx is not None else None,
+    }
+
+
+def _install_worker_obs(spec: dict[str, Any] | None) -> None:
+    """Install fresh per-worker tracer/registry/request state.
+
+    Runs in the worker via the pool initializer. Always replaces the
+    globals — even with no spec — so fork-inherited enabled instruments
+    never record on the parent's behalf.
+    """
+    if spec is None:
+        _set_tracer(Tracer())
+        _set_registry(MetricsRegistry())
+        bind_request(None)
+        return
+    _set_tracer(
+        Tracer(enabled=spec["trace"], sample_every=spec.get("sample_every", 1))
+    )
+    _set_registry(MetricsRegistry(enabled=spec["metrics"]))
+    if spec.get("request_id"):
+        bind_request(
+            RequestContext(
+                request_id=spec["request_id"],
+                tenant=spec.get("tenant") or "default",
+            )
+        )
+    else:
+        bind_request(None)
+
+
+def _drain_worker_obs() -> dict[str, Any] | None:
+    """The worker-side span/metric deltas accumulated since last drain."""
+    payload: dict[str, Any] = {}
+    tracer = _get_tracer()
+    if tracer.enabled:
+        spans = tracer.export_payload()
+        if spans:
+            payload["spans"] = spans
+    registry = _get_registry()
+    if registry.enabled:
+        payload["metrics"] = registry.drain()
+    return payload or None
+
+
+def _absorb_worker_obs(
+    payload: dict[str, Any] | None, parent_id: int | None
+) -> None:
+    """Caller side: fold a worker's shipped payload into the live
+    tracer/registry, re-parenting worker roots under ``parent_id``."""
+    if not payload:
+        return
+    spans = payload.get("spans")
+    if spans:
+        _get_tracer().adopt_payload(spans, parent_id=parent_id)
+    metrics = payload.get("metrics")
+    if metrics:
+        registry = _get_registry()
+        if registry.enabled:
+            registry.merge_snapshot(metrics)
+
+
+# -- shared-memory segments --------------------------------------------------
+#
+# The export/attach protocol of the process workers.
+
+
+def _shm_export(arr: np.ndarray):
+    """Copy ``arr`` into a fresh shared-memory segment; returns (shm, spec).
+
+    If the copy into the segment fails (or is interrupted) the segment
+    is unlinked before re-raising — a half-exported segment is not yet
+    in any caller's cleanup list, so it must clean up after itself.
+    """
+    from multiprocessing import shared_memory
+
+    arr = np.ascontiguousarray(arr)
+    shm = shared_memory.SharedMemory(create=True, size=max(arr.nbytes, 1))
+    try:
+        view = np.ndarray(arr.shape, dtype=arr.dtype, buffer=shm.buf)
+        view[:] = arr
+    except BaseException:
+        try:
+            shm.close()
+            shm.unlink()
+        except OSError:  # pragma: no cover - already gone
+            pass
+        raise
+    return shm, (shm.name, arr.shape, arr.dtype.str)
+
+
+class SharedSegments:
+    """Named arrays exported to shared memory: export on construction,
+    unlink on :meth:`unlink`.
+
+    ``specs`` maps each name to what a worker passes to
+    :func:`attach_segments` (``None`` for an absent array). However the
+    owner is left — clean finish, worker crash, pool startup failure,
+    deadline expiry, ``KeyboardInterrupt``, or an export that fails
+    midway — the segments are unlinked exactly once.
+    """
+
+    def __init__(self, arrays: dict[str, np.ndarray | None]) -> None:
+        self._segments: list[Any] = []
+        self.specs: dict[str, Any] = {}
+        try:
+            for key, arr in arrays.items():
+                if arr is None:
+                    self.specs[key] = None
+                    continue
+                shm, spec = _shm_export(np.asarray(arr))
+                self._segments.append(shm)
+                self.specs[key] = spec
+        except BaseException:
+            self.unlink()
+            raise
+
+    @property
+    def nbytes(self) -> int:
+        return sum(s.size for s in self._segments)
+
+    def unlink(self) -> None:
+        segments, self._segments = self._segments, []
+        for shm in segments:
+            try:
+                shm.close()
+                shm.unlink()
+            except OSError:  # pragma: no cover - already gone
+                pass
+
+
+def attach_segments(specs: dict[str, Any]) -> tuple[dict, dict]:
+    """Worker side of :class:`SharedSegments`: ``(handles, arrays)``.
+
+    The arrays are zero-copy views; keep the handles alive as long as
+    the views are used.
+    """
+    from multiprocessing import shared_memory
+
+    handles: dict[str, Any] = {}
+    arrays: dict[str, np.ndarray | None] = {}
+    for key, spec in specs.items():
+        if spec is None:
+            arrays[key] = None
+            continue
+        name, shape, dtype = spec
+        handles[key] = shm = shared_memory.SharedMemory(name=name)
+        arrays[key] = np.ndarray(shape, dtype=np.dtype(dtype), buffer=shm.buf)
+    return handles, arrays
+
 
 
 @dataclass
@@ -293,32 +470,23 @@ def _shard_worker_refresh(specs: dict[str, Any], init_blob: bytes) -> int:
 
 
 def _shard_worker_solve(
-    task: tuple, epoch: int, attempt: int, chunk: int | None = None
+    task: tuple, epoch: int, attempt: int
 ) -> tuple[tuple[np.ndarray, np.ndarray], dict[str, Any] | None]:
-    """Solve one task in the worker. ``chunk`` is set for a
-    data-parallel caller's query chunk (its start): the fault site is
-    then ``("chunk", start)`` and the span ``worker.chunk``, where a
-    partition or rank task has ``("shard", "epoch:shard")`` and
-    ``shard.solve``."""
+    """Solve one task in the worker; its fault site is
+    ``("shard", "epoch:shard")``."""
     if epoch != _SHARD_STATE["epoch"]:
         raise BackendError(
             f"shard worker at epoch {_SHARD_STATE['epoch']} received a "
             f"task for epoch {epoch}"
         )
     shard_id = _SHARD_STATE["shard_id"]
-    if chunk is None:
-        site = ("shard", f"{epoch}:{shard_id}")
-        span = "shard.solve", {
-            "shard": shard_id, "transport": "process", "epoch": epoch
-        }
-    else:
-        site = ("chunk", chunk)
-        span = "worker.chunk", {"chunk": chunk, "size": len(task[1])}
     fault_plan = _SHARD_STATE.get("fault_plan")
     if fault_plan is not None:
         # hard_exit: an injected crash must be a real process death so
         # the caller exercises BrokenProcessPool recovery
-        fault_plan.apply(*site, attempt, hard_exit=True)
+        fault_plan.apply(
+            "shard", f"{epoch}:{shard_id}", attempt, hard_exit=True
+        )
     table = _SHARD_STATE["table"]
     kwargs = _SHARD_STATE["kernel_kwargs"]
     if "plan" not in _SHARD_STATE:
@@ -328,12 +496,14 @@ def _shard_worker_solve(
         _SHARD_STATE["plan"] = (
             GsknnPlan(table, ids, **kwargs) if ids.size else None
         )
-    with _get_tracer().span(span[0], **span[1]):
+    with _get_tracer().span(
+        "shard.solve", shard=shard_id, transport="process", epoch=epoch
+    ):
         out = _solve_task(
             _SHARD_STATE["plan"], _SHARD_STATE["cache"], table, task, kwargs
         )
     registry = _get_registry()
-    if registry.enabled and chunk is None:
+    if registry.enabled:
         registry.inc("shard.solves", labels={"shard": str(shard_id)})
     return out, _drain_worker_obs()
 
@@ -477,17 +647,9 @@ class ProcessTransport(ShardTransport):
 
     # -- solve ---------------------------------------------------------------
 
-    def submit(
-        self,
-        shard: int,
-        task: tuple,
-        *,
-        attempt: int = 0,
-        chunk: int | None = None,
-    ) -> Future:
+    def submit(self, shard: int, task: tuple, *, attempt: int = 0) -> Future:
         """Submit ``task`` to the shard's worker, starting a replacement
-        for one that was restarted. ``chunk`` marks a data-parallel
-        query chunk by its start (see :func:`_shard_worker_solve`)."""
+        for one that was restarted."""
         assert self._world is not None
         if self._pools[shard] is None:
             self._spawn(shard)
@@ -495,7 +657,7 @@ class ProcessTransport(ShardTransport):
             if registry.enabled:
                 registry.inc("resilience.pool_rebuilds")
         return self._pools[shard].submit(
-            _shard_worker_solve, task, self._world.epoch, attempt, chunk
+            _shard_worker_solve, task, self._world.epoch, attempt
         )
 
     def close(self) -> None:

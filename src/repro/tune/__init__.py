@@ -1,10 +1,10 @@
-"""Persistent per-host autotuning (blocking, workers, variant switch).
+"""Persistent per-host autotuning (blocking, variant switch).
 
 The paper derives its blocking analytically for one machine; this
 package *measures* the running host instead and remembers the answer:
 
-* :class:`~repro.tune.autotuner.Autotuner` — guided three-stage search
-  (blocking -> execution backend/workers -> Var#1/Var#6 switch-``k``),
+* :class:`~repro.tune.autotuner.Autotuner` — guided two-stage search
+  (blocking -> Var#1/Var#6 switch-``k``),
   instrumented through the observability layer;
 * :mod:`repro.tune.store` — the schema-versioned JSON cache, keyed by a
   host fingerprint so stale or foreign entries are never applied;

@@ -1,21 +1,21 @@
-"""Guided per-host search over blocking, workers, and the variant switch.
+"""Guided per-host search over blocking and the variant switch.
 
 The paper fixes its parameters analytically for one known machine
 (Ivy Bridge, §2.4/§3). A reproduction running on arbitrary hosts cannot:
-cache sizes, core counts, BLAS builds, and the Python selection-path
-cost all move the optima. This module measures instead — a three-stage
-**guided** search (each stage conditions on the previous stage's
-winner, so the space stays tiny compared to a full grid):
+cache sizes, BLAS builds, and the Python selection-path cost all move
+the optima. This module measures instead — a two-stage **guided**
+search (the second stage conditions on the first stage's winner, so the
+space stays tiny compared to a full grid):
 
 1. **Blocking** — coordinate descent over ``block_m`` x ``block_n``
    (the fast path's ``m_c``/``n_c`` analogues) on a representative
-   Var#1 problem, serial kernel, best-of-N timing.
-2. **Execution** — worker count, chunk granularity, and backend
-   (``threads`` vs ``processes`` vs staying ``serial``) on the winning
-   blocks.
-3. **Crossover** — the empirical Var#1 <-> Var#6 switch-``k``: time both
+   Var#1 problem, best-of-N timing.
+2. **Crossover** — the empirical Var#1 <-> Var#6 switch-``k``: time both
    variants at geometric ``k`` probes and take the measured crossover,
    replacing the hard-coded ``NUMPY_VARIANT_SWITCH_K``.
+
+The worker count is not searched: every kernel call deals its row
+blocks to the cores the process may use (:mod:`repro.core.workers`).
 
 Candidate timings flow through the PR-1 observability layer — every
 measurement is a ``tune_candidate`` trace span and lands in the metrics
@@ -51,8 +51,6 @@ class TuneBudget:
     k: int  #: representative problem: neighbors (Var#1 regime)
     repeats: int  #: best-of-N per candidate
     block_candidates: tuple[int, ...]  #: block_m / block_n grid values
-    p_max: int | None  #: worker cap (None = host cores)
-    chunk_multipliers: tuple[int, ...]  #: chunks per worker to try
     switch_probes: tuple[int, ...]  #: k values probed for the crossover
 
 
@@ -62,8 +60,6 @@ BUDGETS: dict[str, TuneBudget] = {
         m=1024, n=1024, d=32, k=16,
         repeats=2,
         block_candidates=(512, 1024, 2048),
-        p_max=4,
-        chunk_multipliers=(1,),
         switch_probes=(64, 256, 512),
     ),
     "medium": TuneBudget(
@@ -71,8 +67,6 @@ BUDGETS: dict[str, TuneBudget] = {
         m=4096, n=4096, d=32, k=32,
         repeats=3,
         block_candidates=(256, 512, 1024, 2048, 4096),
-        p_max=None,
-        chunk_multipliers=(1, 2),
         switch_probes=(32, 64, 128, 256, 512, 1024),
     ),
     "large": TuneBudget(
@@ -80,8 +74,6 @@ BUDGETS: dict[str, TuneBudget] = {
         m=8192, n=8192, d=32, k=64,
         repeats=3,
         block_candidates=(256, 512, 1024, 2048, 4096, 8192),
-        p_max=None,
-        chunk_multipliers=(1, 2, 4),
         switch_probes=(32, 64, 128, 256, 512, 1024, 2048),
     ),
 }
@@ -181,37 +173,6 @@ class Autotuner:
             )
         return block_m, min(timings, key=timings.get)
 
-
-    def _tune_execution(self, X, q, r, k, block_m, block_n):
-        """Workers x chunk granularity x backend, on the tuned blocks."""
-        import os
-
-        from ..parallel.data_parallel import gsknn_data_parallel
-
-        cores = os.cpu_count() or 1
-        p_cap = cores if self.budget.p_max is None else min(
-            cores, self.budget.p_max
-        )
-        p_grid = sorted({1, 2, p_cap} & set(range(1, p_cap + 1)))
-        best = (float("inf"), 1, 1, "serial")
-        for p in p_grid:
-            backends = ("serial",) if p == 1 else ("threads", "processes")
-            for backend in backends:
-                for mult in self.budget.chunk_multipliers:
-                    if p == 1 and mult > 1:
-                        continue
-                    seconds = self._time(
-                        lambda: gsknn_data_parallel(
-                            X, q, r, k, p=p, backend=backend,
-                            block_m=block_m, block_n=block_n,
-                            chunks_per_worker=mult, variant=1,
-                        ),
-                        "execution", p=p, backend=backend, chunks=mult,
-                    )
-                    if seconds < best[0]:
-                        best = (seconds, p, mult, backend)
-        return best[1], best[2], best[3]
-
     def _tune_switch_k(self, X, q, r, block_m, block_n) -> int:
         """Measured Var#1 <-> Var#6 crossover over geometric k probes.
 
@@ -249,7 +210,7 @@ class Autotuner:
         persist: bool = True,
         cache_path=None,
     ) -> TuneReport:
-        """Run all three stages; optionally persist the winner."""
+        """Run both stages; optionally persist the winner."""
         self._report = TuneReport(
             config=TunedConfig(), budget=self.budget.name
         )
@@ -257,17 +218,9 @@ class Autotuner:
         with _trace.span("autotune", budget=self.budget.name):
             X, q, r, k = self._problem()
             block_m, block_n = self._tune_blocking(X, q, r, k)
-            p, mult, backend = self._tune_execution(
-                X, q, r, k, block_m, block_n
-            )
             switch_k = self._tune_switch_k(X, q, r, block_m, block_n)
         self._report.config = TunedConfig(
-            block_m=block_m,
-            block_n=block_n,
-            p=p,
-            chunks_per_worker=mult,
-            switch_k=switch_k,
-            backend=backend,
+            block_m=block_m, block_n=block_n, switch_k=switch_k
         )
         self._report.seconds = time.perf_counter() - t0
         registry = _get_registry()

@@ -63,31 +63,22 @@ class TunedConfig:
     """The autotuner's winning configuration for one host.
 
     ``block_m``/``block_n`` are the fast path's cache-block sizes (the
-    numpy-scale ``m_c``/``n_c``); ``p`` and ``chunks_per_worker`` size
-    the data-parallel decomposition; ``switch_k`` is the measured
-    Var#1 -> Var#6 crossover; ``backend`` is the fastest execution
-    backend for this host.
+    numpy-scale ``m_c``/``n_c``); ``switch_k`` is the measured
+    Var#1 -> Var#6 crossover. The kernel's worker count is not tuned:
+    it follows the cores the process may use.
     """
 
     block_m: int = DEFAULT_BLOCK_M
     block_n: int = DEFAULT_BLOCK_N
-    p: int = 1
-    chunks_per_worker: int = 1
     switch_k: int = 256
-    backend: str = "threads"
 
     def __post_init__(self) -> None:
-        for name in ("block_m", "block_n", "p", "chunks_per_worker", "switch_k"):
+        for name in ("block_m", "block_n", "switch_k"):
             value = getattr(self, name)
             if not isinstance(value, int) or isinstance(value, bool) or value < 1:
                 raise ValidationError(
                     f"tuned parameter {name} must be a positive int, got {value!r}"
                 )
-        if self.backend not in ("serial", "threads", "processes"):
-            raise ValidationError(
-                f"tuned backend must be serial/threads/processes, got "
-                f"{self.backend!r}"
-            )
 
 
 def _blas_vendor() -> str:
@@ -204,17 +195,12 @@ def load_tuned_config(
         return None
     fields = entry["config"]
     try:
+        # by name: keys this version does not know (an older file's
+        # ``p``/``backend``) are ignored
         return TunedConfig(
             **{
                 k: fields[k]
-                for k in (
-                    "block_m",
-                    "block_n",
-                    "p",
-                    "chunks_per_worker",
-                    "switch_k",
-                    "backend",
-                )
+                for k in ("block_m", "block_n", "switch_k")
                 if k in fields
             }
         )

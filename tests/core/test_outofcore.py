@@ -213,30 +213,6 @@ class TestSteadyState:
 
 
 class TestDrivers:
-    def test_data_parallel_budgeted_equals_serial(self, table):
-        from repro.parallel.data_parallel import gsknn_data_parallel
-
-        ram, mm = table
-        q = np.arange(800, dtype=np.intp)
-        r = np.arange(4096, dtype=np.intp)
-        ref = gsknn_data_parallel(ram, q, r, 12, p=2, backend="threads")
-        got = gsknn_data_parallel(
-            mm, q, r, 12, p=2, backend="threads", memory_budget="32MiB"
-        )
-        np.testing.assert_array_equal(got.indices, ref.indices)
-        np.testing.assert_array_equal(got.distances, ref.distances)
-
-    def test_data_parallel_budget_too_small_to_split(self, table):
-        from repro.parallel.data_parallel import gsknn_data_parallel
-
-        _, mm = table
-        q = np.arange(64, dtype=np.intp)
-        r = np.arange(256, dtype=np.intp)
-        with pytest.raises(ValidationError, match="too small to split"):
-            gsknn_data_parallel(
-                mm, q, r, 4, p=8, backend="processes", memory_budget=4
-            )
-
     def test_batch_budgeted_equals_unbudgeted(self, table):
         from repro.core.batch import KnnProblem, gsknn_batch
 

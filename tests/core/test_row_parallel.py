@@ -21,7 +21,7 @@ from repro.core import workers
 from repro.core.arena import WorkspaceArena
 from repro.core.membudget import MemoryBudget
 from repro.obs.trace import Tracer, set_tracer
-from repro.parallel import gsknn_data_parallel
+from repro.parallel.scheduler import Schedule, ScheduledTask, execute_schedule
 from repro.select.vectorized import ArenaNeighborLists
 
 
@@ -209,7 +209,7 @@ class _PoolSpy:
 
 
 class TestNoNestedFanOut:
-    def test_data_parallel_thread_chunks_stay_serial(self, monkeypatch, cloud):
+    def test_schedule_thread_tasks_stay_serial(self, monkeypatch, cloud):
         _force(monkeypatch, 2)
         spy = _PoolSpy(monkeypatch)
         q = np.arange(600)
@@ -217,11 +217,17 @@ class TestNoNestedFanOut:
         # positive control: a plain call with these blocks fans out
         ref = gsknn(cloud, q, r, 6, block_m=64, block_n=128)
         assert spy.built == 1
-        got = gsknn_data_parallel(
-            cloud, q, r, 6, p=2, backend="threads", block_m=64, block_n=128
+        lanes = [[ScheduledTask(i, 1.0, q[i * 300 : (i + 1) * 300])]
+                 for i in range(2)]
+        halves = Schedule(2, lanes)
+        parts = execute_schedule(
+            halves,
+            lambda t: gsknn(cloud, t.payload, r, 6, block_m=64, block_n=128),
         )
-        assert spy.built == 1  # the chunks (5 row blocks each) made none
-        _assert_same(got, ref)
+        assert spy.built == 1  # the tasks (5 row blocks each) made none
+        for half, rows in ((0, slice(0, 300)), (1, slice(300, 600))):
+            assert np.array_equal(parts[half].indices, ref.indices[rows])
+            assert np.array_equal(parts[half].distances, ref.distances[rows])
 
     def test_serial_kernels_scope(self, monkeypatch):
         _force(monkeypatch, 2)

@@ -155,3 +155,40 @@ class TestObservabilityCommands:
         ) == 0
         records = json.loads(capsys.readouterr().out)
         assert isinstance(records, list) and records
+
+
+class TestResilientKernel:
+    """Resilience flags run the kernel as a one-task schedule."""
+
+    @staticmethod
+    def _neighbours(out: str) -> str:
+        return next(
+            line for line in out.splitlines()
+            if line.startswith("first query neighbors")
+        )
+
+    def test_fault_plan_keeps_the_answer(self, capsys, monkeypatch):
+        monkeypatch.delenv("REPRO_FAULT_PLAN", raising=False)
+        problem = ["kernel", "-m", "256", "-n", "512", "-d", "16", "-k", "8"]
+        assert main(problem) == 0
+        plain = self._neighbours(capsys.readouterr().out)
+        assert main(problem + ["--fault-plan", "seed=101,crash=0.4"]) == 0
+        out = capsys.readouterr().out
+        assert self._neighbours(out) == plain
+        assert "resilience.solves" in out
+
+    def test_deadline_exits_3(self, capsys, monkeypatch):
+        monkeypatch.delenv("REPRO_FAULT_PLAN", raising=False)
+        assert main(
+            ["kernel", "-m", "2048", "-n", "8192", "-d", "16", "-k", "16",
+             "--deadline-ms", "1"]
+        ) == 3
+        assert "deadline exceeded" in capsys.readouterr().err
+
+    def test_budget_refusal_exits_4(self, capsys, monkeypatch):
+        monkeypatch.delenv("REPRO_FAULT_PLAN", raising=False)
+        assert main(
+            ["kernel", "-m", "2048", "-n", "4096", "-d", "16", "-k", "512",
+             "--variant", "6", "--memory-budget", "8MiB",
+             "--deadline-ms", "60000", "--retries", "1"]
+        ) == 4

@@ -93,7 +93,7 @@ class TestScoping:
 
     def test_threads_do_not_inherit_scope(self):
         # a fresh thread starts with an empty contextvars context: worker
-        # pools must capture + rebind explicitly (backends.py does)
+        # pools must capture + rebind explicitly (ThreadRung does)
         seen: list = []
         ctx = RequestContext.new()
         with request_scope(ctx):

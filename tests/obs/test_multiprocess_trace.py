@@ -1,9 +1,10 @@
 """Cross-process trace merging: pid lanes, re-parenting, request ids.
 
-The acceptance path for the observability pipeline: a processes-backend
-solve must yield ONE merged trace in the driver's tracer, with worker
-spans on their own pid lanes, re-parented under the driver's ``solve``
-span, and every span carrying the originating request id.
+The acceptance path for the observability pipeline: a process-sharded
+solve must yield ONE merged trace in the caller's tracer, with worker
+spans on their own pid lanes, re-parented under the caller's
+``shard.solve_batch`` span, and every span carrying the originating
+request id.
 """
 
 from __future__ import annotations
@@ -16,7 +17,7 @@ import pytest
 from repro.obs.context import RequestContext, request_scope
 from repro.obs.metrics import disable_metrics, enable_metrics
 from repro.obs.trace import Tracer, disable_tracing, enable_tracing
-from repro.parallel.data_parallel import gsknn_data_parallel
+from repro.shard import ShardedAllKnn
 
 
 @pytest.fixture
@@ -39,15 +40,30 @@ def obs():
 def problem():
     rng = np.random.default_rng(11)
     X = rng.standard_normal((420, 12))
-    return X, np.arange(240, dtype=np.intp), np.arange(420, dtype=np.intp), 5
+    return X, np.arange(240, dtype=np.intp), 5
 
 
-def run_processes_solve(problem, ctx, **kwargs):
-    X, q, r, k = problem
-    kwargs.setdefault("p", 2)
-    kwargs.setdefault("backend", "processes")
-    kwargs.setdefault("chunks_per_worker", 4)
-    return gsknn_data_parallel(X, q, r, k, request=ctx, **kwargs)
+def run_processes_solve(problem, ctx, batches=4, **kwargs):
+    """``batches`` solves over two shard worker processes, under ``ctx``.
+
+    The router is built inside the request scope: its workers take the
+    request id (and the enabled tracer/registry) when they start.
+    """
+    X, q, k = problem
+    with request_scope(ctx):
+        with ShardedAllKnn(
+            X, 2, transport="process", block_m=64, block_n=64, **kwargs
+        ) as router:
+            for _ in range(batches):
+                got = router.solve(q, k)
+            return got, router.solve_reference(q, k)
+
+
+def worker_spans(tracer) -> list:
+    return [
+        s for s in tracer.spans
+        if s.name == "shard.solve" and s.pid != os.getpid()
+    ]
 
 
 class TestProcessesTraceMerge:
@@ -55,28 +71,26 @@ class TestProcessesTraceMerge:
         self, problem, obs, clean_env
     ):
         tracer, _ = obs
-        ctx = RequestContext.new()
-        run_processes_solve(problem, ctx)
-        spans = tracer.spans
-        workers = [s for s in spans if s.name == "worker.chunk"]
-        assert len(workers) == 8  # p=2 x chunks_per_worker=4
+        run_processes_solve(problem, RequestContext.new())
+        workers = worker_spans(tracer)
+        assert len(workers) == 8  # 2 shards x 4 batches
         worker_pids = {s.pid for s in workers}
-        assert os.getpid() not in worker_pids
         assert len(worker_pids) >= 2, (
             f"expected workers on >= 2 process lanes, got {worker_pids}"
         )
-        driver = [s for s in spans if s.name == "solve"]
-        assert len(driver) == 1
-        assert driver[0].pid == os.getpid()
+        driver = [s for s in tracer.spans if s.name == "shard.solve_batch"]
+        assert len(driver) == 4
+        assert {s.pid for s in driver} == {os.getpid()}
 
     def test_worker_spans_reparent_under_solve(self, problem, obs, clean_env):
         tracer, _ = obs
         run_processes_solve(problem, RequestContext.new())
-        spans = tracer.spans
-        solve_id = next(s.span_id for s in spans if s.name == "solve")
-        for s in spans:
-            if s.name == "worker.chunk":
-                assert s.parent_id == solve_id
+        by_id = {s.span_id: s for s in tracer.spans}
+        for s in worker_spans(tracer):
+            parent = by_id[s.parent_id]
+            while parent.name != "shard.solve_batch":
+                parent = by_id[parent.parent_id]
+            assert parent.pid == os.getpid()
 
     def test_every_span_carries_the_request_id(self, problem, obs, clean_env):
         tracer, _ = obs
@@ -104,9 +118,12 @@ class TestProcessesTraceMerge:
         run_processes_solve(problem, RequestContext.new())
         path = tracer.export_chrome(tmp_path / "trace.json")
         events = json.loads(path.read_text())["traceEvents"]
-        worker_events = [e for e in events if e["name"] == "worker.chunk"]
+        worker_events = [
+            e for e in events
+            if e["name"] == "shard.solve" and e["pid"] != os.getpid()
+        ]
         assert {e["pid"] for e in worker_events} == {
-            s.pid for s in tracer.spans if s.name == "worker.chunk"
+            s.pid for s in worker_spans(tracer)
         }
         # request ids survive into the chrome args
         assert all("request_id" in e["args"] for e in events)
@@ -118,20 +135,14 @@ class TestProcessesTraceMerge:
         run_processes_solve(problem, RequestContext.new())
         counters = registry.snapshot()["counters"]
         # gsknn.calls happen only inside worker processes here; they are
-        # visible in the driver registry only via the shipped snapshots
+        # visible in the caller's registry only via the shipped snapshots
         assert counters.get("gsknn.calls", 0) >= 8
 
     def test_results_match_serial(self, problem, obs, clean_env):
-        # observability shipping must not perturb the answer (indices
-        # exact; distances to FP tolerance — the 30-row chunks of this
-        # trace-heavy decomposition round differently than one kernel)
-        from repro.core.gsknn import gsknn
-
-        X, q, r, k = problem
-        got = run_processes_solve(problem, RequestContext.new())
-        truth = gsknn(X, q, r, k)
-        assert np.array_equal(got.indices, truth.indices)
-        np.testing.assert_allclose(got.distances, truth.distances)
+        # observability shipping must not perturb the answer
+        got, want = run_processes_solve(problem, RequestContext.new())
+        np.testing.assert_array_equal(got.indices, want.indices)
+        np.testing.assert_array_equal(got.distances, want.distances)
 
 
 class TestFaultedRun:
@@ -143,32 +154,26 @@ class TestFaultedRun:
         run_processes_solve(
             problem,
             ctx,
-            fault_plan=FaultPlan(crash_at=(0,)),
-            retry=RetryPolicy(backoff_base=0.001),
+            batches=1,
+            fault_plan=FaultPlan(crash=1.0),
+            retry=RetryPolicy(max_attempts=1),
         )
         rungs = [s for s in tracer.spans if s.name == "resilience.rung"]
-        assert len(rungs) >= 2  # processes rung failed, a fallback ran
+        assert len(rungs) >= 2  # the process rung failed, a fallback ran
         for s in rungs:
             assert s.attrs.get("request_id") == ctx.request_id
         backends = {s.attrs.get("backend") for s in rungs}
-        assert "processes" in backends
+        assert "process" in backends
 
     def test_killed_worker_recovery_trace_exports_cleanly(
         self, problem, obs, clean_env, kill_first_worker, tmp_path
     ):
         """A killed worker leaves a merged trace that still exports: any
         span it never closed is flagged incomplete instead of raising."""
-        from repro.core.gsknn import gsknn
-        from repro.resilience import RetryPolicy
-
         tracer, _ = obs
-        X, q, r, k = problem
-        got = run_processes_solve(
-            problem, RequestContext.new(), retry=RetryPolicy(backoff_base=0.001)
-        )
+        got, want = run_processes_solve(problem, RequestContext.new())
         assert kill_first_worker
-        truth = gsknn(X, q, r, k)
-        assert np.array_equal(got.indices, truth.indices)
+        np.testing.assert_array_equal(got.indices, want.indices)
         # exports and aggregation must not raise on whatever the dead
         # worker left behind
         tracer.aggregate()

@@ -1,12 +1,20 @@
-"""Cross-backend equivalence and failure-mode tests.
+"""Equivalence and failure-mode tests of the execution choices that remain.
 
-The backend contract is bit-identity: serial, threads, and processes all
-consume the same ``contiguous_chunks`` decomposition with the variant
-resolved once on the full problem, so ``(distances, indices)`` must match
-``np.testing.assert_array_equal`` — not merely ``allclose`` — across every
-norm and kernel variant. The crash test pins the other half of the
-contract: a dead worker process surfaces as a clean ``BackendError``
-(a ``ReproError``), never a hang or a bare pool exception.
+Two choices say where kernels run, and neither may change an answer:
+
+* a task-parallel schedule (:func:`repro.parallel.scheduler.execute_schedule`,
+  here through ``gsknn_batch``) runs on the ``serial`` or ``threads``
+  backend;
+* a sharded solve (:class:`repro.shard.ShardedAllKnn`) runs on the
+  in-process ``local`` transport or on ``process`` workers over shared
+  memory.
+
+The contract is bit-identity: ``(distances, indices)`` must match
+``np.testing.assert_array_equal`` — not merely ``allclose`` — across
+every norm and kernel variant. The crash test pins the other half of
+the contract: a dead worker process on a one-rung ladder surfaces as a
+clean ``BackendError`` (a ``ReproError``), never a hang or a bare pool
+exception.
 """
 
 from __future__ import annotations
@@ -14,23 +22,53 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
+from repro.core.batch import KnnProblem, gsknn_batch
 from repro.core.gsknn import gsknn
+from repro.core.table import TableHandle
 from repro.errors import BackendError, ReproError, ValidationError
-from repro.parallel import gsknn_data_parallel
-from repro.parallel.backends import (
-    BACKENDS,
-    ProcessBackend,
-    SerialBackend,
-    ThreadBackend,
-    resolve_backend,
+from repro.parallel.scheduler import (
+    ScheduledTask,
+    execute_schedule,
+    lpt_schedule,
+)
+from repro.resilience import RetryPolicy, run_ladder
+from repro.shard import ShardedAllKnn
+from repro.shard.transport import (
+    TRANSPORTS,
+    LocalTransport,
+    ProcessTransport,
+    ShardWorld,
+    _TransportRung,
+    resolve_transport,
 )
 
 pytestmark = pytest.mark.filterwarnings("ignore::DeprecationWarning")
 
+#: shard panels of 64 rows, so both shards own part of the table
+BLOCKS = {"block_m": 64, "block_n": 64}
+
 
 @pytest.fixture(scope="module")
 def cloud() -> np.ndarray:
-    return np.random.default_rng(777).random((400, 19))
+    X = np.random.default_rng(777).random((400, 19))
+    X.flags.writeable = False  # shared by every test of the module
+    return X
+
+
+def _problems(rng: np.random.Generator) -> list[KnnProblem]:
+    return [
+        KnnProblem(rng.integers(0, 400, 45), rng.permutation(400)[:250], 12)
+        for _ in range(3)
+    ]
+
+
+def _sharded(X, transport: str, **kwargs) -> ShardedAllKnn:
+    return ShardedAllKnn(X, 2, transport=transport, **BLOCKS, **kwargs)
+
+
+def _assert_same(got, want) -> None:
+    np.testing.assert_array_equal(got.distances, want.distances)
+    np.testing.assert_array_equal(got.indices, want.indices)
 
 
 class TestBitIdentity:
@@ -38,88 +76,93 @@ class TestBitIdentity:
     @pytest.mark.parametrize("norm", ["l2", "l1", "cosine"])
     @pytest.mark.parametrize("variant", [1, 6])
     def test_backends_bit_identical(self, cloud, backend, norm, variant):
-        """Every backend executes the same chunk list → bit-equal results.
-
-        (Bit-identity is asserted *across backends*, which share one
-        chunk decomposition — not against the unchunked kernel, whose
-        BLAS calls see a different matrix shape and may round the last
-        ulp differently.)
-        """
-        rng = np.random.default_rng(42)
-        q = rng.integers(0, 400, 90)
-        r = rng.permutation(400)[:250]
-        k = 12
-        want = gsknn_data_parallel(
-            cloud, q, r, k, p=3, norm=norm, variant=variant, backend="serial"
-        )
-        got = gsknn_data_parallel(
-            cloud, q, r, k, p=3, norm=norm, variant=variant, backend=backend
-        )
-        np.testing.assert_array_equal(want.distances, got.distances)
-        np.testing.assert_array_equal(want.indices, got.indices)
+        """Threads against the serial schedule, process shards against
+        their in-process twin: same decomposition, same bits."""
+        q = np.random.default_rng(42).integers(0, 400, 90)
+        if backend == "threads":
+            problems = _problems(np.random.default_rng(42))
+            kwargs = dict(p=2, norm=norm, variant=variant)
+            want = gsknn_batch(cloud, problems, backend="serial", **kwargs)
+            got = gsknn_batch(cloud, problems, backend="threads", **kwargs)
+            for a, b in zip(got, want):
+                _assert_same(a, b)
+            return
+        with _sharded(cloud, "local", norm=norm, variant=variant) as twin:
+            want = twin.solve(q, 12)
+        with _sharded(cloud, "process", norm=norm, variant=variant) as router:
+            got = router.solve(q, 12)
+        _assert_same(got, want)
 
     @pytest.mark.parametrize("backend", ["serial", "threads", "processes"])
     @pytest.mark.parametrize("norm", ["l2", "l1", "cosine"])
     @pytest.mark.parametrize("variant", [1, 6])
     def test_matches_plain_gsknn(self, cloud, backend, norm, variant):
-        rng = np.random.default_rng(42)
-        q = rng.integers(0, 400, 90)
-        r = rng.permutation(400)[:250]
-        k = 12
-        want = gsknn(cloud, q, r, k, norm=norm, variant=variant)
-        got = gsknn_data_parallel(
-            cloud, q, r, k, p=3, norm=norm, variant=variant, backend=backend
-        )
-        np.testing.assert_allclose(want.distances, got.distances, atol=1e-12)
+        if backend == "processes":
+            q = np.random.default_rng(42).integers(0, 400, 90)
+            want = gsknn(
+                cloud, q, np.arange(400), 12, norm=norm, variant=variant,
+                **BLOCKS,
+            )
+            with _sharded(cloud, "process", norm=norm, variant=variant) as r:
+                got = [r.solve(q, 12)]
+            want = [want]
+        else:
+            problems = _problems(np.random.default_rng(42))
+            want = [
+                gsknn(cloud, p.q_idx, p.r_idx, p.k, norm=norm, variant=variant)
+                for p in problems
+            ]
+            got = gsknn_batch(
+                cloud, problems, p=2, norm=norm, variant=variant,
+                backend=backend,
+            )
+        for a, b in zip(got, want):
+            np.testing.assert_allclose(a.distances, b.distances, atol=1e-12)
 
     @pytest.mark.parametrize("backend", ["threads", "processes"])
     def test_auto_variant_matches_serial_backend(self, cloud, backend):
-        """variant="auto" must resolve on the full problem, not per chunk."""
+        """variant="auto" resolves on the whole problem: per batch
+        problem in a schedule, on the global shape across shards."""
         rng = np.random.default_rng(7)
+        if backend == "threads":
+            problems = _problems(rng)
+            want = gsknn_batch(cloud, problems, p=2, backend="serial")
+            got = gsknn_batch(cloud, problems, p=2, backend="threads")
+            for a, b in zip(got, want):
+                _assert_same(a, b)
+            return
         q = rng.integers(0, 400, 64)
-        r = rng.permutation(400)[:300]
-        want = gsknn_data_parallel(
-            cloud, q, r, 8, p=3, variant="auto", backend="serial"
-        )
-        got = gsknn_data_parallel(
-            cloud, q, r, 8, p=3, variant="auto", backend=backend
-        )
-        np.testing.assert_array_equal(want.distances, got.distances)
-        np.testing.assert_array_equal(want.indices, got.indices)
+        with _sharded(cloud, "process", variant="auto") as router:
+            _assert_same(router.solve(q, 8), router.solve_reference(q, 8))
 
     def test_processes_with_precomputed_norms(self, cloud):
         from repro.core.norms import squared_norms
 
+        table = TableHandle(cloud, squared_norms(cloud))
         q = np.arange(50)
-        r = np.arange(400)
-        X2 = squared_norms(cloud)
-        want = gsknn_data_parallel(
-            cloud, q, r, 9, p=2, backend="serial", X2=X2
-        )
-        got = gsknn_data_parallel(
-            cloud, q, r, 9, p=2, backend="processes", X2=X2
-        )
-        np.testing.assert_array_equal(want.distances, got.distances)
-        np.testing.assert_array_equal(want.indices, got.indices)
+        with ShardedAllKnn(table, 2, transport="process", **BLOCKS) as router:
+            _assert_same(router.solve(q, 9), router.solve_reference(q, 9))
 
 
 class TestCrashHandling:
-    def test_dead_worker_raises_backend_error(
-        self, cloud, monkeypatch, kill_first_worker
-    ):
-        """A killed worker must surface as BackendError, not hang.
-
-        An ambient $REPRO_FAULT_PLAN (the CI fault-matrix job) would
-        route this solve through the resilient executor, which *recovers*
-        from the crash — this test pins the plain backend's failure
-        semantics, so the plan is stripped.
-        """
-        monkeypatch.delenv("REPRO_FAULT_PLAN", raising=False)
-        with pytest.raises(BackendError) as excinfo:
-            gsknn_data_parallel(
-                cloud, np.arange(60), np.arange(400), 5,
-                p=2, backend="processes",
+    def test_dead_worker_raises_backend_error(self, cloud, kill_first_worker):
+        """A killed worker on a one-rung, one-attempt ladder must
+        surface as BackendError, not hang."""
+        transport = ProcessTransport()
+        transport.start(
+            ShardWorld(
+                X=cloud, X2=None, local_ids=[np.arange(400)], epoch=0
             )
+        )
+        try:
+            with pytest.raises(BackendError) as excinfo:
+                run_ladder(
+                    {0: ("idx", np.arange(60), 5)},
+                    [_TransportRung(transport)],
+                    retry=RetryPolicy(max_attempts=1),
+                )
+        finally:
+            transport.close()
         assert kill_first_worker
         assert "worker process died" in str(excinfo.value)
 
@@ -129,20 +172,28 @@ class TestCrashHandling:
 
 class TestBackendResolution:
     def test_by_name(self):
-        assert isinstance(resolve_backend("serial"), SerialBackend)
-        assert isinstance(resolve_backend("threads", 3), ThreadBackend)
-        assert isinstance(resolve_backend("processes", 2), ProcessBackend)
-        assert resolve_backend("threads", 3).p == 3
+        tasks = [ScheduledTask(i, float(i)) for i in range(5)]
+        schedule = lpt_schedule(tasks, 3)
+        runs = {
+            name: execute_schedule(
+                schedule, lambda t: t.task_id**2, backend=name
+            )
+            for name in ("serial", "threads")
+        }
+        assert runs["serial"] == runs["threads"]
+        assert runs["serial"] == {i: i * i for i in range(5)}
 
     def test_instance_passthrough(self):
-        engine = ThreadBackend(5)
-        assert resolve_backend(engine) is engine
+        transport = LocalTransport()
+        assert resolve_transport(transport) is transport
 
     def test_unknown_backend(self):
+        schedule = lpt_schedule([ScheduledTask(0, 1.0)], 1)
+        for bad in ("mpi", "processes", 42):
+            with pytest.raises(ValidationError):
+                execute_schedule(schedule, lambda t: t, backend=bad)
         with pytest.raises(ValidationError):
-            resolve_backend("mpi")
-        with pytest.raises(ValidationError):
-            resolve_backend(42)  # type: ignore[arg-type]
+            resolve_transport("mpi")
 
     def test_registry_names_stable(self):
-        assert sorted(BACKENDS) == ["processes", "serial", "threads"]
+        assert sorted(TRANSPORTS) == ["local", "process"]

@@ -1,10 +1,10 @@
 """Property tests for the shared chunking helpers.
 
-These helpers back three call sites (GEMM row partitioning, data-parallel
-query chunking, scheduler lane sizing), so the invariants are pinned with
+These helpers back the GEMM row partitioning and the worker counts of
+the scheduler and batch drivers, so the invariants are pinned with
 hypothesis rather than a handful of examples: every chunking must cover
-all of ``total`` exactly once, produce no empty chunks, and keep sizes
-near-equal.
+all of ``total`` exactly once, produce no empty chunks, and keep whole
+blocks.
 """
 
 from __future__ import annotations
@@ -14,11 +14,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from repro.errors import ValidationError
-from repro.parallel.chunking import (
-    block_aligned_chunks,
-    contiguous_chunks,
-    resolve_workers,
-)
+from repro.parallel.chunking import block_aligned_chunks, resolve_workers
 
 
 def _covered(chunks):
@@ -26,34 +22,6 @@ def _covered(chunks):
     for start, size in chunks:
         out.extend(range(start, start + size))
     return out
-
-
-class TestContiguousChunks:
-    @given(st.integers(1, 500), st.integers(1, 32))
-    def test_covers_everything_exactly_once(self, total, parts):
-        assert _covered(contiguous_chunks(total, parts)) == list(range(total))
-
-    @given(st.integers(1, 500), st.integers(1, 32))
-    def test_no_empty_chunks(self, total, parts):
-        assert all(size > 0 for _, size in contiguous_chunks(total, parts))
-
-    @given(st.integers(1, 500), st.integers(1, 32))
-    def test_near_equal_sizes(self, total, parts):
-        sizes = [size for _, size in contiguous_chunks(total, parts)]
-        assert max(sizes) - min(sizes) <= 1
-
-    @given(st.integers(1, 500), st.integers(1, 32))
-    def test_at_most_parts_chunks(self, total, parts):
-        assert len(contiguous_chunks(total, parts)) == min(total, parts)
-
-    def test_zero_total_is_empty(self):
-        assert contiguous_chunks(0, 3) == []
-
-    def test_validates(self):
-        with pytest.raises(ValidationError):
-            contiguous_chunks(-1, 3)
-        with pytest.raises(ValidationError):
-            contiguous_chunks(10, 0)
 
 
 class TestBlockAlignedChunks:

@@ -1,91 +1,73 @@
-"""Unit tests for data-parallel GSKNN — parallel must equal serial."""
+"""Data-parallel GSKNN (paper §2.5) — parallel must equal serial.
+
+The 4th loop's query blocks go to the kernel's own row workers
+(:mod:`repro.core.workers`). These tests force the host probe to report
+``p`` usable cores and one BLAS thread, so every ``p`` runs on any host.
+"""
 
 from __future__ import annotations
 
 import numpy as np
 import pytest
 
+from repro.core import workers
 from repro.core.gsknn import gsknn
-from repro.errors import ValidationError
-from repro.parallel import gsknn_data_parallel, gsknn_reference_parallel
-from repro.parallel.chunking import contiguous_chunks
+
+
+def _force(monkeypatch, cores: int) -> None:
+    monkeypatch.setattr(workers, "host_threads", lambda: (cores, 1))
+
+
+def _solve_at(monkeypatch, cores: int, *args, **kwargs):
+    _force(monkeypatch, cores)
+    return gsknn(*args, **kwargs)
 
 
 class TestQueryChunks:
+    """How a panel's row blocks are dealt to the workers."""
+
+    blocks = [(i, 8) for i in range(0, 80, 8)] + [(80, 3)]
+
     def test_covers_all_queries(self):
-        chunks = contiguous_chunks(10, 3)
+        deal = workers.RowWorkers(self.blocks, 3)
+        assert sum(deal.runs, []) == self.blocks
         covered = []
-        for start, size in chunks:
-            covered.extend(range(start, start + size))
-        assert covered == list(range(10))
+        for w in range(deal.p):
+            rows = deal.rows(w)
+            covered.extend(range(rows.start, rows.stop))
+        assert covered == list(range(83))
 
     def test_near_equal_sizes(self):
-        sizes = [s for _, s in contiguous_chunks(10, 3)]
+        sizes = [len(run) for run in workers.RowWorkers(self.blocks, 3).runs]
         assert max(sizes) - min(sizes) <= 1
 
-    def test_more_workers_than_queries(self):
-        chunks = contiguous_chunks(2, 5)
-        assert len(chunks) == 2
+    def test_more_workers_than_queries(self, monkeypatch):
+        _force(monkeypatch, 5)
+        assert workers.row_workers(2)[0] == 2
 
 
 class TestDataParallel:
     @pytest.mark.parametrize("p", [1, 2, 3, 7])
-    def test_matches_serial(self, small_cloud, rng, p):
+    def test_matches_serial(self, monkeypatch, small_cloud, rng, p):
         q = rng.integers(0, 300, 50)
         r = rng.permutation(300)[:150]
-        serial = gsknn(small_cloud, q, r, 8)
-        parallel = gsknn_data_parallel(small_cloud, q, r, 8, p=p)
-        np.testing.assert_allclose(serial.distances, parallel.distances)
+        kwargs = dict(block_m=8, block_n=64)
+        serial = _solve_at(monkeypatch, 1, small_cloud, q, r, 8, **kwargs)
+        parallel = _solve_at(monkeypatch, p, small_cloud, q, r, 8, **kwargs)
+        np.testing.assert_array_equal(serial.distances, parallel.distances)
         np.testing.assert_array_equal(serial.indices, parallel.indices)
 
-    def test_invalid_p(self, small_cloud):
-        with pytest.raises(ValidationError):
-            gsknn_data_parallel(small_cloud, np.arange(3), np.arange(10), 2, p=0)
-
-    def test_tiny_query_set_falls_back(self, small_cloud):
-        res = gsknn_data_parallel(
-            small_cloud, np.arange(2), np.arange(20), 3, p=8
-        )
+    def test_tiny_query_set_falls_back(self, monkeypatch, small_cloud):
+        """Two queries are one row block: one worker, whatever the host."""
+        _force(monkeypatch, 8)
+        assert workers.row_workers(1)[0] == 1
+        res = gsknn(small_cloud, np.arange(2), np.arange(20), 3)
         assert res.m == 2
 
-    def test_norms_supported(self, small_cloud, rng):
+    def test_norms_supported(self, monkeypatch, small_cloud, rng):
         q = rng.integers(0, 300, 20)
         r = rng.permutation(300)[:60]
-        serial = gsknn(small_cloud, q, r, 4, norm="l1")
-        parallel = gsknn_data_parallel(small_cloud, q, r, 4, p=3, norm="l1")
-        np.testing.assert_allclose(serial.distances, parallel.distances)
-
-
-class TestReferenceParallel:
-    @pytest.mark.parametrize("p", [1, 2, 4])
-    def test_matches_serial_distances(self, small_cloud, rng, p):
-        q = rng.integers(0, 300, 30)
-        r = rng.permutation(300)[:200]
-        serial = gsknn(small_cloud, q, r, 6)
-        parallel = gsknn_reference_parallel(small_cloud, q, r, 6, p=p)
-        np.testing.assert_allclose(
-            serial.distances, parallel.distances, atol=1e-12
-        )
-
-    def test_small_reference_set_falls_back(self, small_cloud):
-        res = gsknn_reference_parallel(
-            small_cloud, np.arange(5), np.arange(8), 4, p=4
-        )
-        assert res.k == 4
-
-    def test_chunk_smaller_than_k(self, small_cloud, rng):
-        """Workers whose chunk has fewer than k references must pad, and
-        the merge must still produce the exact global answer."""
-        q = rng.integers(0, 300, 10)
-        r = rng.permutation(300)[:21]
-        serial = gsknn(small_cloud, q, r, 5)
-        parallel = gsknn_reference_parallel(small_cloud, q, r, 5, p=4)
-        np.testing.assert_allclose(
-            serial.distances, parallel.distances, atol=1e-12
-        )
-
-    def test_k_exceeds_n_rejected(self, small_cloud):
-        with pytest.raises(ValidationError):
-            gsknn_reference_parallel(
-                small_cloud, np.arange(3), np.arange(4), 5, p=2
-            )
+        kwargs = dict(norm="l1", block_m=4, block_n=32)
+        serial = _solve_at(monkeypatch, 1, small_cloud, q, r, 4, **kwargs)
+        parallel = _solve_at(monkeypatch, 3, small_cloud, q, r, 4, **kwargs)
+        np.testing.assert_array_equal(serial.distances, parallel.distances)

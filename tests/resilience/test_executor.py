@@ -1,18 +1,25 @@
-"""The resilient chunk executor: recovery, bit-identity, deadlines, shm.
+"""The one retry/fallback loop: recovery, bit-identity, deadlines, shm.
 
-These are the acceptance tests of the resilience layer:
+These are the acceptance tests of the resilience layer, over the two
+ladders that leave the calling thread:
 
-* a fault plan that kills a worker mid-solve must not fail the solve —
-  chunk retry and the ``processes -> threads -> serial`` ladder complete
-  it **bit-identical** to the serial backend, with ``resilience.*``
-  counters recording the recovery and no shared-memory leak;
-* a solve that exceeds its deadline must raise ``KernelTimeoutError``
-  within 2x the budget, with worker processes reaped and ``/dev/shm``
-  segments unlinked.
+* schedule tasks (:func:`repro.parallel.scheduler.execute_schedule`):
+  a thread pool, then inline serial;
+* shard partitions (:class:`repro.shard.ShardedAllKnn`): worker
+  processes over shared memory, then parent-side threads, then inline
+  serial.
+
+A fault plan that kills a worker mid-solve must not fail the solve —
+item retry and the ladder complete it **bit-identical** to the
+fault-free answer, with ``resilience.*`` counters recording the
+recovery and no shared-memory leak. A solve that exceeds its deadline
+must raise ``KernelTimeoutError`` within 2x the budget, with worker
+processes reaped and ``/dev/shm`` segments unlinked.
 """
 
 from __future__ import annotations
 
+import multiprocessing
 import os
 import time
 
@@ -20,19 +27,40 @@ import numpy as np
 import pytest
 
 from repro.core.gsknn import gsknn
-from repro.errors import KernelTimeoutError, ValidationError
-from repro.parallel.backends import ExecutionBackend, SharedSegments
-from repro.parallel.data_parallel import gsknn_data_parallel
+from repro.errors import BackendError, KernelTimeoutError, ValidationError
+from repro.parallel.scheduler import (
+    ScheduledTask,
+    execute_schedule,
+    lpt_schedule,
+)
 from repro.resilience import Deadline, FaultPlan, RetryPolicy, run_ladder
 from repro.resilience.executor import InlineRung
+from repro.shard import ShardedAllKnn
+from repro.shard.transport import (
+    ProcessTransport,
+    SharedSegments,
+    ShardWorld,
+    _TransportRung,
+)
 
 pytestmark = pytest.mark.skipif(
     not os.path.isdir("/dev/shm"), reason="needs POSIX shared memory"
 )
 
+#: shard panels of 64 rows, so both shards own part of the table
+BLOCKS = {"block_m": 64, "block_n": 64}
+
 
 def shm_segments() -> set[str]:
     return set(os.listdir("/dev/shm"))
+
+
+def assert_reaped() -> None:
+    """Every worker process is gone within a few seconds."""
+    limit = time.monotonic() + 5.0
+    while multiprocessing.active_children() and time.monotonic() < limit:
+        time.sleep(0.05)
+    assert not multiprocessing.active_children()
 
 
 @pytest.fixture
@@ -40,26 +68,62 @@ def problem(cloud):
     q = np.arange(160, dtype=np.intp)
     r = np.arange(cloud.shape[0], dtype=np.intp)
     k = 6
-    return cloud, q, r, k, gsknn(cloud, q, r, k)
+    return cloud, q, r, k
+
+
+def slices(problem) -> list[np.ndarray]:
+    return np.array_split(problem[1], 4)
+
+
+def truth(problem) -> list:
+    """Each schedule task's fault-free answer."""
+    X, _, r, k = problem
+    return [gsknn(X, q, r, k) for q in slices(problem)]
+
+
+def schedule_solve(problem, backend: str = "threads", **kwargs) -> list:
+    """The problem's queries as four tasks on two workers."""
+    X, _, r, k = problem
+    tasks = [
+        ScheduledTask(i, float(q.size), payload=q)
+        for i, q in enumerate(slices(problem))
+    ]
+    out = execute_schedule(
+        lpt_schedule(tasks, 2),
+        lambda t: gsknn(X, t.payload, r, k),
+        backend=backend,
+        **kwargs,
+    )
+    return [out[i] for i in range(len(tasks))]
+
+
+def assert_same(got: list, want: list) -> None:
+    for a, b in zip(got, want, strict=True):
+        assert np.array_equal(a.distances, b.distances)
+        assert np.array_equal(a.indices, b.indices)
+
+
+def sharded(X, **kwargs) -> ShardedAllKnn:
+    return ShardedAllKnn(X, 2, transport="process", **BLOCKS, **kwargs)
 
 
 class TestBitIdentityUnderFaults:
     def test_worker_crash_mid_solve_recovers_bit_identical(
         self, problem, metrics, clean_env
     ):
-        """The headline acceptance path: crash_at kills a real worker
-        process on every attempt, so recovery must walk the whole
-        ladder — and the answer must not change by a single bit."""
-        X, q, r, k, truth = problem
+        """The headline acceptance path: crash=1.0 kills a real shard
+        worker on every attempt, so recovery must walk the whole ladder
+        — and the answer must not change by a single bit."""
+        X, q, _, k = problem
         before = shm_segments()
-        got = gsknn_data_parallel(
-            X, q, r, k,
-            p=2, backend="processes",
-            fault_plan=FaultPlan(crash_at=(0,)),
+        with sharded(
+            X,
+            fault_plan=FaultPlan(crash=1.0),
             retry=RetryPolicy(backoff_base=0.001),
-        )
-        assert np.array_equal(got.distances, truth.distances)
-        assert np.array_equal(got.indices, truth.indices)
+        ) as router:
+            got = router.solve(q, k)
+            want = router.solve_reference(q, k)
+        assert_same([got], [want])
         counters = metrics.snapshot()["counters"]
         assert counters["resilience.solves"] == 1
         assert counters["resilience.retries"] >= 1
@@ -69,120 +133,53 @@ class TestBitIdentityUnderFaults:
         assert shm_segments() == before
 
     def test_seeded_crash_plan_threads(self, problem, clean_env):
-        X, q, r, k, truth = problem
-        got = gsknn_data_parallel(
-            X, q, r, k,
-            p=2, backend="threads", chunks_per_worker=3,
+        got = schedule_solve(
+            problem,
             fault_plan="seed=101,crash=0.4",
             retry=RetryPolicy(backoff_base=0.001),
         )
-        assert np.array_equal(got.distances, truth.distances)
-        assert np.array_equal(got.indices, truth.indices)
+        assert_same(got, truth(problem))
 
     def test_certain_alloc_failure_degrades_to_serial(
         self, problem, metrics, clean_env
     ):
         """alloc=1.0 fails every attempt on every rung except the final
         fault-free serial rung — the solve must still complete."""
-        X, q, r, k, truth = problem
-        got = gsknn_data_parallel(
-            X, q, r, k,
-            p=2, backend="threads",
+        got = schedule_solve(
+            problem,
             fault_plan=FaultPlan(alloc=1.0),
             retry=RetryPolicy(max_attempts=2, backoff_base=0.001),
         )
-        assert np.array_equal(got.distances, truth.distances)
+        assert_same(got, truth(problem))
         counters = metrics.snapshot()["counters"]
         assert counters["resilience.fallbacks.serial"] == 1
         assert counters["resilience.faults_injected.alloc"] >= 1
 
     def test_slow_faults_complete(self, problem, clean_env):
-        X, q, r, k, truth = problem
-        got = gsknn_data_parallel(
-            X, q, r, k,
-            p=2, backend="threads",
-            fault_plan="seed=5,slow=1.0,slow_ms=1",
-        )
-        assert np.array_equal(got.distances, truth.distances)
+        got = schedule_solve(problem, fault_plan="seed=5,slow=1.0,slow_ms=1")
+        assert_same(got, truth(problem))
 
     def test_executor_serial_matches_kernel(self, problem, clean_env):
-        X, q, r, k, truth = problem
-        got = gsknn_data_parallel(
-            X, q, r, k, p=4, backend="serial", variant=1, retry=RetryPolicy()
-        )
-        want = gsknn(X, q, r, k, variant=1)
-        assert np.array_equal(got.distances, want.distances)
-        assert np.array_equal(got.indices, want.indices)
+        got = schedule_solve(problem, backend="serial", retry=RetryPolicy())
+        assert_same(got, truth(problem))
 
     def test_unknown_backend_rejected(self, problem):
-        """A backend with no fallback ladder cannot run resiliently."""
-
-        class Gpu(ExecutionBackend):
-            name = "gpu"
-            p = 1
-
-        X, q, r, k, _ = problem
+        """Schedules run on two backends; anything else is refused
+        before a task starts."""
         with pytest.raises(ValidationError):
-            gsknn_data_parallel(X, q, r, k, backend=Gpu(), retry=RetryPolicy())
-
-
-class TestChunkRouting:
-    def test_crashed_worker_chunks_rerouted_once(self, problem, clean_env):
-        """Over-decomposed chunks on a crashed worker: chunk ``i`` runs on
-        worker ``i % p``, so ``crash_at`` chunk 2 kills worker 0 on every
-        attempt. Its later chunks fall down the ladder while worker 1
-        keeps its own, and every chunk is solved exactly once."""
-        import multiprocessing
-
-        from repro.obs.trace import disable_tracing, enable_tracing
-        from repro.parallel.chunking import contiguous_chunks
-
-        X, q, r, k, _ = problem
-        chunks = contiguous_chunks(q.size, 2 * 3)
-        want = gsknn_data_parallel(
-            X, q, r, k, p=2, backend="serial", chunks_per_worker=3
-        )
-        before = shm_segments()
-        tracer = enable_tracing()
-        try:
-            got = gsknn_data_parallel(
-                X, q, r, k,
-                p=2, backend="processes", chunks_per_worker=3,
-                fault_plan=FaultPlan(crash_at=(chunks[2][0],)),
-                retry=RetryPolicy(backoff_base=0.001),
-            )
-        finally:
-            disable_tracing()
-        assert np.array_equal(got.distances, want.distances)
-        assert np.array_equal(got.indices, want.indices)
-        assert shm_segments() == before
-        limit = time.monotonic() + 5.0
-        while multiprocessing.active_children() and time.monotonic() < limit:
-            time.sleep(0.05)
-        assert not multiprocessing.active_children()
-
-        spans = [s for s in tracer.spans if s.name == "worker.chunk"]
-        solved = sorted(s.attrs["chunk"] for s in spans)
-        assert solved == [start for start, _ in chunks]
-        survivor = {s.pid for s in spans if s.attrs["chunk"] in (
-            chunks[1][0], chunks[3][0], chunks[5][0]
-        )}
-        assert len(survivor) == 1
-        assert os.getpid() not in survivor
+            schedule_solve(problem, backend="gpu", retry=RetryPolicy())
 
 
 class TestDeadline:
     def test_raises_within_twice_budget(self, problem, clean_env):
-        """Cooperative enforcement: every chunk sleeps past the budget,
+        """Cooperative enforcement: every task sleeps past the budget,
         and the wait loop's slicing must surface the timeout well before
         2x the budget."""
-        X, q, r, k, _ = problem
         budget = 0.25
         t0 = time.perf_counter()
         with pytest.raises(KernelTimeoutError) as excinfo:
-            gsknn_data_parallel(
-                X, q, r, k,
-                p=2, backend="threads",
+            schedule_solve(
+                problem,
                 deadline=budget,
                 fault_plan=FaultPlan(slow=1.0, slow_seconds=3 * budget),
             )
@@ -195,23 +192,16 @@ class TestDeadline:
     def test_processes_deadline_reaps_workers_and_unlinks(
         self, problem, metrics, clean_env
     ):
-        import multiprocessing
-
-        X, q, r, k, _ = problem
+        X, q, _, k = problem
         before = shm_segments()
         with pytest.raises(KernelTimeoutError):
-            gsknn_data_parallel(
-                X, q, r, k,
-                p=2, backend="processes",
-                deadline=0.3,
-                fault_plan=FaultPlan(slow=1.0, slow_seconds=5.0),
-            )
+            with sharded(
+                X, fault_plan=FaultPlan(slow=1.0, slow_seconds=5.0)
+            ) as router:
+                router.solve(q, k, deadline=0.3)
         assert shm_segments() == before
         # terminated workers must actually disappear, not grind on
-        limit = time.monotonic() + 5.0
-        while multiprocessing.active_children() and time.monotonic() < limit:
-            time.sleep(0.05)
-        assert not multiprocessing.active_children()
+        assert_reaped()
         counters = metrics.snapshot()["counters"]
         assert counters["resilience.deadline_hits"] >= 1
 
@@ -237,20 +227,17 @@ class TestDeadline:
         assert 0 < excinfo.value.partial["completed"] < 9
 
     def test_generous_deadline_is_harmless(self, problem, clean_env):
-        X, q, r, k, truth = problem
-        got = gsknn_data_parallel(
-            X, q, r, k, p=2, backend="threads", deadline=60.0
-        )
-        assert np.array_equal(got.distances, truth.distances)
+        got = schedule_solve(problem, deadline=60.0)
+        assert_same(got, truth(problem))
 
 
 class TestShmLifecycle:
     def test_partial_export_failure_leaks_nothing(self, cloud, monkeypatch):
         """If the 3rd of 4 segment exports dies, the first two (and the
         failed one) must be unlinked before the error escapes."""
-        import repro.parallel.backends as backends
+        import repro.shard.transport as transport
 
-        real = backends._shm_export
+        real = transport._shm_export
         calls = {"n": 0}
 
         def failing(arr):
@@ -259,7 +246,7 @@ class TestShmLifecycle:
                 raise OSError("no space left on device")
             return real(arr)
 
-        monkeypatch.setattr(backends, "_shm_export", failing)
+        monkeypatch.setattr(transport, "_shm_export", failing)
         before = shm_segments()
         with pytest.raises(OSError):
             SharedSegments(
@@ -275,13 +262,11 @@ class TestShmLifecycle:
     def test_keyboard_interrupt_unlinks_and_reaps(
         self, cloud, monkeypatch, clean_env
     ):
-        """An interrupt inside the executor once the first chunk is back
-        must tear down the shared-memory session and every worker."""
-        import multiprocessing
+        """An interrupt inside the ladder once the first partition is
+        back must tear down the shared segments and every worker."""
+        import repro.shard.transport as transport
 
-        import repro.parallel.backends as backends
-
-        real = backends._absorb_worker_obs
+        real = transport._absorb_worker_obs
         live = {}
 
         def interrupt_after_first(payload, parent_id):
@@ -290,58 +275,48 @@ class TestShmLifecycle:
             raise KeyboardInterrupt
 
         monkeypatch.setattr(
-            backends, "_absorb_worker_obs", interrupt_after_first
+            transport, "_absorb_worker_obs", interrupt_after_first
         )
         before = shm_segments()
         with pytest.raises(KeyboardInterrupt):
-            gsknn_data_parallel(
-                cloud,
-                np.arange(80),
-                np.arange(cloud.shape[0]),
-                4,
-                p=2,
-                backend="processes",
-                chunks_per_worker=2,
-            )
-        assert live["segments"]  # the session was live mid-solve
+            with sharded(cloud) as router:
+                router.solve(np.arange(80), 4)
+        assert live["segments"]  # the segments were live mid-solve
         assert shm_segments() == before
-        limit = time.monotonic() + 5.0
-        while multiprocessing.active_children() and time.monotonic() < limit:
-            time.sleep(0.05)
-        assert not multiprocessing.active_children()
+        assert_reaped()
 
     def test_dead_worker_no_leak(self, cloud, kill_first_worker, clean_env):
-        from repro.errors import BackendError
-
         before = shm_segments()
-        with pytest.raises(BackendError):
-            gsknn_data_parallel(
-                cloud,
-                np.arange(60),
-                np.arange(cloud.shape[0]),
-                5,
-                p=2,
-                backend="processes",
-            )
+        with sharded(cloud) as router:
+            q = np.arange(60)
+            got = router.solve(q, 5)
+            assert_same([got], [router.solve_reference(q, 5)])
         assert kill_first_worker
         assert shm_segments() == before
 
     def test_plain_dead_worker_counts_nothing(
         self, cloud, kill_first_worker, metrics, clean_env
     ):
-        """A plain call is a one-rung, one-attempt ladder: it recovers
+        """A one-rung, one-attempt ladder over process workers recovers
         nothing, so it records nothing under ``resilience.*``."""
-        from repro.errors import BackendError
-
-        with pytest.raises(BackendError):
-            gsknn_data_parallel(
-                cloud,
-                np.arange(60),
-                np.arange(cloud.shape[0]),
-                5,
-                p=2,
-                backend="processes",
+        transport = ProcessTransport()
+        transport.start(
+            ShardWorld(
+                X=cloud,
+                X2=None,
+                local_ids=[np.arange(cloud.shape[0])],
+                epoch=0,
             )
+        )
+        try:
+            with pytest.raises(BackendError):
+                run_ladder(
+                    {0: ("idx", np.arange(60), 5)},
+                    [_TransportRung(transport)],
+                    retry=RetryPolicy(max_attempts=1),
+                )
+        finally:
+            transport.close()
         assert kill_first_worker
         counters = metrics.snapshot()["counters"]
         assert not [c for c in counters if c.startswith("resilience.")]

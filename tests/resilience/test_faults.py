@@ -14,14 +14,13 @@ from repro.resilience.faults import _unit
 class TestGrammar:
     def test_full_spec(self):
         plan = FaultPlan.parse(
-            "seed=7,crash=0.3,slow=0.2,slow_ms=20,alloc=0.1,crash_at=0|128"
+            "seed=7,crash=0.3,slow=0.2,slow_ms=20,alloc=0.1"
         )
         assert plan.seed == 7
         assert plan.crash == 0.3
         assert plan.slow == 0.2
         assert plan.alloc == 0.1
         assert plan.slow_seconds == pytest.approx(0.02)
-        assert plan.crash_at == (0, 128)
 
     def test_whitespace_and_empty_parts_tolerated(self):
         plan = FaultPlan.parse(" seed=3 , crash=0.5 ,, ")
@@ -40,7 +39,7 @@ class TestGrammar:
 
     def test_spec_round_trips(self):
         plan = FaultPlan.parse(
-            "seed=9,crash=0.25,slow=0.5,slow_ms=35,alloc=0.1,crash_at=64"
+            "seed=9,crash=0.25,slow=0.5,slow_ms=35,alloc=0.1"
         )
         assert FaultPlan.parse(plan.spec()) == plan
 
@@ -60,7 +59,6 @@ class TestGrammar:
     def test_active(self):
         assert not FaultPlan().active
         assert FaultPlan(crash=0.1).active
-        assert FaultPlan(crash_at=(5,)).active
 
 
 class TestDeterminism:
@@ -85,14 +83,6 @@ class TestDeterminism:
         }
         assert decisions == {None, "crash"}  # both outcomes occur
 
-    def test_crash_at_fires_every_attempt(self):
-        plan = FaultPlan(crash_at=(64,))
-        for attempt in range(5):
-            assert plan.decide("chunk", 64, attempt) == "crash"
-        assert plan.decide("chunk", 0, 0) is None
-        # crash_at is chunk-scope only
-        assert plan.decide("task", 64, 0) is None
-
     def test_rate_zero_never_fires(self):
         plan = FaultPlan(seed=3)
         assert all(
@@ -104,7 +94,7 @@ class TestDeterminism:
 
 class TestApply:
     def test_crash_raises_injected_fault(self):
-        plan = FaultPlan(crash_at=(0,))
+        plan = FaultPlan(crash=1.0)
         with pytest.raises(InjectedFault):
             plan.apply("chunk", 0, 0)
 
@@ -120,7 +110,7 @@ class TestApply:
         assert time.perf_counter() - t0 >= 0.025
 
     def test_counters(self, metrics):
-        plan = FaultPlan(crash_at=(0,))
+        plan = FaultPlan(crash=1.0)
         with pytest.raises(InjectedFault):
             plan.apply("chunk", 0, 0)
         counters = metrics.snapshot()["counters"]

@@ -10,7 +10,7 @@ from repro.errors import (
     KernelTimeoutError,
     ValidationError,
 )
-from repro.resilience import FALLBACK_LADDER, RetryPolicy, is_retryable
+from repro.resilience import RetryPolicy, is_retryable
 from repro.resilience.deadline import Deadline
 
 
@@ -76,18 +76,4 @@ class TestClassification:
         assert not is_retryable(ValidationError("bad k"))
         assert not is_retryable(
             KernelTimeoutError("deadline", budget=1.0, elapsed=2.0)
-        )
-
-
-class TestLadder:
-    def test_every_ladder_ends_serial(self):
-        for primary, rungs in FALLBACK_LADDER.items():
-            assert rungs[0] == primary
-            assert rungs[-1] == "serial"
-
-    def test_processes_degrades_through_threads(self):
-        assert FALLBACK_LADDER["processes"] == (
-            "processes",
-            "threads",
-            "serial",
         )

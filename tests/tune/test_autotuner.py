@@ -16,15 +16,13 @@ from repro.tune import (
     save_tuned_config,
 )
 
-#: A deliberately tiny budget so the full three-stage search runs in
+#: A deliberately tiny budget so the full two-stage search runs in
 #: well under a second inside the test suite.
 TINY = TuneBudget(
     name="tiny",
     m=96, n=96, d=8, k=4,
     repeats=1,
     block_candidates=(64, 128),
-    p_max=2,
-    chunk_multipliers=(1,),
     switch_probes=(4, 16),
 )
 
@@ -44,12 +42,10 @@ class TestAutotuner:
         cfg = report.config
         assert cfg.block_m in TINY.block_candidates
         assert cfg.block_n in TINY.block_candidates
-        assert 1 <= cfg.p <= 2
-        assert cfg.backend in ("serial", "threads", "processes")
         assert cfg.switch_k >= 1
         # every stage measured at least one candidate
         stages = {c["stage"] for c in report.candidates}
-        assert stages == {"blocking", "execution", "switch"}
+        assert stages == {"blocking", "switch"}
         assert report.seconds > 0
         # and the winner was persisted for blocking="tuned" to find
         assert load_tuned_config(tmp_path / "t.json") == cfg

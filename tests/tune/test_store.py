@@ -29,16 +29,15 @@ class TestTunedConfig:
         cfg = TunedConfig()
         # untuned hosts run the kernel's own default blocking
         assert (cfg.block_m, cfg.block_n) == (DEFAULT_BLOCK_M, DEFAULT_BLOCK_N)
-        assert cfg.backend == "threads"
 
     @pytest.mark.parametrize(
         "kwargs",
         [
             {"block_m": 0},
-            {"p": -1},
+            {"block_n": -1},
             {"switch_k": 0},
-            {"chunks_per_worker": True},
-            {"backend": "mpi"},
+            {"block_m": True},
+            {"switch_k": 2.5},
         ],
     )
     def test_rejects_bad_fields(self, kwargs):
@@ -58,7 +57,7 @@ class TestFingerprint:
 
 class TestRoundTrip:
     def test_save_then_load(self, cache_file):
-        cfg = TunedConfig(block_m=512, block_n=4096, p=3, switch_k=128)
+        cfg = TunedConfig(block_m=512, block_n=4096, switch_k=128)
         path = save_tuned_config(cfg, cache_path=cache_file, budget="small")
         assert path == cache_file
         assert load_tuned_config(cache_file) == cfg
@@ -74,6 +73,16 @@ class TestRoundTrip:
         doc = json.loads(cache_file.read_text())
         assert "cpu_count=999|other=host" in doc["hosts"]
         assert load_tuned_config(cache_file).block_m == 256
+
+    def test_file_with_worker_fields_loads(self, cache_file):
+        """A file written when the tuner also searched workers and
+        backends still loads: the keys it no longer knows are skipped."""
+        save_tuned_config(TunedConfig(block_m=512), cache_path=cache_file)
+        doc = json.loads(cache_file.read_text())
+        config = doc["hosts"][fingerprint_key()]["config"]
+        config.update(p=2, chunks_per_worker=1, backend="processes")
+        cache_file.write_text(json.dumps(doc))
+        assert load_tuned_config(cache_file) == TunedConfig(block_m=512)
 
     def test_env_var_overrides_path(self, cache_file, monkeypatch):
         monkeypatch.setenv("REPRO_TUNE_CACHE", str(cache_file))
