@@ -14,8 +14,8 @@ measures each scheme against itself on one core:
   four leaves), LPT-scheduled onto ``p = cores`` threads.
 
 "One core" narrows this process's affinity to its first usable core
-(``os.sched_setaffinity``); "all cores" restores it. The kernel probes
-the host once per process, so the probe is cleared at each switch. The
+(``os.sched_setaffinity``); "all cores" restores it. The kernel reads
+the affinity on every call, so each switch holds from the next call. The
 four configurations run interleaved, each once untimed, then
 ``REPEATS`` rounds; every gated number is a median of calls that each
 take 100 ms or more, so host drift hits all four alike and the 0.75 CI
@@ -48,11 +48,6 @@ from .conftest import run_report, SCALE, uniform_problem
 
 SIZE = 8192 * SCALE
 REPEATS = 5
-
-
-def _use_cores(cores: set[int]) -> None:
-    os.sched_setaffinity(0, cores)
-    workers.host_threads.cache_clear()
 
 
 def _leaves(n: int, seed: int, trees: int = 3) -> list[KnnProblem]:
@@ -107,7 +102,7 @@ def test_parallel_schemes_report(benchmark, report):
         try:
             for rnd in range(REPEATS + 1):  # round 0 warms, untimed
                 for scheme, label, affinity in configs:
-                    _use_cores(affinity)
+                    os.sched_setaffinity(0, affinity)
                     t0 = time.perf_counter()
                     out = runs[scheme](len(affinity))
                     elapsed = time.perf_counter() - t0
@@ -116,7 +111,7 @@ def test_parallel_schemes_report(benchmark, report):
                     else:
                         answers[(scheme, label)] = out
         finally:
-            _use_cores(all_cores)
+            os.sched_setaffinity(0, all_cores)
 
         for scheme in runs:
             one = answers[(scheme, "1core")]

@@ -21,10 +21,10 @@ import numpy as np
 
 from repro.config import IVY_BRIDGE_BLOCKING
 from repro.core.gsknn import gsknn
-from repro.core.tuning import select_blocking
 from repro.machine import IVY_BRIDGE, calibrate_host
 from repro.model import PerformanceModel, threshold_table
 from repro.perf.gflops import gflops
+from repro.tune import select_blocking
 
 
 def main() -> None:

@@ -1240,7 +1240,7 @@ def _cmd_trace(args: argparse.Namespace) -> int:
 def _cmd_tune(args: argparse.Namespace) -> int:
     if args.budget is not None:
         return _cmd_autotune(args)
-    from .core.autotune import DecisionTable
+    from .tune import DecisionTable
     from .model import predict_variant_threshold
 
     d_grid = sorted({16, 64, 256, args.d})

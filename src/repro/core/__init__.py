@@ -14,13 +14,13 @@ Public surface:
 * :class:`~repro.core.table.TableHandle` — one validated, frozen
   coordinate table with its squared norms, the unit plans key on
   (:data:`~repro.core.table.ALL_ROWS` names its every row);
-* :class:`~repro.core.neighbors.KnnResult` and merge/recall utilities;
-* :mod:`repro.core.tuning` — blocking-parameter derivation and variant
-  switching (imported lazily to keep the model package optional at
-  import time).
+* :class:`~repro.core.neighbors.KnnResult` and merge/recall utilities.
+
+The variant and blocking decisions the kernel applies (``variant="auto"``,
+``blocking="tuned"``) live in :mod:`repro.tune`.
 """
 
-from .gsknn import DEFAULT_VARIANT_SWITCH_K, GsknnStats, gsknn, gsknn_exact_loops
+from .gsknn import GsknnStats, gsknn, gsknn_exact_loops
 from .membudget import MemoryBudget, parse_bytes
 from .neighbors import KnnResult, merge_neighbor_lists, recall
 from .norms import Norm, pairwise_block, pairwise_lp, pairwise_sq_l2, resolve_norm
@@ -39,7 +39,6 @@ __all__ = [
     "ALL_ROWS",
     "MemoryBudget",
     "parse_bytes",
-    "DEFAULT_VARIANT_SWITCH_K",
     "KnnResult",
     "merge_neighbor_lists",
     "recall",
@@ -56,12 +55,3 @@ __all__ = [
     "resolve_variant",
 ]
 
-
-def __getattr__(name: str):
-    # tuning imports the performance model, which imports this package;
-    # resolving it lazily breaks the cycle.
-    if name == "tuning":
-        from . import tuning
-
-        return tuning
-    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

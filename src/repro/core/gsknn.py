@@ -38,33 +38,19 @@ from ..config import (
 from ..errors import ValidationError
 from ..gemm.packing import pack_micropanels
 from ..obs import trace as _trace
-from ..obs.metrics import get_registry as _get_registry
 from ..select.heap import BinaryMaxHeap, DHeap
+from ..tune.decision import decide_variant
 from ..validation import as_coordinate_table, as_index_array, check_finite, check_k
 from . import microkernel
 from .neighbors import KnnResult
 from .norms import Norm, resolve_norm, squared_norms
-from .variants import Variant, VARIANT_INFO, resolve_variant
+from .variants import Variant, VARIANT_INFO
 
 __all__ = [
     "gsknn",
     "gsknn_exact_loops",
     "GsknnStats",
-    "DEFAULT_VARIANT_SWITCH_K",
-    "NUMPY_VARIANT_SWITCH_K",
 ]
-
-#: The paper's production rule (§3): Var#1 for k <= 512, Var#6 above.
-DEFAULT_VARIANT_SWITCH_K = 512
-
-#: Switch point of the *numpy fast path*. The Table 4 model prices Var#1's
-#: selection as per-candidate heap latency, but this path's selection is
-#: batched introselect merges whose cost grows more slowly with k, so the
-#: measured crossover sits higher than the model's prediction (256 vs
-#: ~64-200 across hosts we measured). "auto" uses this empirical rule;
-#: pass variant="model" for the Table 4 prediction or "paper" for the
-#: static k <= 512 rule.
-NUMPY_VARIANT_SWITCH_K = 256
 
 
 @dataclass
@@ -116,85 +102,6 @@ class GsknnStats:
         )
 
 
-def _resolve_auto_variant(
-    variant: int | str | Variant,
-    m: int,
-    n: int,
-    d: int,
-    k: int,
-    switch_k: int | None = None,
-) -> Variant:
-    """``"auto"`` = the numpy fast path's empirical threshold (or the
-    per-host tuned ``switch_k`` when one is supplied);
-    ``"model"`` = Table 4's predicted threshold (Figure 5's rule);
-    ``"paper"`` = the static production rule of §3 (Var#1 iff k <= 512)."""
-    if isinstance(variant, str):
-        key = variant.lower()
-        if key == "auto":
-            threshold = (
-                NUMPY_VARIANT_SWITCH_K if switch_k is None else switch_k
-            )
-            return Variant.VAR1 if k <= threshold else Variant.VAR6
-        if key == "model":
-            # Lazy import: the model would otherwise create an import
-            # cycle at package-init time.
-            from ..model.perf_model import PerformanceModel
-
-            return PerformanceModel().select_variant(m, n, d, k)
-        if key == "paper":
-            from .tuning import select_variant_heuristic
-
-            return select_variant_heuristic(k, d)
-    return resolve_variant(variant)
-
-
-def _apply_blocking(
-    blocking, block_m: int, block_n: int
-) -> tuple[int, int, int | None]:
-    """Resolve the ``blocking`` selector into concrete block sizes.
-
-    Returns ``(block_m, block_n, switch_k)`` where ``switch_k`` is the
-    tuned Var#1/Var#6 threshold (``None`` when untuned — callers then
-    keep :data:`NUMPY_VARIANT_SWITCH_K`). ``"tuned"`` with no matching
-    cache entry is a clean fallback to the passed defaults, counted in
-    the metrics registry so a fleet can see how many hosts run untuned.
-    """
-    if blocking is None:
-        return block_m, block_n, None
-    if isinstance(blocking, str):
-        key = blocking.lower()
-        if key == "default":
-            return block_m, block_n, None
-        if key != "tuned":
-            raise ValidationError(
-                f"blocking must be 'tuned', 'default', None, or a "
-                f"TunedConfig, got {blocking!r}"
-            )
-        from ..tune.store import load_tuned_config
-
-        config = load_tuned_config()
-        registry = _get_registry()
-        if config is None:
-            if registry.enabled:
-                registry.inc("tune.cache_misses")
-            return block_m, block_n, None
-        if registry.enabled:
-            registry.inc("tune.cache_hits")
-        return config.block_m, config.block_n, config.switch_k
-    # duck-typed TunedConfig (avoids importing repro.tune at call time)
-    try:
-        return (
-            int(blocking.block_m),
-            int(blocking.block_n),
-            int(blocking.switch_k),
-        )
-    except AttributeError:
-        raise ValidationError(
-            f"blocking must be 'tuned', 'default', None, or a "
-            f"TunedConfig, got {blocking!r}"
-        ) from None
-
-
 def gsknn(
     X: np.ndarray,
     q_idx: np.ndarray,
@@ -231,7 +138,7 @@ def gsknn(
         ``"linf"``, or any ``p > 0``.
     variant:
         ``"auto"`` (this path's empirical Var#1/Var#6 threshold,
-        ``NUMPY_VARIANT_SWITCH_K``), ``"model"`` (Table 4's predicted
+        :data:`repro.tune.NUMPY_VARIANT_SWITCH_K`), ``"model"`` (Table 4's predicted
         threshold — Figure 5's rule), ``"paper"`` (the static §3 rule:
         Var#1 iff k <= 512), or an explicit 1/5/6 — only Var#1, Var#5
         and Var#6 are executable (see :mod:`repro.core.variants` for
@@ -374,7 +281,7 @@ def gsknn_exact_loops(
     r_idx = as_index_array(r_idx, X.shape[0], name="r_idx")
     k = check_k(k, r_idx.size)
     norm = resolve_norm(norm)
-    var = _resolve_auto_variant(variant, q_idx.size, r_idx.size, X.shape[1], k)
+    var, _ = decide_variant(variant, q_idx.size, r_idx.size, X.shape[1], k)
     if var is Variant.VAR4:
         raise ValidationError(
             "Var#4 is not executable: " + VARIANT_INFO[Variant.VAR4].notes

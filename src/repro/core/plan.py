@@ -69,10 +69,11 @@ from ..errors import MemoryBudgetError, ValidationError
 from ..obs import trace as _trace
 from ..obs.metrics import get_registry as _get_registry
 from ..select.vectorized import ArenaNeighborLists, cut_bins
+from ..tune.decision import apply_blocking, decide_variant
 from ..validation import as_index_array, check_finite, check_k
 from .arena import ArenaPool
 from .membudget import MemoryBudget
-from .gsknn import GsknnStats, _apply_blocking, _resolve_auto_variant
+from .gsknn import GsknnStats
 from .microkernel import finalize_tile
 from .neighbors import KnnResult, merge_neighbor_lists_fast
 from .norms import Norm, pairwise_block, resolve_norm
@@ -148,7 +149,7 @@ class GsknnPlan:
         # panels carry a squared-norm column for l2 and cosine
         self._norm_cols = int(self.norm.is_l2 or self.norm.is_cosine)
         self._variant_spec = variant
-        block_m, block_n, tuned_switch_k = _apply_blocking(
+        block_m, block_n, tuned_switch_k = apply_blocking(
             blocking, block_m, block_n
         )
         if block_m < 1 or block_n < 1:
@@ -327,7 +328,7 @@ class GsknnPlan:
             memo = self._variant_memo.get(memo_key)
             if memo is not None:
                 return memo
-        var = _resolve_auto_variant(
+        var, inferred = decide_variant(
             spec, m, self.n, self.d, k, switch_k=self._switch_k
         )
         if var not in (Variant.VAR1, Variant.VAR5, Variant.VAR6):
@@ -335,20 +336,18 @@ class GsknnPlan:
                 f"Var#{int(var)} is not executable: {VARIANT_INFO[var].notes}"
             )
         if self.memory_budget is not None:
-            var = self._budget_variant(var, m, spec)
+            var = self._budget_variant(var, m, inferred)
         if memo_key is not None:
             self._variant_memo[memo_key] = var
         return var
 
-    def _budget_variant(
-        self, var: Variant, m: int, spec: int | str | Variant
-    ) -> Variant:
+    def _budget_variant(self, var: Variant, m: int, inferred: bool) -> Variant:
         """Veto Var#6 when its intermediates cannot fit the budget.
 
         Var#6 materializes the full (m, n) scores matrix plus an
         equally-sized argpartition index array — ``2 m n 8`` bytes no
-        budget-aware blocking can shrink. An *inferred* choice (spec
-        was ``"auto"``/``"model"``/``"paper"``) is deflected to the
+        budget-aware blocking can shrink. An *inferred* choice (see
+        :func:`~repro.tune.decision.decide_variant`) is deflected to the
         blocked Var#1, which computes the same answer in O(block) space;
         an explicit ``variant=6`` is refused.
         """
@@ -357,11 +356,7 @@ class GsknnPlan:
         var6_nbytes = 2 * m * self.n * 8
         if var6_nbytes <= self.memory_budget.limit_bytes:
             return var
-        explicit = not (
-            isinstance(spec, str)
-            and spec.lower() in ("auto", "model", "paper")
-        )
-        if explicit:
+        if not inferred:
             raise MemoryBudgetError(
                 f"variant 6 needs ~{var6_nbytes} bytes for its "
                 f"(m={m}, n={self.n}) scores matrix, over the "

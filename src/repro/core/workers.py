@@ -24,9 +24,10 @@ A kernel reached from a fan-out of its own — a ``ThreadRung`` item
 (a task-parallel schedule's task, a simulated rank) or a shard or rank
 worker process — runs its row blocks in its own thread: those sites
 enter :func:`serial_kernels`, so the host's cores are never
-oversubscribed by nesting. The host is probed once per process, so a
-process that wants fewer cores narrows its affinity
-(``os.sched_setaffinity``) before its first kernel call. The thread
+oversubscribed by nesting. The usable cores are re-read on every call
+(under a microsecond), so a process that narrows its affinity
+(``os.sched_setaffinity``) at any time runs fewer workers from its next
+kernel call on; only the BLAS probe runs once per process. The thread
 pool lives for one execute only: a pool kept across calls would be
 inherited, dead, by forked workers.
 """
@@ -86,7 +87,13 @@ def _usable_cores() -> int:
         return os.cpu_count() or 1
 
 
+@functools.lru_cache(maxsize=1)
 def _blas_threads() -> int | None:
+    """:func:`_probe_blas`, run once per process."""
+    return _probe_blas()
+
+
+def _probe_blas() -> int | None:
     """Threads of the OpenBLAS numpy has loaded, or None when unknown.
 
     Only a library that is already loaded is asked (``RTLD_NOLOAD``), so
@@ -110,9 +117,9 @@ def _blas_threads() -> int | None:
     return None
 
 
-@functools.lru_cache(maxsize=1)
 def host_threads() -> tuple[int, int]:
-    """``(usable cores, BLAS threads)``, probed once per process.
+    """``(usable cores, BLAS threads)``: the affinity as it is now, the
+    BLAS as probed once.
 
     An unknown BLAS counts as using every usable core.
     """

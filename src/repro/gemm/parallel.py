@@ -4,7 +4,7 @@ The paper parallelizes the 4th loop: each core takes ``m_c`` blocks of
 rows, packs a private ``Q_c`` into its private L2, and shares ``R_c``
 through L3. This module applies exactly that decomposition to the
 blocked GEMM substrate: the row dimension is split into per-worker
-chunks (sized by :func:`repro.core.tuning.dynamic_m_c` logic — every
+chunks (:func:`repro.parallel.chunking.block_aligned_chunks` — every
 worker gets a whole number of ``m_c`` blocks), each worker runs the
 ordinary serial loop nest over its chunk, and the output rows are
 disjoint so no synchronization is needed.

@@ -19,7 +19,7 @@ the model's scale, not its structure. The Table 4 selection term models
 a *scalar heap* per candidate; the numpy fast path selects with batched
 introselect whose k-dependence is milder, so its Var#1/Var#6 switch uses
 an empirical threshold rather than this model (see
-``repro.core.gsknn.NUMPY_VARIANT_SWITCH_K``).
+``repro.tune.NUMPY_VARIANT_SWITCH_K``).
 """
 
 from __future__ import annotations

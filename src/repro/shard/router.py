@@ -37,7 +37,6 @@ from typing import Any
 import numpy as np
 
 from ..config import DEFAULT_BLOCK_M, DEFAULT_BLOCK_N
-from ..core.gsknn import _resolve_auto_variant
 from ..core.neighbors import KnnResult
 from ..core.norms import resolve_norm
 from ..core.table import TableHandle
@@ -49,6 +48,7 @@ from ..resilience.executor import InlineRung, Rung, ThreadRung, run_ladder
 from ..resilience.faults import FaultPlan
 from ..resilience.retry import RetryPolicy
 from ..select.mergeselect import merge_partial_topk
+from ..tune.decision import decide_variant
 from ..validation import as_index_array
 from .map import ShardMap
 from .transport import (
@@ -226,6 +226,11 @@ class ShardedAllKnn:
 
     # -- solves --------------------------------------------------------------
 
+    def _variant(self, m: int, k: int) -> int:
+        """The variant this router's spec picks for ``m`` queries."""
+        spec = self._variant_spec
+        return int(decide_variant(spec, m, self.n_refs, self.dim, k)[0])
+
     def solve(
         self,
         q_idx,
@@ -239,11 +244,7 @@ class ShardedAllKnn:
         """
         q_idx = as_index_array(q_idx, self._table.n, name="q_idx")
         k = self._check_k(k)
-        var = int(
-            _resolve_auto_variant(
-                self._variant_spec, q_idx.size, self.n_refs, self.dim, k
-            )
-        )
+        var = self._variant(q_idx.size, k)
         return self._scatter_gather(
             ("idx", q_idx, k, var), q_idx.size, k, deadline
         )
@@ -264,11 +265,7 @@ class ShardedAllKnn:
                 f"Q must be (m, {self.dim}), got shape {Q.shape}"
             )
         k = self._check_k(k)
-        var = int(
-            _resolve_auto_variant(
-                self._variant_spec, Q.shape[0], self.n_refs, self.dim, k
-            )
-        )
+        var = self._variant(Q.shape[0], k)
         return self._scatter_gather(
             ("rows", Q, k, var), Q.shape[0], k, deadline
         )

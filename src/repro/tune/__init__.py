@@ -1,21 +1,27 @@
-"""Persistent per-host autotuning (blocking, variant switch).
+"""The variant and blocking decisions, and the per-host autotuner.
 
-The paper derives its blocking analytically for one machine; this
-package *measures* the running host instead and remembers the answer:
+* :mod:`repro.tune.decision` — what every kernel call applies:
+  :func:`decide_variant` (``variant="auto"|"model"|"paper"|1|5|6``),
+  :func:`apply_blocking` (``blocking="tuned"|"default"|None|TunedConfig``)
+  and :func:`select_blocking`, the analytic Goto recipe (§2.4);
+* :class:`Autotuner` — guided search on this host (blocking, then the
+  Var#1/Var#6 switch-``k``), every candidate a ``tune_candidate`` span;
+* :class:`DecisionTable` — a (d, k) variant table from the model or
+  from the autotuner's timings;
+* :mod:`repro.tune.store` — the fingerprint-keyed cache behind
+  ``blocking="tuned"``.
 
-* :class:`~repro.tune.autotuner.Autotuner` — guided two-stage search
-  (blocking -> Var#1/Var#6 switch-``k``),
-  instrumented through the observability layer;
-* :mod:`repro.tune.store` — the schema-versioned JSON cache, keyed by a
-  host fingerprint so stale or foreign entries are never applied;
-* ``gsknn(..., blocking="tuned")`` loads the cache transparently and
-  falls back to the built-in defaults when no entry matches.
-
-Command line: ``repro-gsknn tune --budget small`` runs a search and
-persists the winner (see ``docs/TUNING.md``).
+Command line: ``repro-gsknn tune`` (see ``docs/TUNING.md``).
 """
 
 from .autotuner import BUDGETS, Autotuner, TuneBudget, TuneReport
+from .decision import (
+    DEFAULT_VARIANT_SWITCH_K,
+    NUMPY_VARIANT_SWITCH_K,
+    apply_blocking,
+    decide_variant,
+    select_blocking,
+)
 from .store import (
     TUNE_SCHEMA_VERSION,
     TunedConfig,
@@ -25,8 +31,15 @@ from .store import (
     load_tuned_config,
     save_tuned_config,
 )
+from .table import DecisionTable
 
 __all__ = [
+    "decide_variant",
+    "apply_blocking",
+    "select_blocking",
+    "DEFAULT_VARIANT_SWITCH_K",
+    "NUMPY_VARIANT_SWITCH_K",
+    "DecisionTable",
     "Autotuner",
     "TuneBudget",
     "TuneReport",

@@ -12,7 +12,7 @@ space stays tiny compared to a full grid):
    Var#1 problem, best-of-N timing.
 2. **Crossover** — the empirical Var#1 <-> Var#6 switch-``k``: time both
    variants at geometric ``k`` probes and take the measured crossover,
-   replacing the hard-coded ``NUMPY_VARIANT_SWITCH_K``.
+   replacing :data:`~repro.tune.decision.NUMPY_VARIANT_SWITCH_K`.
 
 The worker count is not searched: every kernel call deals its row
 blocks to the cores the process may use (:mod:`repro.core.workers`).
@@ -32,9 +32,11 @@ from typing import Any
 
 import numpy as np
 
+from ..config import DEFAULT_BLOCK_N
 from ..errors import ValidationError
 from ..obs import trace as _trace
 from ..obs.metrics import get_registry as _get_registry
+from .decision import NUMPY_VARIANT_SWITCH_K
 from .store import TunedConfig, save_tuned_config
 
 __all__ = ["TuneBudget", "BUDGETS", "Autotuner", "TuneReport"]
@@ -117,6 +119,7 @@ class Autotuner:
             budget = BUDGETS[budget]
         self.budget = budget
         self.seed = int(seed)
+        self._report = TuneReport(config=TunedConfig(), budget=budget.name)
 
     # -- measurement core -------------------------------------------------
 
@@ -137,41 +140,48 @@ class Autotuner:
         )
         return best
 
-    def _problem(self, k: int | None = None):
+    def _problem(self, d: int):
         from ..data.synthetic import uniform_hypercube
 
         b = self.budget
         n_points = max(b.m, b.n)
-        ds = uniform_hypercube(n_points, b.d, seed=self.seed)
+        ds = uniform_hypercube(n_points, d, seed=self.seed)
         rng = np.random.default_rng(self.seed + 1)
         q = rng.permutation(n_points)[: b.m]
         r = rng.permutation(n_points)[: b.n]
-        return ds.points, q, r, (b.k if k is None else k)
+        return ds.points, q, r
+
+    def _faster_variant(self, X, q, r, k: int, stage: str, **blocks) -> int:
+        """1 or 6, whichever variant solves this problem faster (a tie
+        goes to Var#1)."""
+        from ..core.gsknn import gsknn
+
+        t1, t6 = [
+            self._time(
+                lambda: gsknn(X, q, r, k, variant=v, **blocks),
+                stage, variant=v, k=k,
+            )
+            for v in (1, 6)
+        ]
+        return 1 if t1 <= t6 else 6
 
     # -- stages -----------------------------------------------------------
 
     def _tune_blocking(self, X, q, r, k) -> tuple[int, int]:
-        """Coordinate descent: best block_m at default block_n, then best
-        block_n at that block_m."""
+        """Coordinate descent: best block_m at the default block_n, then
+        best block_n at that block_m."""
         from ..core.gsknn import gsknn
 
-        block_n = 2048
-        timings: dict[int, float] = {}
-        for bm in self.budget.block_candidates:
-            timings[bm] = self._time(
-                lambda: gsknn(X, q, r, k, variant=1,
-                              block_m=bm, block_n=block_n),
-                "blocking", block_m=bm, block_n=block_n,
+        def seconds(blocks: tuple[int, int]) -> float:
+            bm, bn = blocks
+            return self._time(
+                lambda: gsknn(X, q, r, k, variant=1, block_m=bm, block_n=bn),
+                "blocking", block_m=bm, block_n=bn,
             )
-        block_m = min(timings, key=timings.get)
-        timings = {}
-        for bn in self.budget.block_candidates:
-            timings[bn] = self._time(
-                lambda: gsknn(X, q, r, k, variant=1,
-                              block_m=block_m, block_n=bn),
-                "blocking", block_m=block_m, block_n=bn,
-            )
-        return block_m, min(timings, key=timings.get)
+
+        grid = self.budget.block_candidates
+        block_m, _ = min([(bm, DEFAULT_BLOCK_N) for bm in grid], key=seconds)
+        return min([(block_m, bn) for bn in grid], key=seconds)
 
     def _tune_switch_k(self, X, q, r, block_m, block_n) -> int:
         """Measured Var#1 <-> Var#6 crossover over geometric k probes.
@@ -179,27 +189,15 @@ class Autotuner:
         Returns the largest probed k where Var#1 still wins (i.e. the
         tuned rule is "Var#1 iff k <= switch_k").
         """
-        from ..core.gsknn import NUMPY_VARIANT_SWITCH_K, gsknn
-
-        n = r.size
         switch = 0
         for k in self.budget.switch_probes:
-            if k > n:
+            if k > r.size:
                 break
-            t1 = self._time(
-                lambda: gsknn(X, q, r, k, variant=1,
-                              block_m=block_m, block_n=block_n),
-                "switch", variant=1, k=k,
-            )
-            t6 = self._time(
-                lambda: gsknn(X, q, r, k, variant=6,
-                              block_m=block_m, block_n=block_n),
-                "switch", variant=6, k=k,
-            )
-            if t1 <= t6:
-                switch = k
-            else:
+            if self._faster_variant(
+                X, q, r, k, "switch", block_m=block_m, block_n=block_n
+            ) == 6:
                 break  # crossover passed; larger k only favors Var#6 more
+            switch = k
         return switch if switch > 0 else NUMPY_VARIANT_SWITCH_K
 
     # -- driver -----------------------------------------------------------
@@ -216,8 +214,8 @@ class Autotuner:
         )
         t0 = time.perf_counter()
         with _trace.span("autotune", budget=self.budget.name):
-            X, q, r, k = self._problem()
-            block_m, block_n = self._tune_blocking(X, q, r, k)
+            X, q, r = self._problem(self.budget.d)
+            block_m, block_n = self._tune_blocking(X, q, r, self.budget.k)
             switch_k = self._tune_switch_k(X, q, r, block_m, block_n)
         self._report.config = TunedConfig(
             block_m=block_m, block_n=block_n, switch_k=switch_k

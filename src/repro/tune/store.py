@@ -42,6 +42,7 @@ from typing import Any
 from ..config import DEFAULT_BLOCK_M, DEFAULT_BLOCK_N
 from ..errors import ValidationError
 from ..ioutil import atomic_write_json
+from .decision import NUMPY_VARIANT_SWITCH_K
 
 __all__ = [
     "TUNE_SCHEMA_VERSION",
@@ -70,7 +71,7 @@ class TunedConfig:
 
     block_m: int = DEFAULT_BLOCK_M
     block_n: int = DEFAULT_BLOCK_N
-    switch_k: int = 256
+    switch_k: int = NUMPY_VARIANT_SWITCH_K
 
     def __post_init__(self) -> None:
         for name in ("block_m", "block_n", "switch_k"):

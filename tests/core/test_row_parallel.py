@@ -154,12 +154,6 @@ class TestWorkerCountInvariance:
 
 
 class TestWorkerCount:
-    @pytest.fixture(autouse=True)
-    def fresh_probe(self):
-        workers.host_threads.cache_clear()
-        yield
-        workers.host_threads.cache_clear()
-
     def test_blas_threads_take_the_cores(self, monkeypatch):
         monkeypatch.setattr(workers, "_usable_cores", lambda: 2)
         monkeypatch.setattr(workers, "_blas_threads", lambda: 2)
@@ -184,14 +178,25 @@ class TestWorkerCount:
         _force(monkeypatch, 4)
         assert workers.row_workers(8, cap=3)[0] == 3
 
-    def test_probe_is_cached(self, monkeypatch):
-        calls = []
+    def test_narrowed_affinity_lowers_p(self, monkeypatch):
+        """The affinity is read on every call, so narrowing it after a
+        kernel call lowers p on the next one; the BLAS is probed once."""
+        affinity = {0, 1, 2, 3}
+        probes = []
         monkeypatch.setattr(
-            workers, "_usable_cores", lambda: calls.append(1) or 2
+            workers.os, "sched_getaffinity", lambda pid: set(affinity)
         )
-        workers.host_threads()
-        workers.host_threads()
-        assert len(calls) == 1
+        monkeypatch.setattr(
+            workers, "_probe_blas", lambda: probes.append(1) or 1
+        )
+        workers._blas_threads.cache_clear()
+        try:
+            assert workers.row_workers(8)[0] == 4
+            affinity.difference_update({1, 2, 3})
+            assert workers.row_workers(8)[0] == 1
+        finally:
+            workers._blas_threads.cache_clear()  # forget the fake probe
+        assert len(probes) == 1
 
 
 class _PoolSpy:

@@ -101,7 +101,7 @@ class TestPortability:
         assert HASWELL.peak_gflops > IVY_BRIDGE.peak_gflops
 
     def test_blocking_rederives_for_new_machine(self):
-        from repro.core.tuning import select_blocking
+        from repro.tune import select_blocking
         from repro.machine import HASWELL
 
         ivy = select_blocking(IVY_BRIDGE)
@@ -111,7 +111,7 @@ class TestPortability:
         assert hsw.n_c > ivy.n_c
 
     def test_model_runs_unchanged_on_new_machine(self):
-        from repro.core.tuning import select_blocking
+        from repro.tune import select_blocking
         from repro.machine import HASWELL
         from repro.model import PerformanceModel
 

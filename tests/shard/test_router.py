@@ -13,6 +13,7 @@ import pytest
 
 from repro.errors import BackendError, KernelTimeoutError, ValidationError
 from repro.shard import ShardedAllKnn
+from repro.tune import decide_variant
 
 BLOCKS = {"block_m": 64, "block_n": 64}  # 300 refs -> 5 panels
 
@@ -67,6 +68,18 @@ class TestBitIdenticality:
             assert_bit_identical(
                 router.solve(q, 5), router.solve_reference(q, 5)
             )
+
+    @pytest.mark.parametrize("k, var", [(256, 1), (257, 6)])
+    def test_auto_variant_across_the_switch(self, table, k, var):
+        """variant="auto" runs Var#1 at k = 256 and Var#6 at k = 257 on
+        the shards; both match the fused reference (random coordinates:
+        distinct distances, so Var#6's tie order cannot matter)."""
+        q = np.arange(0, 300, 13)
+        assert decide_variant("auto", q.size, 300, 13, k) == (var, True)
+        with make(table, 3, variant="auto") as router:
+            want = router.solve_reference(q, k)
+            assert_bit_identical(router.solve(q, k), want)
+            assert_bit_identical(router.solve_rows(table[q], k), want)
 
 
 class TestChurn:

@@ -97,9 +97,9 @@ class TestBlockingTuned:
     def test_tuned_switch_k_changes_auto_variant(self, cloud, tmp_path,
                                                  monkeypatch):
         """The persisted switch_k drives variant="auto" selection."""
-        from repro.core.gsknn import _resolve_auto_variant
+        from repro.tune import decide_variant
 
         # with the default threshold, k=8 <= 256 -> Var#1
-        assert _resolve_auto_variant("auto", 40, 120, 9, 8) == 1
+        assert decide_variant("auto", 40, 120, 9, 8) == (1, True)
         # a tuned switch_k below k flips the choice to Var#6
-        assert _resolve_auto_variant("auto", 40, 120, 9, 8, switch_k=4) == 6
+        assert decide_variant("auto", 40, 120, 9, 8, switch_k=4) == (6, True)
