@@ -57,9 +57,10 @@ __all__ = [
 class GsknnStats:
     """Execution statistics of one fused-kernel run.
 
-    ``blocks`` counts (row block, reference panel) pairs, however many
-    panels a tile groups: a short batch whose tile spans several panels
-    still counts one block per panel. ``candidates_discarded`` counts
+    ``blocks`` counts (row block, ``block_n``-wide panel) pairs, however
+    many panels a tile groups: a short batch whose tile spans several
+    panels still counts one block per panel, and an l2 screen panel,
+    ``2 block_n`` wide, counts two. ``candidates_discarded`` counts
     what the root filter dropped, so it depends on the tile width: a
     wider tile filters against thresholds refreshed once per tile.
     """

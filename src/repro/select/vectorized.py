@@ -23,16 +23,13 @@ TPU-KNN's PartialReduce shows is at or above the row's ``k``-th
 distance: about ``k`` candidates survive, with no sort of the tile.
 
 For the l2 norm the kernel hands :meth:`ArenaNeighborLists.update` a
-*raw* tile ``r2 - 2 q.r`` (one GEMM on norm-folded operands, see
-:mod:`repro.core.plan`) plus the block's ``q2`` as an ``offset``. A warm
-row is filtered against ``row_max - q2`` on the raw values, a cold row
-against its bin cut of the raw values, and only the survivors are
-finished with ``+q2`` and the ``max(., 0)`` clamp — the paper's §2.3
-epilogue applied to the few candidates that can still enter a list
-instead of the whole tile. :func:`finalize_sq_l2` is that epilogue;
-finishing a survivor is the same floating-point operation as finishing
-it inside a whole tile, so the filter changes which values are
-computed, never their bits.
+float32 *screen* tile and its :class:`~repro.core.screen.TileScreen`:
+a warm row's cut is already folded into the tile (it keeps what is
+below 0), a cold row is cut at its bin cut widened by the screen's
+error bound, and only the survivors are rescored in float64 — the
+paper's §2.3 epilogue applied to the few candidates that can still
+enter a list instead of the whole tile. :func:`finalize_sq_l2` is the
+epilogue Var#5 applies to its whole float64 tiles.
 
 Semantics are identical to per-row heap selection: after any sequence of
 updates each row holds the k smallest (distance, id) pairs seen so far.
@@ -43,10 +40,14 @@ from __future__ import annotations
 
 import copy
 from dataclasses import dataclass, fields
+from typing import TYPE_CHECKING
 
 import numpy as np
 
 from ..errors import ValidationError
+
+if TYPE_CHECKING:
+    from ..core.screen import TileScreen
 
 __all__ = [
     "ArenaNeighborLists",
@@ -55,13 +56,6 @@ __all__ = [
     "finalize_sq_l2",
     "merge_block",
 ]
-
-#: Slack of the raw-tile filter, in units of ``eps * (|row_max| + q2)``.
-#: Forming ``row_max - q2`` and finishing ``raw + q2`` each round once;
-#: four units cover both with room, and the exact re-check after
-#: finishing keeps the filter's slack out of the results.
-_RAW_FILTER_SLACK = 4 * np.finfo(np.float64).eps
-
 
 def cut_bins(k: int, width: int) -> int:
     """Strided bins ``L`` whose minima cut a cold row of a ``width`` tile.
@@ -84,7 +78,7 @@ def finalize_sq_l2(raw: np.ndarray, offset: np.ndarray) -> np.ndarray:
     """Finish a raw ``r2 - 2 q.r`` tile into squared distances, in place.
 
     Adds each row's ``q2`` (``offset``) and clamps cancellation below
-    zero — the same two operations a survivor gets one element at a time.
+    zero: Var#5's epilogue on its whole float64 tiles.
     """
     np.add(raw, offset[:, None], out=raw)
     np.maximum(raw, 0.0, out=raw)
@@ -141,6 +135,8 @@ class BlockUpdateStats:
     rows_merged: int = 0
     candidates_offered: int = 0
     candidates_surviving: int = 0
+    #: screen survivors rescored in float64 (l2 Var#1 tiles)
+    candidates_rescored: int = 0
 
     def add(self, other: "BlockUpdateStats") -> None:
         """Sum ``other``'s tallies into this one (per-worker stats)."""
@@ -297,8 +293,8 @@ class ArenaNeighborLists(BatchedNeighborLists):
       extracts the few surviving ``(row, col)`` pairs; only those are
       merged. A warm row's survivors are the candidates that beat its
       list; a cold row keeps about ``k`` of the tile;
-    * ``update`` also takes raw l2 tiles with their ``q2`` offset and
-      finishes only the survivors (see the module docstring and
+    * ``update`` also takes l2 float32 screen tiles and rescores only
+      their survivors in float64 (see the module docstring and
       ``docs/PERF.md``);
     * :meth:`worker` hands a row worker a view that shares the lists but
       owns its scratch keys and tallies, so workers updating disjoint
@@ -391,22 +387,22 @@ class ArenaNeighborLists(BatchedNeighborLists):
         row_start: int,
         cand_values: np.ndarray,
         cand_ids: np.ndarray,
-        offset: np.ndarray | None = None,
+        screen: "TileScreen | None" = None,
     ) -> None:
         """Fold a tile into rows ``row_start...``, as the base class does.
 
-        With ``offset`` (the block's ``q2``), ``cand_values`` is a raw l2
-        tile ``r2 - 2 q.r``. A row with a finite threshold is filtered on
-        the raw values against ``row_max - q2`` widened by a few ulps,
-        and its survivors are finished (:func:`finalize_sq_l2`) and
-        re-checked against ``row_max``; a row without one is cut at the
-        ``k``-th smallest of :func:`cut_bins` strided bin minima of the
-        raw values (finishing is monotone, so the cut keeps the row's
-        ``k`` best) and its survivors are finished. Either way the lists
-        and thresholds come out as if the whole tile had been finished
-        first. The tile itself is never written.
+        Without ``screen``, ``cand_values`` holds finished distances: a
+        row with a finite threshold keeps the candidates below it, a row
+        without one those at or below the ``k``-th smallest of
+        :func:`cut_bins` strided bin minima. With a
+        :class:`~repro.core.screen.TileScreen`, ``cand_values`` is the
+        l2 float32 screen tile: the same two cuts are taken on it, each
+        widened by the screen's error bound, and only the survivors are
+        rescored in float64 and re-checked against ``row_max``. Either
+        way the lists and thresholds come out as if every candidate had
+        been finished first. The tile itself is never written.
         """
-        cand_values = np.asarray(cand_values, dtype=np.float64)
+        cand_values = np.asarray(cand_values)
         if cand_values.ndim != 2:
             raise ValidationError("candidate tile must be 2-D")
         m_b, n_b = cand_values.shape
@@ -414,15 +410,9 @@ class ArenaNeighborLists(BatchedNeighborLists):
             raise ValidationError(
                 f"rows [{row_start}, {row_start + m_b}) out of range for m={self.m}"
             )
-        if offset is not None and np.shape(offset) != (m_b,):
-            raise ValidationError(
-                f"offset must have shape ({m_b},), got {np.shape(offset)}"
-            )
         if self.wholesale:
-            # Var#5: no early discard — every tile is finished whole (in
-            # place) and merged, and the threshold never engages
-            if offset is not None:
-                finalize_sq_l2(cand_values, offset)
+            # Var#5: no early discard — every tile is merged whole, and
+            # the threshold never engages
             super().update(row_start, cand_values, cand_ids)
             self.row_max[row_start : row_start + m_b] = np.inf
             return
@@ -434,93 +424,83 @@ class ArenaNeighborLists(BatchedNeighborLists):
         self.stats.rows_offered += m_b
         self.stats.candidates_offered += m_b * n_b
         thresholds = self.row_max[row_start : row_start + m_b]
-        if offset is None:
-            cut = thresholds
-        else:
-            # raw < row_max - q2, widened so rounding can never drop a
-            # candidate whose finished distance beats row_max
-            cut = thresholds - offset
-            cut += _RAW_FILTER_SLACK * (np.abs(thresholds) + np.abs(offset))
         cold = np.isinf(thresholds)
         all_cold = bool(cold.all())
+        any_cold = all_cold or bool(cold.any())
+        if screen is None:
+            cut = thresholds
+        elif any_cold:
+            # a warm row's cut is folded into its screen tile: it keeps
+            # what screens below 0
+            cut = np.where(cold, np.float32(np.inf), np.float32(0))
         bins = cut_bins(self.k, n_b)
-        if bins and cold.any():
+        if bins and any_cold:
             # Cold rows: the k-th smallest of `bins` strided bin minima
             # is an element with k-1 others at or below it, so every
-            # candidate of the row's k best is at or below it too. The
-            # view over the first groups * bins columns is a slice, never
-            # a copy; the remaining columns are only compared.
+            # candidate of the row's k best is at or below it too (above
+            # it by at most the screen's widening). The view over the
+            # first groups * bins columns is a slice, never a copy; the
+            # remaining columns are only compared.
             groups = n_b // bins
             mins = cand_values[:, : groups * bins]
             mins = mins.reshape(m_b, groups, bins).min(axis=1)
             mins.partition(self.k - 1, axis=1)
-            # `<` against the next double up keeps ties at the cut
-            kth = np.nextafter(mins[:, self.k - 1], np.inf)
+            if screen is None:
+                # `<` against the next value up keeps ties at the cut
+                kth = np.nextafter(mins[:, self.k - 1], np.inf)
+            else:
+                kth = screen.cold_cut(mins[:, self.k - 1])
             cut = kth if all_cold else np.where(cold, kth, cut)
 
-        # Stage 1 (same reduction as the base class): drop whole rows whose
-        # best candidate cannot beat the cut, and restrict the mask to the
-        # survivors — in the sparse regime (tree iteration 2+, warm
-        # repeats) this keeps the boolean pass off most of the tile. A
-        # cold row always keeps candidates, so an all-cold tile skips the
-        # pass.
-        if all_cold:
-            live = None
-        else:
-            row_min = cand_values.min(axis=1)
-            live = np.flatnonzero(row_min < cut)
-            if live.size == 0:
-                return
-        if live is None or 2 * live.size >= m_b:
-            # dense-live tile: a dead row contributes no survivors anyway
-            # (its minimum already failed), so mask the whole tile and
-            # skip the O(m_b * n_b) subset copy
-            target, thr, subset = cand_values, cut, False
-        else:
-            target, thr, subset = cand_values[live], cut[live], True
-        # The mask's bytes also hold the merge buffer below (the mask is
-        # dead once `flat` is taken), so merging costs no workspace
-        # beyond the tile's block_m x block_n x 9 that the budget fit
-        # counts. Only a tile of fewer than 16 (k + 1) cells gets more:
-        # a merge round holds at least one row and one survivor.
+        # The mask's bytes also hold the rescore scratch and the merge
+        # buffer below (the mask is dead once `flat` is taken), so they
+        # cost no workspace beyond the tile and mask bytes the budget fit
+        # counts. Only a tile of fewer than 16 (k + 1) cells gets more: a
+        # merge round holds at least one row and one survivor, a rescore
+        # round one pair.
         key = "lists.mask" + self.scratch
         room = max(cand_values.size, 16 * (self.k + 1))
+        if screen is not None:
+            room = max(room, screen.pair_bytes)
         buf = self._arena.take_c(key, (room,), np.uint8)
-        mask = buf[: target.size].view(np.bool_).reshape(target.shape)
-        np.less(target, thr[:, None], out=mask)
+        mask = buf[: cand_values.size].view(np.bool_).reshape(m_b, n_b)
+        if screen is None or any_cold:
+            np.less(cand_values, cut[:, None], out=mask)
+        else:
+            # a scalar compare runs several times faster than one
+            # broadcasting a column of cuts
+            np.less(cand_values, np.float32(0), out=mask)
         # flatnonzero on the dense mask is several times faster than the
         # generic 2-D nonzero, and divmod keeps the same row-major order
         flat = np.flatnonzero(mask)
         surv_rows, surv_cols = np.divmod(flat, n_b)
-        if subset:
-            # map subset positions back to tile rows; `live` is ascending,
-            # so row-major grouping is preserved
-            surv_rows = live[surv_rows]
-        surv_values = cand_values[surv_rows, surv_cols]
-        if offset is not None:
-            # finish only the survivors, then drop the ones the slack let
-            # through: what remains is exactly what a finished tile's
-            # `tile < row_max` compare would keep (cold rows: `< inf`)
-            np.add(surv_values, offset[surv_rows], out=surv_values)
-            np.maximum(surv_values, 0.0, out=surv_values)
+        surv_ids = cand_ids[surv_cols]
+        if screen is None:
+            surv_values = cand_values[surv_rows, surv_cols]
+        else:
+            # rescore the survivors in float64, then drop the ones the
+            # widening let through: what remains is exactly what a
+            # float64 `distance < row_max` compare would keep (cold
+            # rows: `< inf`)
+            self.stats.candidates_rescored += int(surv_rows.size)
+            surv_values = screen.rescore(surv_rows, surv_ids, buf)
             if not all_cold:
                 keep = surv_values < thresholds[surv_rows]
                 if not keep.all():
                     surv_rows = surv_rows[keep]
-                    surv_cols = surv_cols[keep]
+                    surv_ids = surv_ids[keep]
                     surv_values = surv_values[keep]
         if surv_rows.size == 0:
             return
-        surv_ids = cand_ids[surv_cols]
         if self._dedup:
             # Seeded lists: a survivor whose id is already retained must
             # not enter the merge twice. Its freshly computed distance
-            # overwrites the seed's copy in place (recomputing a pair in
-            # a different block can shift the BLAS reduction order by an
-            # ulp; a final dedup-merge would keep the fresh value, so the
-            # fold does too), then the candidate is dropped. Done before
-            # the row grouping so rows_merged stays an honest count and
-            # the caller's zero-survivor shortcut keeps firing.
+            # overwrites the seed's copy in place (a seed computed by
+            # another path may differ from it in the last bits; a final
+            # dedup-merge would keep the fresh value, so the fold does
+            # too), then the candidate is dropped. Done before the row
+            # grouping so rows_merged stays an honest count and the
+            # caller's zero-survivor shortcut keeps firing.
             abs_r = surv_rows + row_start
             eq = self.ids[abs_r] == surv_ids[:, None]
             dup = eq.any(axis=1)

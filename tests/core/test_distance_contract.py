@@ -144,7 +144,7 @@ def streamed_problem(draw):
     """Reference sets large enough that a budget just under twice the
     panel bytes streams them and still fits the workspace."""
     d = draw(st.sampled_from([3, 16, 17]))
-    N = draw(st.integers(min_value=1500, max_value=2500))
+    N = draw(st.integers(min_value=3000, max_value=4000))
     X, rng = _table(draw, N, d)
     q = rng.choice(N, draw(st.integers(min_value=1, max_value=100)), replace=False)
     r = rng.permutation(N)
@@ -156,8 +156,9 @@ def streamed_problem(draw):
 @settings(max_examples=15, deadline=None)
 def test_budget_streamed_bit_identical_to_cached(problem):
     X, q, r, k = problem
-    # caching needs twice the panel bytes; one byte less streams
-    panel_nbytes = r.size * (X.shape[1] + 1) * 8
+    # caching needs twice the (float32, for l2) panel bytes; one byte
+    # less streams
+    panel_nbytes = r.size * (X.shape[1] + 2) * 4
     streamed = GsknnPlan(X, r, variant=1, memory_budget=2 * panel_nbytes - 1)
     assert streamed.streams_panels
     blocks = dict(block_m=streamed.block_m, block_n=streamed.block_n)

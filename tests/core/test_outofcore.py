@@ -62,10 +62,11 @@ class TestBitIdentity:
     def test_streamed_plan_equals_cached_plan(self, table):
         ram, mm = table
         q = np.arange(400, dtype=np.intp)
-        r = np.arange(0, 4096, 3, dtype=np.intp)  # strided gather path
-        # panels are ~270 KiB; a 512 KiB budget cannot hold 2x that, so
-        # the plan must stream them from the memmap
-        budgeted = GsknnPlan(mm, r, memory_budget="512KiB")
+        r = np.arange(4095, -1, -1, dtype=np.intp)  # a gather, not a slice
+        # float32 l2 panels are 4096*26*4 = 416 KiB; a 600 KiB budget
+        # cannot hold 2x that, so the plan must stream them from the
+        # memmap
+        budgeted = GsknnPlan(mm, r, memory_budget="600KiB")
         assert budgeted.streams_panels
         cached = GsknnPlan(
             ram, r, block_m=budgeted.block_m, block_n=budgeted.block_n
@@ -102,8 +103,9 @@ class TestCacheVsStreamDecision:
     def test_small_budget_streams(self, table):
         _, mm = table
         r = np.arange(4096, dtype=np.intp)
-        # panels are ~4096*25*8 = 800 KiB; 2x must not fit -> stream
-        plan = GsknnPlan(mm, r, memory_budget="1MiB")
+        # float32 l2 panels are 4096*26*4 = 416 KiB; 2x must not fit ->
+        # stream
+        plan = GsknnPlan(mm, r, memory_budget="800KiB")
         assert plan.streams_panels and not plan.panels_cached
         plan.release()
 

@@ -118,13 +118,13 @@ class TestWorkerCountInvariance:
             assert _stats(st) == _stats(st0)
 
     def test_budget_streamed_and_cached(self, monkeypatch, rng):
-        X = rng.random((6000, 16))
+        X = rng.random((12000, 16))
         q = np.arange(500, dtype=np.intp)
-        r = np.arange(6000, dtype=np.intp)
+        r = np.arange(12000, dtype=np.intp)
 
         def solve():
-            # the 816 KB of panels exceed half the budget: streamed; the
-            # half share holds four 64 x 256 scratch sets
+            # the 864 KB of float32 panels exceed half the budget:
+            # streamed; the half share holds four 64 x 256 scratch sets
             budget = MemoryBudget("1536KiB")
             streamed = GsknnPlan(
                 X, r, block_m=64, block_n=256, memory_budget=budget
@@ -352,13 +352,15 @@ class TestBudgetHonesty:
     def test_dense_survivors_stay_in_the_tile_budget(self):
         # points on a line, farthest panel first: every panel beats the
         # last, so each warm tile's whole width survives in every row —
-        # a 64 x 64 survivor strip that only fits inside the mask's bytes
-        N, d, k = 1500, 3, 13
+        # a 64 x 128 survivor strip (an l2 screen panel is 2 x block_n
+        # wide) whose rescore and merge only fit the mask's bytes in
+        # rounds
+        N, d, k = 3000, 3, 13
         X = np.zeros((N, d))
         X[:, 0] = np.linspace(0.0, 1.0, N)
         q = np.arange(94, dtype=np.intp)
         r = np.arange(N, dtype=np.intp)[::-1].copy()
-        panel_nbytes = N * (d + 1) * 8
+        panel_nbytes = N * (d + 2) * 4  # float32 l2 panels
         plan = GsknnPlan(X, r, variant=1, memory_budget=2 * panel_nbytes - 1)
         assert plan.streams_panels
         assert (plan.block_m, plan.block_n) == (64, 64)

@@ -10,6 +10,8 @@ panel: ids and distance bits must be identical.
 
 from __future__ import annotations
 
+import copy
+
 import numpy as np
 import pytest
 
@@ -96,13 +98,13 @@ def _spy_tiles(monkeypatch, solve):
     tiles = []
     real = ArenaNeighborLists.update
 
-    def spy(self, row_start, cand_values, cand_ids, offset=None):
+    def spy(self, row_start, cand_values, cand_ids, screen=None):
         tiles.append((
             cand_values.copy(),
             np.array(cand_ids),
-            None if offset is None else offset.copy(),
+            copy.deepcopy(screen),
         ))
-        return real(self, row_start, cand_values, cand_ids, offset)
+        return real(self, row_start, cand_values, cand_ids, screen)
 
     with monkeypatch.context() as patch:
         patch.setattr(ArenaNeighborLists, "update", spy)
@@ -116,10 +118,29 @@ def _expected_surviving(tiles, initial, folded):
     capped by a complete seed row's largest; a folded seed counts as
     seen, and its listed ids never survive twice. While the threshold
     is +inf the row is cut at the ``K``-th smallest of the tile's
-    ``cut_bins`` strided bin minima, taken on the tile as handed over
-    (raw ``r2 - 2 q.r`` for l2), and keeps what is at or below it.
+    ``cut_bins`` strided bin minima, taken on the tile as handed over,
+    and keeps what is at or below it. An l2 tile is the float32 screen:
+    a cold row keeps what screens below its widened bin cut, a warm row
+    what its float64 rescore puts below the threshold, and a distance
+    is the pair's rescore.
     """
     m = tiles[0][0].shape[0]
+    finished = []
+    cold_cuts = []
+    for handed, ids, screen in tiles:
+        if screen is None:
+            finished.append(handed)
+            cold_cuts.append(None)
+            continue
+        rows = np.repeat(np.arange(m), ids.size)
+        scratch = np.empty(screen.pair_bytes * 64, np.uint8)
+        dist = screen.rescore(rows, np.tile(ids, m), scratch)
+        finished.append(dist.reshape(m, ids.size))
+        bins = cut_bins(K, ids.size)
+        groups = ids.size // bins if bins else 0
+        mins = handed[:, : groups * bins].reshape(m, groups, bins).min(axis=1)
+        kth = np.sort(mins, axis=1)[:, K - 1] if bins else np.full(m, np.inf)
+        cold_cuts.append(screen.cold_cut(kth))
     total = 0
     for i in range(m):
         pool = {}  # folded: id -> distance of the seed and every column
@@ -129,16 +150,17 @@ def _expected_surviving(tiles, initial, folded):
             pool.update(zip(initial.indices[i], initial.distances[i]))
         elif initial is not None:
             cap = initial.distances[i].max()
-        for raw, ids, offset in tiles:
-            row = raw[i]
-            dist = row if offset is None else np.maximum(row + offset[i], 0.0)
+        for (handed, ids, screen), done, cuts in zip(tiles, finished, cold_cuts):
+            row, dist = handed[i], done[i]
             if folded:
                 listed = sorted(pool, key=pool.get)[:K]
                 thr = pool[listed[-1]]
             else:
                 thr = np.sort(seen)[K - 1] if len(seen) >= K else np.inf
                 thr = min(cap, thr)
-            if np.isinf(thr):
+            if np.isinf(thr) and screen is not None:
+                total += int((row < cuts[i]).sum())
+            elif np.isinf(thr):
                 bins = cut_bins(K, row.size)
                 if bins:
                     groups = row.size // bins
@@ -239,7 +261,8 @@ def test_four_rows_select_once_per_64_panels(table, tracer):
         X, np.arange(64 * BLOCK_N), block_m=BLOCK_M, block_n=BLOCK_N
     )
     plan.execute(_queries(4), K)
-    assert len(tracer.find("rank_update")) == 64  # one GEMM per panel
+    # one GEMM per panel; an l2 screen panel is 2 x BLOCK_N wide
+    assert len(tracer.find("rank_update")) == 32
     assert len(_update_spans(tracer)) <= 3
 
 
@@ -261,8 +284,10 @@ def test_root_span_records_panels_per_tile(table, tracer, m, panels):
     "m, k, variant, bins",
     [
         (4, K, 1, 128),  # one 500-column tile: 128 bins of 3 columns
-        (BLOCK_M, K, 1, BLOCK_N),  # one-panel tiles: a bin per column
-        (BLOCK_M, BLOCK_N + 1, 1, 0),  # a panel narrower than k: no cut
+        # one-panel tiles, l2 screen panels 2 x BLOCK_N wide: a bin per
+        # column
+        (BLOCK_M, K, 1, 2 * BLOCK_N),
+        (BLOCK_M, 2 * BLOCK_N + 1, 1, 0),  # a panel narrower than k: no cut
         (4, K, 5, 0),  # Var#5 never cuts
         (4, K, 6, 0),
     ],
@@ -280,14 +305,15 @@ def test_root_span_records_cut_bins(table, tracer, m, k, variant, bins):
 
 
 def test_wide_tile_fits_the_tile_budget(table):
-    """The widened tile and its mask never exceed ``block_m x block_n``
-    cells, so a budget fitted for one-panel tiles still holds."""
+    """The widened tile and its mask never exceed ``block_m x 2 block_n``
+    cells, one float32 screen tile, so a budget fitted for one-panel
+    tiles still holds."""
     X, _, _ = table
-    # half of it holds one 256 x 32 tile, its mask and a streamed panel,
-    # but not the 2500 cached panel rows
+    # half of it holds one 256 x 64 float32 tile, its mask and a
+    # streamed panel, but not the 2500 cached panel rows
     plan = GsknnPlan(
         X, np.arange(N_TABLE), block_m=BLOCK_M, block_n=BLOCK_N,
-        memory_budget=400_000,
+        memory_budget=300_000,
     )
     assert (plan.block_m, plan.block_n) == (BLOCK_M, BLOCK_N)
     assert plan.streams_panels
@@ -299,4 +325,4 @@ def test_wide_tile_fits_the_tile_budget(table):
     assert budget.peak_bytes <= budget.limit_bytes
     with plan.arena_pool.borrow() as arena:
         assert arena._buffers["tile"].nbytes <= BLOCK_M * BLOCK_N * 8
-        assert arena._buffers["lists.mask"].nbytes <= BLOCK_M * BLOCK_N
+        assert arena._buffers["lists.mask"].nbytes <= BLOCK_M * BLOCK_N * 2
