@@ -57,6 +57,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 import time
 
@@ -1521,5 +1522,22 @@ def main(argv: list[str] | None = None) -> int:
     return _COMMANDS[args.command](args)
 
 
+def run() -> None:
+    """The console entry point: :func:`main`, then exit with its code.
+
+    A solve that hit its deadline leaves its kernel thread running; the
+    process then exits at once, without joining it and without running
+    exit handlers (BLAS's own among them) under it.
+    """
+    code = main()
+    from .resilience.executor import daemon_tasks_running
+
+    if daemon_tasks_running():
+        sys.stdout.flush()
+        sys.stderr.flush()
+        os._exit(code)
+    sys.exit(code)
+
+
 if __name__ == "__main__":
-    sys.exit(main())
+    run()
