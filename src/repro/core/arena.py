@@ -138,6 +138,15 @@ class WorkspaceArena:
             buf = self._grow(key, (grown,), dtype)
         return buf[:size].reshape(shape)
 
+    def shortfall(self, needs: dict[str, int]) -> int:
+        """Bytes that taking ``needs`` (key -> bytes) would newly charge:
+        what each key's buffer lacks of its need."""
+        held = self._buffers.get
+        return sum(
+            max(0, nbytes - (0 if held(key) is None else held(key).nbytes))
+            for key, nbytes in needs.items()
+        )
+
     @property
     def nbytes(self) -> int:
         """Total bytes currently held across all keys."""

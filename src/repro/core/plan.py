@@ -286,6 +286,59 @@ class GsknnPlan:
         stream = _stream_nbytes(self.block_n, self.d, self._screens)
         return max(1, (share - stream) // scratch)
 
+    def _afford_workers(
+        self,
+        arena,
+        m: int,
+        k: int,
+        panels: int,
+        screen: ScreenQueries | None,
+        p: int,
+    ) -> int:
+        """Cap ``p`` at the row workers the budget can still pay for once
+        the queries are packed.
+
+        :meth:`_fit_workers` leaves the query side half the budget but
+        cannot know ``m``; a long batch's packed queries and lists can
+        take more. What the lists, a streamed panel and each worker's
+        tile and mask would newly charge — a buffer the arena already
+        holds at that size costs nothing — must fit the budget's
+        remaining bytes. At least one worker runs (and raises
+        :class:`MemoryBudgetError` if even it does not fit).
+        """
+        m_b = min(m, self.block_m)
+        cells = m_b * min(panels * self._panel_n(screen is not None), self.n)
+        needs = {
+            "lists.values": m * k * 8,
+            "lists.ids": m * k * np.dtype(np.intp).itemsize,
+            "lists.row_max": m * 8,
+            "lists.touched": m,
+        }
+        if not self._panels.get(screen is not None):  # streamed
+            n_b = min(self._panel_n(screen is not None), self.n)
+            if screen is not None:
+                needs["Ra"] = (self.d + 2) * n_b * 4
+            else:
+                needs["Ra"] = (self.d + self._norm_cols) * n_b * 8
+            needs["Ra.rows"] = min(n_b, self.block_n) * self.d * 8
+        left = self.memory_budget.remaining_bytes - arena.shortfall(needs)
+        # the mask's bytes, which also hold a merge round (and, for a
+        # screen tile, a rescore pair)
+        room = max(cells, 16 * (k + 1), 0 if screen is None else 16 * self.d)
+        for w in range(p):
+            suffix = f"@{w}" if w else ""  # ArenaNeighborLists.worker's keys
+            scratch = {
+                "tile" + suffix: cells * (8 if screen is None else 4),
+                "lists.mask" + suffix: room,
+            }
+            if self.norm.is_cosine:
+                scratch["denom" + suffix] = m_b * self.block_n * 8
+                scratch["denom_zero" + suffix] = m_b * self.block_n
+            left -= arena.shortfall(scratch)
+            if left < 0:
+                return max(w, 1)
+        return p
+
     def _panel_n(self, screen: bool) -> int:
         """Columns of a panel: ``2 block_n`` for float32 screen panels.
 
@@ -674,6 +727,9 @@ class GsknnPlan:
         # candidates (Var#6 keeps its (block_m, n_b) score tiles), or
         # twice that in a float32 screen tile
         panels = 1 if var is Variant.VAR6 else max(1, self.block_m // m)
+        if p > 1 and self.memory_budget is not None and var is not Variant.VAR6:
+            p = self._afford_workers(arena, m, k, panels, screen, p)
+            attrs["workers"] = p
         # strided bins cutting each row block's first (cold) Var#1 tile;
         # 0 where no cut forms and those rows keep every candidate
         bins = 0

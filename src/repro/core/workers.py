@@ -18,7 +18,8 @@ windows, shard and rank workers) reaches it through the plan.
 where usable cores come from ``os.sched_getaffinity`` and BLAS threads
 from the loaded OpenBLAS where it can be asked. An unknown BLAS counts
 as using every core, so such a host stays serial. A budgeted plan caps
-``p`` further at the scratch sets its budget affords.
+``p`` further at the scratch sets its budget affords, and each execute
+at the ones that still fit once its queries are packed.
 
 A kernel reached from a fan-out of its own — a ``ThreadRung`` item
 (a task-parallel schedule's task, a simulated rank) or a shard or rank

@@ -314,8 +314,7 @@ class DistributedAllKnn:
             # served from the worker's warm PlanCache
             workers.start(
                 ShardWorld(
-                    X=X,
-                    X2=table.norms,
+                    table=table,
                     local_ids=[
                         np.empty(0, dtype=np.intp)
                         for _ in range(self.n_ranks)

@@ -168,9 +168,9 @@ class FaultPlan:
         """Which fault (if any) fires at this site — pure, no side effects.
 
         ``scope`` names the execution layer (``"task"``, ``"rank"``,
-        ``"shard"``, ``"serve.window"``), ``key`` the work item within
-        it, ``attempt`` the 0-based retry count. Order: crash beats
-        alloc beats slow.
+        ``"shard"``, ``"shard.refresh"``, ``"serve.window"``), ``key``
+        the work item within it, ``attempt`` the 0-based retry count.
+        Order: crash beats alloc beats slow.
         """
         if self.crash and _unit(self.seed, "crash", scope, key, attempt) < self.crash:
             return "crash"

@@ -21,9 +21,11 @@ the alive sequence), deletes tombstone ids (compacting it). Either way
 the panel grid is re-derived from the *current* alive sequence — the
 map is a pure function of ``(alive set, panel_width, n_shards)``, so
 every process that sees the same membership epoch derives the same
-ownership. Each mutation bumps ``epoch``; shard workers drop their
-packed plans when the epoch moves (the per-shard plan invalidation the
-streaming layer relies on).
+ownership. A shard worker keeps its own replica
+(:meth:`ShardMap.from_spec`) and applies each epoch's change to it, so
+only the change crosses the process boundary. Each mutation bumps
+``epoch``; shard workers drop their packed plans when the epoch moves
+(the per-shard plan invalidation the streaming layer relies on).
 """
 
 from __future__ import annotations
@@ -61,6 +63,9 @@ class ShardMap:
         self.n_shards = int(n_shards)
         self.panel_width = int(panel_width)
         self._alive = np.ones(int(n_refs), dtype=bool)
+        # the alive ids, ascending: kept beside the mask so a change
+        # costs O(alive), not a scan of every row ever appended
+        self._ids = np.arange(int(n_refs), dtype=np.intp)
         self.epoch = 0
         self._locals: list[np.ndarray] | None = None
 
@@ -73,7 +78,7 @@ class ShardMap:
 
     @property
     def n_alive(self) -> int:
-        return int(self._alive.sum())
+        return self._ids.size
 
     @property
     def alive_mask(self) -> np.ndarray:
@@ -82,7 +87,7 @@ class ShardMap:
     def alive_ids(self) -> np.ndarray:
         """The alive reference sequence, ascending — the exact ``r_idx``
         a single-process solve over the same membership would use."""
-        return np.flatnonzero(self._alive)
+        return self._ids.copy()
 
     def append(self, count: int) -> np.ndarray:
         """Register ``count`` fresh rows appended to the table; returns
@@ -93,8 +98,10 @@ class ShardMap:
         self._alive = np.concatenate(
             [self._alive, np.ones(int(count), dtype=bool)]
         )
+        ids = np.arange(start, start + int(count), dtype=np.intp)
+        self._ids = np.concatenate([self._ids, ids])
         self._bump()
-        return np.arange(start, start + int(count), dtype=np.intp)
+        return ids
 
     def tombstone(self, ids) -> None:
         """Mark ids dead; they leave every shard's partition at the next
@@ -108,9 +115,10 @@ class ShardMap:
             )
         if not self._alive[ids].all():
             raise ValidationError("tombstone of an id that is not alive")
-        self._alive[ids] = False
-        if not self._alive.any():
+        if np.unique(ids).size >= self.n_alive:
             raise ValidationError("cannot tombstone the last alive row")
+        self._alive[ids] = False
+        self._ids = np.delete(self._ids, np.searchsorted(self._ids, ids))
         self._bump()
 
     def _bump(self) -> None:
@@ -121,7 +129,7 @@ class ShardMap:
 
     def _partitions(self) -> list[np.ndarray]:
         if self._locals is None:
-            alive = np.flatnonzero(self._alive)
+            alive = self._ids
             parts: list[list[np.ndarray]] = [[] for _ in range(self.n_shards)]
             for j, start in enumerate(range(0, alive.size, self.panel_width)):
                 parts[j % self.n_shards].append(
@@ -158,12 +166,25 @@ class ShardMap:
         return np.where(self._alive[ids], owner, -1).astype(np.intp)
 
     def spec(self) -> dict:
-        """Picklable snapshot a worker can rebuild the map from."""
+        """Picklable snapshot a worker can rebuild the map from, with
+        :attr:`alive_mask` (:meth:`from_spec`)."""
         return {
             "n_shards": self.n_shards,
             "panel_width": self.panel_width,
             "epoch": self.epoch,
         }
+
+    @classmethod
+    def from_spec(cls, spec: dict, alive: np.ndarray) -> "ShardMap":
+        """The map that had this :meth:`spec` and :attr:`alive_mask`."""
+        alive = np.array(alive, dtype=bool)
+        replica = cls(
+            alive.size, spec["n_shards"], panel_width=spec["panel_width"]
+        )
+        replica._alive = alive
+        replica._ids = np.flatnonzero(alive)
+        replica.epoch = int(spec["epoch"])
+        return replica
 
     def __repr__(self) -> str:  # pragma: no cover - debugging nicety
         return (

@@ -70,9 +70,10 @@ class ShardedAllKnn:
         ``(n, d)`` reference table, or a
         :class:`~repro.core.table.TableHandle` over it. An array is
         validated once (non-finite coordinates raise here, before any
-        worker starts) and frozen rather than copied; each
-        :meth:`insert` appends to a new handle, so the caller's array is
-        never written.
+        worker starts) and frozen. The process transport copies it into
+        shared segments, where :meth:`insert` appends (doubling the
+        segments when they are full), so the caller's array is never
+        written.
     n_shards:
         Number of shards (>= 1). With the process transport this is the
         number of long-lived worker processes.
@@ -113,14 +114,12 @@ class ShardedAllKnn:
     ) -> None:
         if block_m < 1 or block_n < 1:
             raise ValidationError("block_m and block_n must be >= 1")
-        self._table = X if isinstance(X, TableHandle) else TableHandle(X)
+        table = X if isinstance(X, TableHandle) else TableHandle(X)
         self._norm = resolve_norm(norm)
         self._variant_spec = variant
         self._block_m = int(block_m)
         self._block_n = int(block_n)
-        self.map = ShardMap(
-            self._table.n, n_shards, panel_width=self._block_n
-        )
+        self.map = ShardMap(table.n, n_shards, panel_width=self._block_n)
         self.retry = retry if retry is not None else RetryPolicy()
         self._default_deadline = deadline
         self._fault_plan = FaultPlan.coerce(fault_plan)
@@ -131,6 +130,9 @@ class ShardedAllKnn:
 
             transport = ProcessTransport(mp_context)
         self.transport = resolve_transport(transport)
+        # the table in the transport's storage: with process shards the
+        # parent's rows are the shared segments the workers read
+        self._table = self.transport.share(table)
         # the parent-side twin of the threads and serial rungs: started
         # on the first fallback, refreshed on a fallback in a new epoch
         self._twin: LocalTransport | None = None
@@ -140,14 +142,9 @@ class ShardedAllKnn:
 
     # -- lifecycle -----------------------------------------------------------
 
-    def _world(self) -> ShardWorld:
+    def _world(self, change: tuple | None = None) -> ShardWorld:
         return ShardWorld(
-            X=self._table.X,
-            X2=(
-                self._table.norms
-                if self._norm.is_l2 or self._norm.is_cosine
-                else None
-            ),
+            table=self._table,
             local_ids=[
                 self.map.local_ids(s) for s in range(self.map.n_shards)
             ],
@@ -162,6 +159,8 @@ class ShardedAllKnn:
                 if self._fault_plan is not None and self._fault_plan.active
                 else None
             ),
+            membership=(self.map.spec(), self.map.alive_mask),
+            change=change,
         )
 
     def close(self) -> None:
@@ -191,34 +190,49 @@ class ShardedAllKnn:
         """The full (frozen) table, including tombstoned rows."""
         return self._table.X
 
+    @property
+    def handle(self) -> TableHandle:
+        """The table's current handle (over the shared segments, for
+        process shards); a caller that appends through :meth:`insert`
+        can hold it instead of a table of its own."""
+        return self._table
+
     # -- streaming membership ------------------------------------------------
 
     def insert(self, rows: np.ndarray) -> np.ndarray:
         """Append new reference rows; returns their global ids.
 
         The rows are validated before anything changes (a rejected
-        insert leaves the table, the map and the workers as they were);
-        then the appended table is re-exported to fresh shared segments,
-        the panel grid re-derived, and every shard worker re-attaches and
-        drops its packed plan (per-shard plan invalidation).
+        insert leaves the table, the map and the workers as they were).
+        They are written once, after the table's frozen prefix in its
+        shared storage; each shard worker then extends its table over
+        them, re-derives its partition from the count, and drops its
+        packed plan (per-shard plan invalidation). Only an insert that
+        outgrows the storage moves the table to new segments, twice the
+        rows, which every worker re-attaches.
         """
         rows = np.asarray(rows)
         if rows.ndim == 1:
             rows = rows[None, :]
         self._table = self._table.append(rows)
         ids = self.map.append(rows.shape[0])
-        self._refresh("insert", rows=rows.shape[0])
+        self._refresh(("insert", rows.shape[0]), rows=rows.shape[0])
         return ids
 
     def delete(self, ids) -> None:
         """Tombstone reference ids: they leave their owning shards'
-        partitions at the new epoch and can never be returned again."""
+        partitions at the new epoch and can never be returned again.
+        The workers get the ids and re-derive their partitions."""
+        ids = np.array(ids, dtype=np.intp).ravel()
+        epoch = self.map.epoch
         self.map.tombstone(ids)
-        self._refresh("delete", ids=np.asarray(ids).size)
+        if self.map.epoch != epoch:
+            self._refresh(("delete", ids), ids=ids.size)
 
-    def _refresh(self, op: str, **meta) -> None:
+    def _refresh(self, change: tuple, **meta) -> None:
+        op = change[0]
         with _get_tracer().span("shard.refresh", op=op, **meta):
-            self.transport.refresh(self._world())
+            self.transport.refresh(self._world(change))
         registry = _get_registry()
         if registry.enabled:
             registry.inc("shard.refreshes", labels={"op": op})

@@ -6,13 +6,14 @@ Two implementations of one contract (:class:`ShardTransport`):
   **long-lived** single-worker process per shard (a
   ``ProcessPoolExecutor`` with ``max_workers=1``, so the worker — and
   its packed panels — survives across calls). The reference table and
-  its squared-norm side table live in shared-memory segments exported
-  once and attached by every worker (the zero-copy
-  :class:`SharedSegments` protocol); only
-  query ids/rows and the ``(m, k)`` partials cross the process
-  boundary. Each worker wraps every attached epoch's table in one
-  :class:`~repro.core.table.TableHandle` (validated once per attach,
-  norms taken from the shared side table) and holds its own
+  its squared-norm side table live in shared-memory segments with
+  room to grow, attached by every worker (the zero-copy
+  :class:`SharedSegments` protocol); the parent appends into them in
+  place, and only query ids/rows, membership changes and the ``(m, k)``
+  partials cross the process boundary. Each worker wraps the attached
+  table in one :class:`~repro.core.table.TableHandle` (validated once
+  per attach, norms taken from the shared side table, extended over
+  each append's rows) and holds its own
   :class:`~repro.core.plan.GsknnPlan` over its partition plus a
   :class:`~repro.core.plan.PlanCache` for ad-hoc group solves, both
   invalidated when the membership epoch moves. Two callers run on
@@ -32,7 +33,7 @@ reach a transport from the resilience layer's one retry/fallback loop
 partitions and the distributed solver's rank kernels both run on it.
 
 The module also holds the worker stack's two shared protocols:
-:class:`SharedSegments` / :func:`attach_segments` export and attach
+:class:`SharedSegments` / :func:`attach_segments` create and attach
 arrays by name, and the ``_obs_spec`` / ``_install_worker_obs`` /
 ``_drain_worker_obs`` / ``_absorb_worker_obs`` helpers carry
 observability across the process boundary.
@@ -40,14 +41,17 @@ observability across the process boundary.
 
 from __future__ import annotations
 
+import functools
+import os
 import pickle
+import secrets
 from concurrent.futures import Future, ProcessPoolExecutor
 from dataclasses import dataclass, field
 from typing import Any
 
 import numpy as np
 
-from ..core.table import TableHandle
+from ..core.table import TableHandle, TableStore
 from ..errors import BackendError, ValidationError
 from ..obs.context import RequestContext, bind_request, current_request
 from ..obs.metrics import MetricsRegistry, get_registry as _get_registry
@@ -65,6 +69,7 @@ __all__ = [
     "TRANSPORTS",
     "SharedSegments",
     "attach_segments",
+    "segment_prefix",
 ]
 
 # -- cross-process observability propagation ---------------------------------
@@ -156,55 +161,81 @@ def _absorb_worker_obs(
 
 # -- shared-memory segments --------------------------------------------------
 #
-# The export/attach protocol of the process workers.
+# The create/attach protocol of the process workers. Every segment this
+# package creates is named under ``segment_prefix()``, so a leak check
+# can list one process's segments without reading anyone else's.
 
 
-def _shm_export(arr: np.ndarray):
-    """Copy ``arr`` into a fresh shared-memory segment; returns (shm, spec).
+def segment_prefix() -> str:
+    """The name prefix of the shared-memory segments this process creates."""
+    return f"repro{os.getpid()}_"
 
-    If the copy into the segment fails (or is interrupted) the segment
-    is unlinked before re-raising — a half-exported segment is not yet
-    in any caller's cleanup list, so it must clean up after itself.
-    """
+
+def _shm_create(nbytes: int):
+    """A new segment of ``nbytes`` named under :func:`segment_prefix`."""
     from multiprocessing import shared_memory
 
-    arr = np.ascontiguousarray(arr)
-    shm = shared_memory.SharedMemory(create=True, size=max(arr.nbytes, 1))
-    try:
-        view = np.ndarray(arr.shape, dtype=arr.dtype, buffer=shm.buf)
-        view[:] = arr
-    except BaseException:
+    while True:
+        name = segment_prefix() + secrets.token_hex(4)
         try:
-            shm.close()
-            shm.unlink()
-        except OSError:  # pragma: no cover - already gone
-            pass
-        raise
-    return shm, (shm.name, arr.shape, arr.dtype.str)
+            return shared_memory.SharedMemory(
+                name=name, create=True, size=max(int(nbytes), 1)
+            )
+        except FileExistsError:  # pragma: no cover - a 32-bit collision
+            continue
+
+
+class _Mapped:
+    """The ``__array_interface__`` of an array over a segment's mapping.
+
+    As the array's base it keeps the segment mapped for as long as any
+    view of the array lives, whatever becomes of the segment's owner:
+    the mapping is closed by ``SharedMemory.__del__`` only once the last
+    view is gone, so a view can never outlive its memory.
+    """
+
+    def __init__(self, shm, shape, dtype, readonly: bool) -> None:
+        probe = np.frombuffer(shm.buf, dtype=np.uint8, count=1)
+        address = probe.__array_interface__["data"][0]
+        del probe  # releases its export of shm.buf
+        self.shm = shm
+        self.__array_interface__ = {
+            "data": (address, readonly),
+            "shape": tuple(shape),
+            "typestr": np.dtype(dtype).str,
+            "version": 3,
+        }
+
+
+def _segment_array(shm, shape, dtype, *, readonly: bool) -> np.ndarray:
+    return np.asarray(_Mapped(shm, shape, dtype, readonly))
 
 
 class SharedSegments:
-    """Named arrays exported to shared memory: export on construction,
-    unlink on :meth:`unlink`.
+    """Named float64 arrays in shared memory: created empty on
+    construction, unlinked on :meth:`unlink`.
 
+    ``arrays`` holds this process's writeable views of the segments;
     ``specs`` maps each name to what a worker passes to
-    :func:`attach_segments` (``None`` for an absent array). However the
-    owner is left — clean finish, worker crash, pool startup failure,
-    deadline expiry, ``KeyboardInterrupt``, or an export that fails
-    midway — the segments are unlinked exactly once.
+    :func:`attach_segments`. However the owner is left — clean finish,
+    worker crash, pool startup failure, deadline expiry,
+    ``KeyboardInterrupt``, or a construction that fails midway — the
+    segments are unlinked exactly once. Unlinking removes the names;
+    each mapping is closed once nothing views it.
     """
 
-    def __init__(self, arrays: dict[str, np.ndarray | None]) -> None:
+    def __init__(self, shapes: dict[str, tuple[int, ...]]) -> None:
         self._segments: list[Any] = []
         self.specs: dict[str, Any] = {}
+        self.arrays: dict[str, np.ndarray] = {}
         try:
-            for key, arr in arrays.items():
-                if arr is None:
-                    self.specs[key] = None
-                    continue
-                shm, spec = _shm_export(np.asarray(arr))
+            for key, shape in shapes.items():
+                shm = _shm_create(int(np.prod(shape)) * 8)
                 self._segments.append(shm)
-                self.specs[key] = spec
+                self.specs[key] = (shm.name, tuple(shape), "<f8")
+                self.arrays[key] = _segment_array(
+                    shm, shape, np.float64, readonly=False
+                )
         except BaseException:
             self.unlink()
             raise
@@ -217,49 +248,55 @@ class SharedSegments:
         segments, self._segments = self._segments, []
         for shm in segments:
             try:
-                shm.close()
                 shm.unlink()
             except OSError:  # pragma: no cover - already gone
                 pass
 
 
-def attach_segments(specs: dict[str, Any]) -> tuple[dict, dict]:
-    """Worker side of :class:`SharedSegments`: ``(handles, arrays)``.
+def attach_segments(specs: dict[str, Any]) -> dict[str, np.ndarray]:
+    """Worker side of :class:`SharedSegments`: read-only views by name.
 
-    The arrays are zero-copy views; keep the handles alive as long as
-    the views are used.
+    Each view keeps its segment mapped for as long as it lives.
     """
     from multiprocessing import shared_memory
 
-    handles: dict[str, Any] = {}
-    arrays: dict[str, np.ndarray | None] = {}
-    for key, spec in specs.items():
-        if spec is None:
-            arrays[key] = None
-            continue
-        name, shape, dtype = spec
-        handles[key] = shm = shared_memory.SharedMemory(name=name)
-        arrays[key] = np.ndarray(shape, dtype=np.dtype(dtype), buffer=shm.buf)
-    return handles, arrays
+    arrays: dict[str, np.ndarray] = {}
+    for key, (name, shape, dtype) in specs.items():
+        shm = shared_memory.SharedMemory(name=name)
+        arrays[key] = _segment_array(shm, shape, dtype, readonly=True)
+    return arrays
 
+
+class _SharedStore(TableStore):
+    """A table store in shared segments: the parent appends in place,
+    and the workers read the same rows by name."""
+
+    __slots__ = ("segments",)
 
 
 @dataclass
 class ShardWorld:
     """Everything a transport needs to host the shards of one table.
 
-    ``local_ids[s]`` is shard ``s``'s partition (global ids, global
-    order) at ``epoch``; ``kernel_kwargs`` carries the pinned
-    ``norm`` / ``block_m`` / ``block_n`` the bit-identicality contract
-    requires every shard to share with the single-process twin.
+    ``table`` is the caller's handle over the rows. ``local_ids[s]`` is
+    shard ``s``'s partition (global ids, global order) at ``epoch``;
+    ``kernel_kwargs`` carries the pinned ``norm`` / ``block_m`` /
+    ``block_n`` the bit-identicality contract requires every shard to
+    share with the single-process twin. A world derived from a
+    :class:`~repro.shard.map.ShardMap` also carries its ``membership``
+    (its ``spec()`` and ``alive_mask``) and the
+    ``change`` that made this epoch from the one before —
+    ``("insert", count)`` or ``("delete", ids)`` — so a worker can
+    re-derive its partition from the change alone.
     """
 
-    X: np.ndarray
-    X2: np.ndarray | None
+    table: TableHandle
     local_ids: list[np.ndarray]
     epoch: int
     kernel_kwargs: dict[str, Any] = field(default_factory=dict)
     fault_spec: str | None = None
+    membership: tuple[dict[str, Any], np.ndarray] | None = None
+    change: tuple | None = None
 
     @property
     def n_shards(self) -> int:
@@ -286,6 +323,12 @@ class ShardTransport:
         self, shard: int, task: tuple, *, attempt: int = 0
     ) -> Future:
         raise NotImplementedError
+
+    def share(self, table: TableHandle) -> TableHandle:
+        """The handle a caller should keep for ``table``: the same rows,
+        in storage this transport's workers read (an append from it then
+        reaches them in place). The table itself by default."""
+        return table
 
     def refresh(self, world: ShardWorld) -> None:
         """Propagate a new membership epoch (and possibly a new table)."""
@@ -368,8 +411,7 @@ class LocalTransport(ShardTransport):
     def refresh(self, world: ShardWorld) -> None:
         from ..core.plan import GsknnPlan
 
-        if self._world is None or world.X is not self._world.X:
-            self._table = TableHandle(world.X, world.X2)
+        self._table = world.table
         self._world = world
         if self._cache is not None:
             self._cache.clear()
@@ -431,42 +473,96 @@ def _shard_worker_init(
     # the worker processes are the fan-out: their kernels stay serial
     serial_process()
     _install_worker_obs(obs_spec)
-    _shard_worker_attach(specs, init_blob)
     _SHARD_STATE["shard_id"] = int(shard_id)
     _SHARD_STATE["fault_plan"] = (
         FaultPlan.parse(fault_spec) if fault_spec else None
     )
     _SHARD_STATE["cache"] = PlanCache()
-
-
-def _shard_worker_attach(specs: dict[str, Any], init_blob: bytes) -> None:
-    """(Re)attach shared segments and stage a fresh partition plan."""
-    init = pickle.loads(init_blob)
-    old = _SHARD_STATE.pop("segments", {})
-    # keep the handles alive for the views' lifetime
-    _SHARD_STATE["segments"], arrays = attach_segments(specs)
-    # the epoch's one table handle
-    _SHARD_STATE["table"] = TableHandle(arrays["X"], arrays["X2"])
-    _SHARD_STATE["kernel_kwargs"] = init["kernel_kwargs"]
-    _SHARD_STATE["local_ids"] = init["local_ids"]
-    _SHARD_STATE["epoch"] = init["epoch"]
-    # plan invalidation: the epoch moved (or this is the first attach),
-    # so any packed panels refer to stale membership
-    _SHARD_STATE.pop("plan", None)
-    cache = _SHARD_STATE.get("cache")
-    if cache is not None:
-        cache.clear()
-    for shm in old.values():
-        try:
-            shm.close()
-        except OSError:  # pragma: no cover - segment already gone
-            pass
-
-
-def _shard_worker_refresh(specs: dict[str, Any], init_blob: bytes) -> int:
-    """Epoch propagation, run *in* the worker (FIFO-ordered vs solves)."""
     _shard_worker_attach(specs, init_blob)
-    return _SHARD_STATE["epoch"]
+
+
+def _shard_worker_attach(specs: dict[str, Any], init_blob: bytes) -> int:
+    """Epoch propagation that (re)attaches the table's segments: at
+    startup, and when the parent moved the table to new segments.
+
+    The epoch's table is validated once here; the old segments stay
+    mapped only while a dropped plan still views them.
+    """
+    from .map import ShardMap
+
+    init = pickle.loads(init_blob)
+    arrays = attach_segments(specs)
+    X = arrays["X"]
+    # claimed to capacity: rows past the table are the parent's to write
+    store = TableStore(X, arrays["X2"], X.shape[0], TableStore.private)
+    _SHARD_STATE["table"] = TableHandle.over(store, init["n"])
+    _SHARD_STATE["kernel_kwargs"] = init["kernel_kwargs"]
+    membership = init["membership"]
+    if membership is None:
+        _SHARD_STATE["map"] = None
+        _SHARD_STATE["local_ids"] = init["local_ids"]
+    else:
+        _SHARD_STATE["map"] = ShardMap.from_spec(*membership)
+        _SHARD_STATE["local_ids"] = _SHARD_STATE["map"].local_ids(
+            _SHARD_STATE["shard_id"]
+        )
+    return _shard_worker_epoch(init["epoch"])
+
+
+def _shard_worker_reattach(
+    specs: dict[str, Any], init_blob: bytes, epoch: int
+) -> int:
+    """A refresh that moved the table to new segments."""
+    _refresh_fault(epoch)
+    return _shard_worker_attach(specs, init_blob)
+
+
+def _shard_worker_update(n: int, change: tuple, epoch: int) -> int:
+    """A refresh at the same segments: apply ``change`` to this worker's
+    replica of the shard map, re-derive the partition, and extend the
+    table over the rows ``n`` counts past the old end (validating only
+    those). A replica that does not land on the parent's ``(n, epoch)``
+    raises and leaves the worker at its old epoch.
+    """
+    _refresh_fault(epoch)
+    membership = _SHARD_STATE["map"]
+    kind, arg = change
+    if kind == "insert":
+        membership.append(arg)
+    else:
+        membership.tombstone(arg)
+    if membership.epoch != epoch or membership.n_total != n:
+        raise BackendError(
+            f"shard worker membership at epoch {membership.epoch} with "
+            f"{membership.n_total} rows; the parent is at epoch {epoch} "
+            f"with {n}"
+        )
+    table = _SHARD_STATE["table"]
+    if n != table.n:
+        _SHARD_STATE["table"] = table.extended(n)
+    _SHARD_STATE["local_ids"] = membership.local_ids(_SHARD_STATE["shard_id"])
+    return _shard_worker_epoch(epoch)
+
+
+def _refresh_fault(epoch: int) -> None:
+    """A refresh's fault site, ``("shard.refresh", "epoch:shard")``: an
+    injected crash kills the worker mid-refresh."""
+    fault_plan = _SHARD_STATE.get("fault_plan")
+    if fault_plan is not None:
+        fault_plan.apply(
+            "shard.refresh",
+            f"{epoch}:{_SHARD_STATE['shard_id']}",
+            hard_exit=True,
+        )
+
+
+def _shard_worker_epoch(epoch: int) -> int:
+    """Enter ``epoch``: packed panels refer to the old membership, so
+    the partition plan and the group plans are dropped."""
+    _SHARD_STATE["epoch"] = epoch
+    _SHARD_STATE.pop("plan", None)
+    _SHARD_STATE["cache"].clear()
+    return epoch
 
 
 def _shard_worker_solve(
@@ -532,6 +628,13 @@ class ProcessTransport(ShardTransport):
     for every caller, is ``fork`` where the platform has it (cheap
     worker startup), else ``spawn``; workers attach the table by name
     either way, so both are equally correct.
+
+    The table lives in a :class:`TableStore` in shared segments
+    (:meth:`share`): a caller that keeps the shared handle appends
+    straight into the segments' spare rows, and a refresh then sends
+    each worker only the change. New segments — and a re-attach by
+    every worker — come only when an append outgrows them, which
+    doubles their rows.
     """
 
     name = "process"
@@ -545,44 +648,53 @@ class ProcessTransport(ShardTransport):
         self._ctx = multiprocessing.get_context(mp_context)
         self._world: ShardWorld | None = None
         self._pools: list[ProcessPoolExecutor | None] = []
-        self._table: SharedSegments | None = None
-        self._init_blobs: list[bytes] = []
+        # every store this transport made, oldest first; the workers
+        # attach the one ``self._table`` is over
+        self._stores: list[_SharedStore] = []
+        self._table: TableHandle | None = None
+        # shard -> the pool whose worker failed to apply a delta
+        self._unapplied: dict[int, ProcessPoolExecutor] = {}
 
     # -- lifecycle -----------------------------------------------------------
 
+    def share(self, table: TableHandle) -> TableHandle:
+        """``table`` in this transport's shared segments (as is when it
+        already is); a new store holds exactly its rows."""
+        if any(table.store is store for store in self._stores):
+            return table
+        return table.moved(self._new_store)
+
+    def _new_store(self, capacity: int, d: int) -> _SharedStore:
+        segments = SharedSegments({"X": (capacity, d), "X2": (capacity,)})
+        store = _SharedStore(
+            segments.arrays["X"], segments.arrays["X2"], 0, self._new_store
+        )
+        store.segments = segments
+        self._stores.append(store)
+        registry = _get_registry()
+        if registry.enabled:
+            registry.inc("shard.shm_bytes", segments.nbytes)
+        return store
+
     def start(self, world: ShardWorld) -> None:
         self._world = world
-        stale = self._export_table(world)
-        if stale is not None:
-            stale.unlink()
-        self._init_blobs = [
-            self._init_blob(world, s) for s in range(world.n_shards)
-        ]
+        self._table = self.share(world.table)
         self._pools = [None] * world.n_shards
         for s in range(world.n_shards):
             self._spawn(s)
 
-    def _export_table(self, world: ShardWorld) -> SharedSegments | None:
-        """Export the world's table to fresh segments; returns the
-        superseded ones. The caller unlinks those only once no worker
-        can still need them — a pool created before this export may
-        lazily spawn its first worker from init-args that reference the
-        old segments, so ``refresh`` keeps them alive until every pool
-        has round-tripped the new epoch."""
-        old = self._table
-        self._table = SharedSegments({"X": world.X, "X2": world.X2})
-        registry = _get_registry()
-        if registry.enabled:
-            registry.inc("shard.shm_bytes", self._table.nbytes)
-        return old
-
-    @staticmethod
-    def _init_blob(world: ShardWorld, shard: int) -> bytes:
+    def _init_blob(self, shard: int) -> bytes:
+        """Shard ``shard``'s full state at the current epoch."""
+        world = self._world
         return pickle.dumps(
             {
                 "kernel_kwargs": world.kernel_kwargs,
-                "local_ids": world.local_ids[shard],
+                "n": self._table.n,
                 "epoch": world.epoch,
+                "membership": world.membership,
+                "local_ids": (
+                    world.local_ids[shard] if world.membership is None else None
+                ),
             }
         )
 
@@ -594,8 +706,8 @@ class ProcessTransport(ShardTransport):
             initializer=_shard_worker_init,
             initargs=(
                 shard,
-                self._table.specs,
-                self._init_blobs[shard],
+                self._table.store.segments.specs,
+                self._init_blob(shard),
                 self._world.fault_spec,
                 _obs_spec(),
             ),
@@ -610,31 +722,58 @@ class ProcessTransport(ShardTransport):
             _reap_pool(pool)
 
     def refresh(self, world: ShardWorld) -> None:
-        """New epoch: re-export the table if it changed, then push the
-        new partition to every worker (FIFO-ordered before any
-        subsequent solve on that worker)."""
+        """New epoch, pushed to every worker (FIFO-ordered before any
+        subsequent solve on that worker).
+
+        * A **delta**: the table is still in the segments the workers
+          attach, and the world names its change from the previous
+          epoch. Each worker gets only the change and the new row
+          count, and the refresh returns once they are queued. A worker
+          that fails to apply its change stays at the old epoch and is
+          restarted from full state before its next solve is sent (a
+          solve that gets there first fails the epoch check, and the
+          ladder restarts the worker).
+        * Otherwise every worker **re-attaches** to the table's
+          segments, and the superseded segments are unlinked once all
+          have: a pool made before the move may still start its worker
+          from init-args that name them.
+
+        A worker that died before or during the refresh comes back with
+        the new state in its init-args.
+        """
         assert self._world is not None
-        table_changed = world.X is not self._world.X
-        self._world = world
-        stale = None
-        if table_changed:
-            stale = self._export_table(world)
-        self._init_blobs = [
-            self._init_blob(world, s) for s in range(world.n_shards)
-        ]
-        # all workers re-attach (and validate their epoch's table) at
-        # once; a worker that died before/during the refresh comes back
-        # with the new state baked into its initargs
+        previous, self._world = self._world, world
+        table = self.share(world.table)
+        delta = (
+            world.change is not None
+            and world.membership is not None
+            and world.epoch == previous.epoch + 1
+            and table.store is self._table.store
+        )
+        self._table = table
+        stale = []
+        if not delta:
+            stale = [s for s in self._stores if s is not table.store]
+            self._stores = [table.store]
         pending = {}
         for s, pool in enumerate(self._pools):
             if pool is None:
                 continue
             try:
-                pending[s] = pool.submit(
-                    _shard_worker_refresh,
-                    self._table.specs,
-                    self._init_blobs[s],
-                )
+                if delta:
+                    future = pool.submit(
+                        _shard_worker_update, table.n, world.change, world.epoch
+                    )
+                    future.add_done_callback(
+                        functools.partial(self._landed, s, pool)
+                    )
+                else:
+                    pending[s] = pool.submit(
+                        _shard_worker_reattach,
+                        table.store.segments.specs,
+                        self._init_blob(s),
+                        world.epoch,
+                    )
             except Exception:
                 self.restart(s)
         for s, future in pending.items():
@@ -642,8 +781,15 @@ class ProcessTransport(ShardTransport):
                 future.result()
             except Exception:
                 self.restart(s)
-        if stale is not None:
-            stale.unlink()
+        for store in stale:
+            store.segments.unlink()
+
+    def _landed(self, shard: int, pool, future: Future) -> None:
+        """A delta's result: a worker that failed to apply it is restarted
+        before its next solve (a solve that gets there first fails the
+        epoch check and is retried)."""
+        if not future.cancelled() and future.exception() is not None:
+            self._unapplied[shard] = pool
 
     # -- solve ---------------------------------------------------------------
 
@@ -651,6 +797,9 @@ class ProcessTransport(ShardTransport):
         """Submit ``task`` to the shard's worker, starting a replacement
         for one that was restarted."""
         assert self._world is not None
+        failed = self._unapplied.pop(shard, None)
+        if failed is not None and failed is self._pools[shard]:
+            self.restart(shard)
         if self._pools[shard] is None:
             self._spawn(shard)
             registry = _get_registry()
@@ -675,9 +824,13 @@ class ProcessTransport(ShardTransport):
         for thread in managers:
             if thread is not None:
                 thread.join()
-        table, self._table = self._table, None
-        if table is not None:
-            table.unlink()
+        stores, self._stores = self._stores, []
+        for store in stores:
+            store.segments.unlink()
+            # a handle that outlives the transport grows in private
+            # memory, never in segments no one would unlink
+            store.grow = TableStore.private
+        self._table = None
         self._world = None
 
 

@@ -58,8 +58,9 @@ class StreamingAllKnn:
         ``0`` (default) keeps everything in-process. ``>= 1`` mirrors
         the stream's membership into a
         :class:`~repro.shard.router.ShardedAllKnn` with that many
-        shards: inserts re-export the table to the owning shard workers
-        and deletes tombstone the rows out of their shards' partitions
+        shards: the stream and the mirror hold one table, inserts
+        append to it in place for the shard workers to read, and
+        deletes tombstone the rows out of their shards' partitions
         (both invalidate the affected shards' packed plans), so
         :meth:`exact_solve` scatter/gathers across real processes —
         bit-identical to a single-process solve on the same membership,
@@ -212,13 +213,16 @@ class StreamingAllKnn:
         ):
             n_new = batch.shape[0]
             # the new epoch's handle: a copy of the first batch (the
-            # caller's array stays writeable), then appends that norm
-            # only the new rows
-            self._table = (
-                TableHandle(batch.copy())
-                if self._table is None
-                else self._table.append(batch)
-            )
+            # caller's array stays writeable), then appends that write
+            # and norm only the new rows, in place after the old ones;
+            # a mounted shard mirror appends to the one table both hold
+            if self._sharded is not None:
+                self._sharded.insert(batch)
+                self._table = self._sharded.handle
+            elif self._table is None:
+                self._table = TableHandle(batch.copy())
+            else:
+                self._table = self._table.append(batch)
             # the old table object is gone; drop plans built against it so
             # the cache never pins dead coordinate arrays in memory
             self._plans.clear()
@@ -232,11 +236,9 @@ class StreamingAllKnn:
                 [self._alive, np.ones(n_new, dtype=bool)]
             )
             self._batches_ingested += 1
-            if self._shards:
-                if self._sharded is None:
-                    self._sharded = self._build_mirror()
-                else:
-                    self._sharded.insert(batch)
+            if self._shards and self._sharded is None:
+                self._sharded = self._build_mirror()
+                self._table = self._sharded.handle
             if self.n_alive < 2:
                 return 0
             return self.refresh()

@@ -20,9 +20,11 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
+from repro.core import workers
 from repro.core.gsknn import gsknn
 from repro.core.membudget import MemoryBudget
 from repro.core.plan import GsknnPlan, PlanCache
+from repro.core.ref_kernel import ref_knn
 from repro.data import uniform_hypercube
 from repro.data.loaders import load_dataset, save_dataset
 from repro.errors import MemoryBudgetError, ValidationError
@@ -107,6 +109,30 @@ class TestCacheVsStreamDecision:
         # stream
         plan = GsknnPlan(mm, r, memory_budget="800KiB")
         assert plan.streams_panels and not plan.panels_cached
+        plan.release()
+
+    @pytest.mark.parametrize("m", [400, 800])
+    def test_row_workers_fit_what_the_queries_leave(
+        self, table, monkeypatch, m
+    ):
+        """Two row workers are fitted beside a 400 KiB budget's panel
+        before the batch is known; the workers an execute starts must
+        also fit beside its packed queries and lists. At m = 800 only
+        one worker's tile fits (two raised ``MemoryBudgetError`` at
+        ``arena:lists.mask``); m = 400 is the case first recorded."""
+        ram, mm = table
+        monkeypatch.setattr(workers, "host_threads", lambda: (2, 1))
+        q, r = np.arange(m, dtype=np.intp), np.arange(0, 4096, 2)
+        plan = GsknnPlan(mm, r, memory_budget="400KiB")
+        assert plan.streams_panels
+        for _ in range(2):  # and again over the grown arena
+            got = plan.execute(q, 10)
+            want = ref_knn(ram, q, r, 10)
+            np.testing.assert_array_equal(got.indices, want.indices)
+            np.testing.assert_allclose(
+                got.distances, want.distances, rtol=1e-12, atol=1e-12
+            )
+        assert plan.memory_budget.peak_bytes <= plan.memory_budget.limit_bytes
         plan.release()
 
     def test_block_autofit_under_tight_budget(self, table):

@@ -151,7 +151,7 @@ class TestCrashHandling:
         transport = ProcessTransport()
         transport.start(
             ShardWorld(
-                X=cloud, X2=None, local_ids=[np.arange(400)], epoch=0
+                table=TableHandle(cloud), local_ids=[np.arange(400)], epoch=0
             )
         )
         try:

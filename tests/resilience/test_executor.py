@@ -27,6 +27,7 @@ import numpy as np
 import pytest
 
 from repro.core.gsknn import gsknn
+from repro.core.table import TableHandle
 from repro.errors import BackendError, KernelTimeoutError, ValidationError
 from repro.parallel.scheduler import (
     ScheduledTask,
@@ -41,6 +42,7 @@ from repro.shard.transport import (
     SharedSegments,
     ShardWorld,
     _TransportRung,
+    segment_prefix,
 )
 
 pytestmark = pytest.mark.skipif(
@@ -52,7 +54,10 @@ BLOCKS = {"block_m": 64, "block_n": 64}
 
 
 def shm_segments() -> set[str]:
-    return set(os.listdir("/dev/shm"))
+    """This process's shared-memory segments: another process's, a
+    concurrent test run's among them, never enter the comparison."""
+    prefix = segment_prefix()
+    return {n for n in os.listdir("/dev/shm") if n.startswith(prefix)}
 
 
 def assert_reaped() -> None:
@@ -232,31 +237,45 @@ class TestDeadline:
 
 
 class TestShmLifecycle:
+    def test_segments_carry_this_process_prefix(self, cloud):
+        """The leak checks see only this process's segments; one this
+        process leaks still shows."""
+        segments = SharedSegments({"X": cloud.shape})
+        try:
+            name, shape, _ = segments.specs["X"]
+            assert name.startswith(segment_prefix()) and shape == cloud.shape
+            assert name in shm_segments()
+        finally:
+            segments.unlink()
+        assert name not in shm_segments()
+        assert str(os.getpid()) in segment_prefix()
+
     def test_partial_export_failure_leaks_nothing(self, cloud, monkeypatch):
-        """If the 3rd of 4 segment exports dies, the first two (and the
-        failed one) must be unlinked before the error escapes."""
+        """If the 3rd of 4 segments cannot be created, the first two
+        must be unlinked before the error escapes."""
         import repro.shard.transport as transport
 
-        real = transport._shm_export
+        real = transport._shm_create
         calls = {"n": 0}
 
-        def failing(arr):
+        def failing(nbytes):
             calls["n"] += 1
             if calls["n"] == 3:
                 raise OSError("no space left on device")
-            return real(arr)
+            return real(nbytes)
 
-        monkeypatch.setattr(transport, "_shm_export", failing)
+        monkeypatch.setattr(transport, "_shm_create", failing)
         before = shm_segments()
         with pytest.raises(OSError):
             SharedSegments(
                 {
-                    "X": cloud,
-                    "X2": (cloud**2).sum(axis=1),
-                    "q_idx": np.arange(10, dtype=np.intp),
-                    "r_idx": np.arange(20, dtype=np.intp),
+                    "X": cloud.shape,
+                    "X2": (cloud.shape[0],),
+                    "q_idx": (10,),
+                    "r_idx": (20,),
                 }
             )
+        assert calls["n"] == 3
         assert shm_segments() == before
 
     def test_keyboard_interrupt_unlinks_and_reaps(
@@ -302,8 +321,7 @@ class TestShmLifecycle:
         transport = ProcessTransport()
         transport.start(
             ShardWorld(
-                X=cloud,
-                X2=None,
+                table=TableHandle(cloud),
                 local_ids=[np.arange(cloud.shape[0])],
                 epoch=0,
             )

@@ -133,3 +133,33 @@ class TestDeterminism:
         m = ShardMap(10, 2, panel_width=4)
         m.append(1)
         assert m.spec() == {"n_shards": 2, "panel_width": 4, "epoch": 1}
+
+    def test_replica_follows_the_same_changes(self, rng):
+        """A replica rebuilt from ``spec()`` and ``alive_mask`` and then
+        given the same changes owns what the original owns."""
+        m = ShardMap(50, 3, panel_width=8)
+        m.tombstone([3, 4, 40])
+        replica = ShardMap.from_spec(m.spec(), m.alive_mask)
+        for step in range(30):
+            if step % 3:
+                ids = rng.choice(m.alive_ids(), 5, replace=False)
+                for each in (m, replica):
+                    each.tombstone(ids)
+            else:
+                for each in (m, replica):
+                    each.append(7)
+            np.testing.assert_array_equal(
+                m.alive_ids(), np.flatnonzero(m.alive_mask)
+            )
+            assert replica.epoch == m.epoch and replica.n_alive == m.n_alive
+            for s in range(3):
+                np.testing.assert_array_equal(
+                    replica.local_ids(s), m.local_ids(s)
+                )
+
+    def test_refused_last_tombstone_changes_nothing(self):
+        m = ShardMap(6, 2, panel_width=2)
+        with pytest.raises(ValidationError):
+            m.tombstone(np.arange(6))
+        assert m.n_alive == 6 and m.epoch == 0
+        np.testing.assert_array_equal(m.alive_ids(), np.arange(6))
