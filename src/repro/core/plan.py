@@ -70,7 +70,13 @@ from ..config import DEFAULT_BLOCK_M, DEFAULT_BLOCK_N, iter_blocks
 from ..errors import MemoryBudgetError, ValidationError
 from ..obs import trace as _trace
 from ..obs.metrics import get_registry as _get_registry
-from ..select.vectorized import ArenaNeighborLists, cut_bins, finalize_sq_l2
+from ..select.vectorized import (
+    ArenaNeighborLists,
+    cut_bins,
+    finalize_sq_l2,
+    merge_lists,
+    sort_lex,
+)
 from ..tune.decision import apply_blocking, decide_variant
 from ..validation import as_index_array, check_finite, check_k
 from .arena import ArenaPool
@@ -178,26 +184,28 @@ class GsknnPlan:
                 else ArenaPool()
             )
         self.arena_pool = arena_pool
-        cache_panels = bool(cache_panels)
-        if cache_panels and self.memory_budget is not None:
-            # Cache panels whole only when they leave at least half the
-            # budget for tiles/lists; otherwise stream them per-block
-            # from X inside the pass loop (the out-of-core mode — the
-            # fused kernel packs panels once per pass, so streaming
-            # costs one sequential read per pass, nothing hot).
-            if 2 * self._cache_nbytes() > self.memory_budget.limit_bytes:
-                cache_panels = False
-                registry = _get_registry()
-                if registry.enabled:
-                    registry.inc("budget.panels_streamed")
-        # scratch sets (one per row worker) the budget affords; None: no cap
-        self._budget_workers: int | None = None
+        self._cache_panels = bool(cache_panels)
+        # scratch sets the budget affords a (row, panel) split; None: no cap
+        self._budget_workers: tuple[int, int] | None = None
         if self.memory_budget is not None:
             self.block_m, self.block_n = self._fit_blocks(
                 self.block_m, self.block_n
             )
+            # Cache panels whole only when they fit beside one pass in
+            # half the budget, so the query side keeps the other half
+            # whether or not they are cached; otherwise stream them
+            # per-block from X inside the pass loop (the out-of-core
+            # mode — the fused kernel packs panels once per pass, so
+            # streaming costs one sequential read per pass, nothing hot).
+            share = self.memory_budget.limit_bytes // 2
+            if self._cache_panels and (
+                self._cache_nbytes() + self._pass_nbytes() > share
+            ):
+                self._cache_panels = False
+                registry = _get_registry()
+                if registry.enabled:
+                    registry.inc("budget.panels_streamed")
             self._budget_workers = self._fit_workers()
-        self._cache_panels = cache_panels
         # cached panels by kind: True for float32 screen panels
         self._panels: dict[bool, list] = {}
         self._panels_nbytes = 0
@@ -250,14 +258,8 @@ class GsknnPlan:
         back from ``plan.block_m`` / ``plan.block_n``.
         """
         share = self.memory_budget.limit_bytes // 2
-        d = self.X.shape[1]
-
-        def per_pass(bm: int, bn: int) -> int:
-            stream = _stream_nbytes(bn, d, self._screens)
-            return bm * bn * self._cell_nbytes() + stream
-
         fitted_m, fitted_n = int(block_m), int(block_n)
-        while per_pass(fitted_m, fitted_n) > share and (
+        while self._pass_nbytes(fitted_m, fitted_n) > share and (
             fitted_m > 64 or fitted_n > 64
         ):
             if fitted_n >= fitted_m and fitted_n > 64:
@@ -271,20 +273,39 @@ class GsknnPlan:
                 registry.inc("budget.block_autofits")
         return fitted_m, fitted_n
 
-    def _fit_workers(self) -> int:
-        """Row workers whose scratch fits half the budget beside a panel.
+    def _pass_nbytes(
+        self, block_m: int | None = None, block_n: int | None = None
+    ) -> int:
+        """One pass's tile state at a blocking (the plan's by default): a
+        worker's tile and mask, and a streamed panel with its staging."""
+        block_m = self.block_m if block_m is None else block_m
+        block_n = self.block_n if block_n is None else block_n
+        stream = _stream_nbytes(block_n, self.d, self._screens)
+        return block_m * block_n * self._cell_nbytes() + stream
+
+    def _fit_workers(self) -> tuple[int, int]:
+        """Workers whose scratch fits half the budget: ``(rows, panels)``.
 
         Blocks are fitted for one worker first, so the blocking — and
         with it every result bit — never depends on the host's cores.
-        Each row worker then needs its own tile and survivor mask,
-        ``block_m x block_n x`` :meth:`_cell_nbytes` bytes; the workers
-        a budget cannot afford are simply not started. See
+        Each worker then needs its own tile and survivor mask,
+        ``block_m x block_n x`` :meth:`_cell_nbytes` bytes, beside the
+        cached panels or one streamed panel. Splitting rows, the workers
+        share that panel; splitting panels, each streams its own (its
+        own lists are charged per execute, :meth:`_afford_workers`). The
+        workers a budget cannot afford are simply not started. See
         docs/MEMORY.md.
         """
         share = self.memory_budget.limit_bytes // 2
         scratch = self.block_m * self.block_n * self._cell_nbytes()
         stream = _stream_nbytes(self.block_n, self.d, self._screens)
-        return max(1, (share - stream) // scratch)
+        if self._cache_panels:
+            both = max(1, (share - self._cache_nbytes()) // scratch)
+            return both, both
+        return (
+            max(1, (share - stream) // scratch),
+            max(1, share // (scratch + stream)),
+        )
 
     def _afford_workers(
         self,
@@ -294,49 +315,72 @@ class GsknnPlan:
         panels: int,
         screen: ScreenQueries | None,
         p: int,
+        split_panels: bool,
     ) -> int:
-        """Cap ``p`` at the row workers the budget can still pay for once
-        the queries are packed.
+        """Cap ``p`` at the workers the budget can still pay for once the
+        queries are packed.
 
         :meth:`_fit_workers` leaves the query side half the budget but
         cannot know ``m``; a long batch's packed queries and lists can
-        take more. What the lists, a streamed panel and each worker's
-        tile and mask would newly charge — a buffer the arena already
+        take more. What the lists, a streamed panel and the workers'
+        tiles and masks would newly charge — a buffer the arena already
         holds at that size costs nothing — must fit the budget's
-        remaining bytes. At least one worker runs (and raises
-        :class:`MemoryBudgetError` if even it does not fit).
+        remaining bytes. A panel worker also charges its own lists, its
+        own copy of the screen operand and its own streamed panel. At
+        least one worker runs (and raises :class:`MemoryBudgetError` if
+        even it does not fit).
         """
         m_b = min(m, self.block_m)
-        cells = m_b * min(panels * self._panel_n(screen is not None), self.n)
-        needs = {
-            "lists.values": m * k * 8,
-            "lists.ids": m * k * np.dtype(np.intp).itemsize,
-            "lists.row_max": m * 8,
-            "lists.touched": m,
-        }
-        if not self._panels.get(screen is not None):  # streamed
-            n_b = min(self._panel_n(screen is not None), self.n)
-            if screen is not None:
-                needs["Ra"] = (self.d + 2) * n_b * 4
-            else:
-                needs["Ra"] = (self.d + self._norm_cols) * n_b * 8
-            needs["Ra.rows"] = min(n_b, self.block_n) * self.d * 8
-        left = self.memory_budget.remaining_bytes - arena.shortfall(needs)
-        # the mask's bytes, which also hold a merge round (and, for a
-        # screen tile, a rescore pair)
-        room = max(cells, 16 * (k + 1), 0 if screen is None else 16 * self.d)
-        for w in range(p):
-            suffix = f"@{w}" if w else ""  # ArenaNeighborLists.worker's keys
-            scratch = {
-                "tile" + suffix: cells * (8 if screen is None else 4),
-                "lists.mask" + suffix: room,
+        width = self._panel_n(screen is not None)
+        count = -(-self.n // width)
+        streamed = not self._panels.get(screen is not None)
+
+        def lists(suffix: str) -> dict:
+            needs = {
+                "lists.values" + suffix: m * k * 8,
+                "lists.ids" + suffix: m * k * np.dtype(np.intp).itemsize,
+                "lists.row_max" + suffix: m * 8,
+                "lists.touched" + suffix: m,
             }
-            if self.norm.is_cosine:
-                scratch["denom" + suffix] = m_b * self.block_n * 8
-                scratch["denom_zero" + suffix] = m_b * self.block_n
-            left -= arena.shortfall(scratch)
-            if left < 0:
-                return max(w, 1)
+            if streamed:
+                n_b = min(width, self.n)
+                if screen is not None:
+                    needs["Ra" + suffix] = (self.d + 2) * n_b * 4
+                else:
+                    needs["Ra" + suffix] = (self.d + self._norm_cols) * n_b * 8
+                needs["Ra.rows" + suffix] = min(n_b, self.block_n) * self.d * 8
+            if suffix and screen is not None:
+                needs["Q32" + suffix] = screen.Q32.nbytes
+            return needs
+
+        def needs(q: int) -> dict:
+            """What ``q`` workers take: their tile regions, and per worker
+            a mask (whose bytes also hold a merge round and, for a screen
+            tile, a rescore pair)."""
+            total = lists("")
+            # each worker's widest tile: `panels` panels, or as many of
+            # its own as it has (see _run_blocked)
+            cols = [panels * width] * q
+            if split_panels:
+                cols = [min(panels, (w + 1) * count // q - w * count // q) * width
+                        for w in range(q)]
+            cells = [m_b * min(c, self.n) for c in cols]
+            total["tile"] = sum(cells) * (8 if screen is None else 4)
+            for w in range(q):
+                suffix = f"@{w}" if w else ""  # the workers' arena keys
+                total["lists.mask" + suffix] = max(
+                    cells[w], 16 * (k + 1), 0 if screen is None else 16 * self.d
+                )
+                if self.norm.is_cosine:
+                    total["denom" + suffix] = m_b * self.block_n * 8
+                    total["denom_zero" + suffix] = m_b * self.block_n
+                if w and split_panels:
+                    total.update(lists(suffix))
+            return total
+
+        left = self.memory_budget.remaining_bytes
+        while p > 1 and arena.shortfall(needs(p)) > left:
+            p -= 1
         return p
 
     def _panel_n(self, screen: bool) -> int:
@@ -714,48 +758,61 @@ class GsknnPlan:
         arena,
         stats: GsknnStats,
     ) -> KnnResult:
-        """Run the variant's loop nest with its row blocks on the workers.
+        """Run the variant's loop nest with its row blocks or its panels
+        on the workers.
 
-        The worker count and its inputs are recorded on the caller's root
-        span (``gsknn`` or ``plan.execute``); see :mod:`repro.core.workers`.
+        The split, the worker count and its inputs are recorded on the
+        caller's root span (``gsknn`` or ``plan.execute``); see
+        :mod:`repro.core.workers`.
         """
         m = Q.shape[0] if screen is None else screen.ids.size
         blocks = list(iter_blocks(m, self.block_m))
-        p, attrs = row_workers(len(blocks), self._budget_workers)
         # a batch shorter than block_m is one row block; its tiles take
         # block_m // m panels, so each holds about block_m x block_n
         # candidates (Var#6 keeps its (block_m, n_b) score tiles), or
         # twice that in a float32 screen tile
         panels = 1 if var is Variant.VAR6 else max(1, self.block_m // m)
+        width = self._panel_n(screen is not None)
+        splittable = 0 if var is Variant.VAR6 else -(-self.n // width)
+        caps = self._budget_workers or (None, None)
+        tiles = m * self.n // (self.block_m * self.block_n)
+        p, attrs = row_workers(
+            len(blocks), caps[0], splittable, caps[1], tiles
+        )
+        split_panels = attrs["split"] == "panels"
         if p > 1 and self.memory_budget is not None and var is not Variant.VAR6:
-            p = self._afford_workers(arena, m, k, panels, screen, p)
-            attrs["workers"] = p
+            afford = self._afford_workers(
+                arena, m, k, panels, screen, p, split_panels
+            )
+            if afford < p:
+                p = attrs["workers"] = afford
+                attrs["reason"] = "budget"
         # strided bins cutting each row block's first (cold) Var#1 tile;
         # 0 where no cut forms and those rows keep every candidate
         bins = 0
         if var is Variant.VAR1:
-            width = self._panel_n(screen is not None)
             bins = cut_bins(k, min(panels * width, self.n))
         _trace.get_tracer().annotate(
             **attrs, panels_per_tile=panels, cut_bins=bins,
             screen_dtype="float64" if screen is None else "float32",
         )
-        with RowWorkers(blocks, p) as workers:
-            if var is Variant.VAR6:
-                result = self._run_var6(Q, Q2, k, stats, arena, workers)
-                shortcut = False
-            else:
-                result, shortcut = self._run_blocked(
-                    Q, Q2, screen, k, var is Variant.VAR1, initial, arena,
-                    stats, workers, panels,
-                )
+        workers = RowWorkers(blocks, p, splittable if split_panels else 0)
+        if var is Variant.VAR6:
+            result = self._run_var6(Q, Q2, k, stats, arena, workers)
+            shortcut = False
+        else:
+            result, shortcut = self._run_blocked(
+                Q, Q2, screen, k, var is Variant.VAR1, initial, arena,
+                stats, workers, panels,
+            )
         if initial is not None and not shortcut:
             with _trace.span("heap", stage="warm_merge"):
                 result = merge_neighbor_lists_fast(result, initial)
         return result
 
-    def _iter_panels(self, arena, screen: bool = False):
-        """Yield ``(j_c, n_b, RaT)`` — cached or streamed.
+    def _panel_list(self, screen: bool = False) -> list:
+        """The 6th loop's panels as ``(j_c, n_b, RaT)``, ``RaT`` None
+        where a panel is streamed (see :meth:`_load_panel`).
 
         ``screen`` asks for an l2 plan's float32 screen panels (see
         :mod:`repro.core.screen`); otherwise the panels are float64
@@ -763,36 +820,64 @@ class GsknnPlan:
         (:meth:`_build`), and an unbudgeted one each other kind on its
         first use, so an l2 plan that also runs Var#5 or Var#6 keeps
         both. A budgeted plan, whose budget was sized for one kind,
-        streams the other. An uncached plan (one-shot, budgeted, or
-        released)
-        *streams*: each pass's panels are gathered into one reusable
-        arena buffer by the same code the cached build uses, so a
-        memmapped table is read one sequential panel at a time, steady-
-        state executes allocate nothing, and streamed results stay
-        bit-identical to cached ones.
+        streams the other, and an uncached plan (one-shot, budgeted, or
+        released) streams every panel.
         """
         panels = self._panels.get(screen)
         if panels is None and self._cache_panels and self.memory_budget is None:
             panels = self._build(screen)
         if panels is not None:
-            yield from panels
-            return
-        frame = self._screen_frame() if screen else None
-        for j_c, n_b in iter_blocks(self.n, self._panel_n(screen)):
-            r_block = self.r_idx[j_c : j_c + n_b]
-            with _trace.span("pack", which="R", rows=n_b, j_c=j_c):
-                rows = arena.take_c(
-                    "Ra.rows", (min(n_b, self.block_n), self.d), np.float64
-                )
-                if screen:
-                    RaT = arena.take_c("Ra", (self.d + 2, n_b), np.float32)
-                    frame.gather(self.X, r_block, RaT, rows)
-                else:
-                    RaT = arena.take_c(
-                        "Ra", (self.d + self._norm_cols, n_b), np.float64
-                    )
-                    self._gather_panel(r_block, RaT, rows)
-            yield j_c, n_b, RaT
+            return panels
+        return [
+            (j_c, n_b, None)
+            for j_c, n_b in iter_blocks(self.n, self._panel_n(screen))
+        ]
+
+    def _load_panel(
+        self, arena, panel: tuple, screen: bool, suffix: str = "", parent=None
+    ) -> tuple:
+        """``panel`` with its ``RaT``: a cached one as it is, a streamed one
+        gathered into the arena buffers ``"Ra" + suffix``.
+
+        Streaming gathers each panel into one reusable buffer per worker
+        by the same code the cached build uses, so a memmapped table is
+        read one sequential panel at a time, steady-state executes
+        allocate nothing, and streamed results stay bit-identical to
+        cached ones.
+        """
+        j_c, n_b, RaT = panel
+        if RaT is not None:
+            return panel
+        r_block = self.r_idx[j_c : j_c + n_b]
+        tracer = _trace.get_tracer()
+        with tracer.span_under(parent, "pack", which="R", rows=n_b, j_c=j_c):
+            RaT, rows = self._panel_buffers(arena, n_b, screen, suffix)
+            if screen:
+                self._screen_frame().gather(self.X, r_block, RaT, rows)
+            else:
+                self._gather_panel(r_block, RaT, rows)
+        return j_c, n_b, RaT
+
+    def _panel_buffers(
+        self, arena, n_b: int, screen: bool, suffix: str = ""
+    ) -> tuple[np.ndarray, np.ndarray]:
+        """``(RaT, rows)``: a streamed panel's arena buffers and the
+        float64 rows it is staged through."""
+        rows = arena.take_c(
+            "Ra.rows" + suffix, (min(n_b, self.block_n), self.d), np.float64
+        )
+        if screen:
+            return arena.take_c("Ra" + suffix, (self.d + 2, n_b), np.float32), rows
+        RaT = arena.take_c(
+            "Ra" + suffix, (self.d + self._norm_cols, n_b), np.float64
+        )
+        return RaT, rows
+
+    def _iter_panels(self, arena, screen: bool = False):
+        """Yield every panel ``(j_c, n_b, RaT)``, cached or streamed into
+        one buffer (:meth:`_panel_list`, :meth:`_load_panel`)."""
+        for panel in self._panel_list(screen):
+            yield self._load_panel(arena, panel, screen)
 
     def _gather_panel(
         self, r_block: np.ndarray, RaT: np.ndarray, rows: np.ndarray
@@ -851,11 +936,17 @@ class GsknnPlan:
         the tile is the float32 screen of :mod:`repro.core.screen` and
         survivors are rescored pair by pair, so every distance depends
         on its pair alone; other tiles keep their bits at equal blocking.
-        Per panel, worker ``w`` runs the row blocks ``workers.runs[w]``
-        through its own view of the lists. Returns ``(result, merged)``
-        where ``merged`` means ``result`` already accounts for
-        ``initial`` (the warm zero-survivor fast path fired, or the seed
-        was folded into the lists) and must not be merged with it again.
+
+        Splitting rows, worker ``w`` runs the row blocks
+        ``workers.runs[w]`` of each panel through its own view of the
+        lists. Splitting panels, worker ``w`` runs every row block over
+        its panels ``workers.panel_runs[w]`` in one pass, into lists of
+        its own (a folded seed sits in worker 0's), and the lists merge
+        once at the end on ``(distance, id)``, dropping a seeded id that
+        another worker found again. Returns ``(result, merged)`` where
+        ``merged`` means ``result`` already accounts for ``initial`` (the
+        warm zero-survivor fast path fired, or the seed was folded into
+        the lists) and must not be merged with it again.
         """
         m = Q.shape[0] if screen is None else screen.ids.size
         lists = ArenaNeighborLists(m, k, arena, wholesale=not use_filter)
@@ -882,73 +973,136 @@ class GsknnPlan:
                 # cold row
                 lists.row_max[:] = initial.distances.max(axis=1)
 
+        split = workers.split == "panels"
+        views = [lists.worker(0)]
+        views += [lists.own(w) if split else lists.worker(w)
+                  for w in range(1, workers.p)]
+        # a panel worker folds its rows' cuts into its own screen operand
+        screens = [screen] * workers.p
+        if split and screen is not None:
+            screens[1:] = [screen.own_cuts(arena, views[w].scratch)
+                           for w in range(1, workers.p)]
         fold = self.norm.is_l2
         tile_dtype = np.float64 if screen is None else np.float32
-        views = [lists.worker(w) for w in range(workers.p)]
         tracer = _trace.get_tracer()
         parent = tracer.current_span_id()
-        tile_cols = panels * self._panel_n(screen is not None)
 
-        def update_rows(w: int, panel: tuple) -> None:
-            j_c, n_b, RaT = panel
-            first = j_c - j_c % tile_cols  # the tile's first column
-            width = min(tile_cols, self.n - first)
-            cols = slice(j_c - first, j_c - first + n_b)
-            last = cols.stop == width  # this panel completes the tile
-            view = views[w]
-            for i_c, m_b in workers.runs[w]:  # 4th loop
-                q2c = Q2[i_c : i_c + m_b] if Q2 is not None else None
-                with tracer.span_under(
-                    parent, "rank_update", rows=m_b, cols=n_b
-                ):
-                    # the shape is fixed within a tile, so every panel of
-                    # it gets the same buffer
-                    tile = arena.take_c(
-                        "tile" + view.scratch, (m_b, width), tile_dtype
-                    )
-                    if screen is not None:
-                        rows = slice(i_c, i_c + m_b)
-                        if cols.start == 0:
+        grid = self._panel_list(screen is not None)
+        if split or workers.p == 1:
+            # one pass per worker over its own panels, in tiles of
+            # `panels` panels from its first
+            runs = workers.panel_runs or [range(len(grid))]
+            chunks = [
+                [grid[at : min(at + panels, run.stop)]
+                 for at in range(run.start, run.stop, panels)]
+                for run in runs
+            ]
+        else:
+            # splitting rows, every tile is one panel
+            chunks = [[[panel] for panel in grid]] * workers.p
+        # every worker's tiles are views of its region of one buffer,
+        # taken here, so p workers splitting panels hold the bytes (and
+        # make the allocation) one worker's tiles do
+        regions = [
+            workers.runs[w][0][1]
+            * max(members[-1][0] + members[-1][1] - members[0][0]
+                  for members in chunks[w])
+            for w in range(workers.p)
+        ]
+        flat = arena.take_c("tile", (sum(regions),), tile_dtype)
+        starts = np.cumsum([0] + regions)
+
+        def sweep(w: int, tiles: list) -> None:
+            """Worker ``w``'s row blocks over ``tiles``, each a list of
+            consecutive panels, loaded as they are reached."""
+            view, scr = views[w], screens[w]
+            region = flat[starts[w] : starts[w + 1]]
+            for members in tiles:
+                first = members[0][0]  # the tile's first column
+                width = members[-1][0] + members[-1][1] - first
+                if len(members) == 1:  # loaded once for every row block
+                    members = [self._load_panel(
+                        arena, members[0], scr is not None, view.scratch, parent
+                    )]
+                r_tile = self.r_idx[first : first + width]
+                for i_c, m_b in workers.runs[w]:  # 4th loop
+                    rows = slice(i_c, i_c + m_b)
+                    q2c = Q2[rows] if Q2 is not None else None
+                    tile = region[: m_b * width].reshape(m_b, width)
+                    with tracer.span_under(
+                        parent, "rank_update", rows=m_b, cols=width,
+                        panels=len(members),
+                    ):
+                        if scr is not None:
                             # the rows' cuts from the thresholds before
                             # this tile, folded into the sgemm
-                            screen.fold_cuts(rows, view.row_max[rows])
-                        # [-2 (Q - c) s | 1 | -o] @
-                        # [(R - c) s | |R - c|^2 s^2 | 1]^T: one sgemm
-                        # writes the float32 screen tile less the cuts
-                        np.matmul(screen.Q32[rows], RaT, out=tile[:, cols])
-                    elif fold:
-                        # Q is [-2Q | 1] and RaT is [R | r2]^T: one GEMM,
-                        # its B operand untransposed, writes the raw tile
-                        # r2 - 2q.r
-                        np.matmul(Q[i_c : i_c + m_b], RaT, out=tile[:, cols])
-                    else:
-                        self._tile_into_arena(
-                            Q[i_c : i_c + m_b], q2c, RaT, arena,
-                            view.scratch, tile[:, cols],
-                        )
-                if not last:
-                    continue
-                r_tile = self.r_idx[first : first + width]
-                with tracer.span_under(parent, "heap", rows=m_b, cols=width):
-                    if screen is not None:
-                        tile_screen = TileScreen(
-                            screen, rows, self.X, self.table.X2
-                        )
-                        view.update(i_c, tile, r_tile, screen=tile_screen)
-                    else:
-                        if fold:  # Var#5: finish the whole tile
-                            finalize_sq_l2(tile, q2c)
-                        view.update(i_c, tile, r_tile)
+                            scr.fold_cuts(rows, view.row_max[rows])
+                            # [-2 (Q - c) s | 1 | -o] @
+                            # [(R - c) s | |R - c|^2 s^2 | 1]^T: one sgemm
+                            # writes the screen less the cuts
+                            A = scr.Q32[rows]
+                        elif fold:
+                            # Q is [-2Q | 1] and RaT is [R | r2]^T: one
+                            # GEMM, its B operand untransposed, writes the
+                            # raw tile r2 - 2q.r
+                            A = Q[rows]
+                        for j_c, n_b, RaT in members:
+                            if RaT is None:
+                                j_c, n_b, RaT = self._load_panel(
+                                    arena, (j_c, n_b, RaT), scr is not None,
+                                    view.scratch, parent,
+                                )
+                            cols = tile[:, j_c - first : j_c - first + n_b]
+                            if scr is not None or fold:
+                                np.matmul(A, RaT, out=cols)
+                            else:
+                                self._tile_into_arena(
+                                    Q[rows], q2c, RaT, arena, view.scratch,
+                                    cols,
+                                )
+                    with tracer.span_under(
+                        parent, "heap", rows=m_b, cols=width
+                    ):
+                        if scr is not None:
+                            tile_screen = TileScreen(
+                                scr, rows, self.X, self.table.X2
+                            )
+                            view.update(i_c, tile, r_tile, screen=tile_screen)
+                        else:
+                            if fold:  # Var#5: finish the whole tile
+                                finalize_sq_l2(tile, q2c)
+                            view.update(i_c, tile, r_tile)
 
-        for panel in self._iter_panels(arena, screen is not None):  # 6th loop
-            workers.run(lambda w: update_rows(w, panel))
-            # blocks count block_n-wide panels, whatever a panel spans
-            stats.blocks += workers.row_blocks * -(-panel[1] // self.block_n)
+        if split:
+            # the panel workers' masks and streamed-panel buffers are taken
+            # here, in the calling thread, like their tiles and lists: what
+            # a helper thread allocates stays in its own malloc arena's
+            # pages after the call
+            pair = 0 if screen is None else 2 * self.d * 8
+            for w in range(1, workers.p):
+                views[w].take_mask(regions[w], pair)
+                if grid[0][2] is None:  # streamed
+                    self._panel_buffers(
+                        arena, grid[0][1], screen is not None, views[w].scratch
+                    )
+        if split or workers.p == 1:
+            workers.run(lambda w: sweep(w, chunks[w]))
+        else:
+            # each panel is loaded once, into the shared buffer, for all
+            # the workers
+            for panel in grid:  # 6th loop
+                panel = self._load_panel(arena, panel, screen is not None)
+                workers.run(lambda w: sweep(w, [[panel]]))
+        # blocks count block_n-wide panels, whatever a panel spans
+        stats.blocks += workers.row_blocks * sum(
+            -(-n_b // self.block_n) for _, n_b, _ in grid
+        )
         lists.absorb(views)
         if screen is not None and tracer.enabled:
+            row_max = np.minimum.reduce([view.row_max for view in views])
             tracer.annotate(
                 screen_rescored=lists.stats.candidates_rescored,
-                screen_widening=screen.widening(lists.row_max),
+                screen_widening=screen.widening(row_max),
             )
         stats.candidates_offered = lists.stats.candidates_offered
         stats.candidates_discarded = (
@@ -959,23 +1113,28 @@ class GsknnPlan:
             and initial is not None
             and lists.stats.rows_merged == 0
             and not lists._seed_dirty
-            and initial.is_sorted()
         ):
             # Warm zero-survivor fast path: no candidate anywhere beat the
             # seeded thresholds, so the merged answer IS the initial lists —
-            # skip the final sort and the merge entirely. Returned arrays
-            # are fresh copies so callers never alias their own input.
+            # skip the merge entirely. Returned arrays are fresh, so
+            # callers never alias their own input.
             registry = _get_registry()
             if registry.enabled:
                 registry.inc("plan.unchanged_returns")
-            return (
-                KnnResult(
-                    initial.distances.copy(), initial.indices.copy()
-                ),
-                True,
-            )
+            return KnnResult(*sort_lex(initial.distances, initial.indices)), True
         with _trace.span("heap", stage="final_sort"):
-            dist, idx = lists.sorted()
+            if split:
+                # the seeded worker's lists last: a seeded id another
+                # worker found again keeps the fresh copy
+                order = views[1:] + views[:1]
+                dist, idx = merge_lists(
+                    np.concatenate([view.values for view in order], axis=1),
+                    np.concatenate([view.ids for view in order], axis=1),
+                    k,
+                    dedup=lists._dedup,
+                )
+            else:
+                dist, idx = lists.sorted()
         return KnnResult(dist, idx), folded
 
     def _refs_unique(self) -> bool:

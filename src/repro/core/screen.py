@@ -254,6 +254,17 @@ class ScreenQueries:
         self.qc2 = qc2
         self.scale2 = frame.scale * frame.scale
 
+    def own_cuts(self, arena, suffix: str) -> "ScreenQueries":
+        """This block with a ``Q32`` of its own, under arena key
+        ``"Q32" + suffix``: a panel worker folds its own cuts into it.
+        Every other term is shared."""
+        twin = object.__new__(ScreenQueries)
+        for name in self.__slots__:
+            setattr(twin, name, getattr(self, name))
+        twin.Q32 = arena.take_c("Q32" + suffix, self.Q32.shape, np.float32)
+        twin.Q32[...] = self.Q32
+        return twin
+
     def fold_cuts(self, rows: slice, thresholds: np.ndarray) -> None:
         """Fold the rows' cuts for their next tile into ``Q32``.
 

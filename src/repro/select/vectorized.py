@@ -16,7 +16,7 @@ ingredients the paper's fused kernel depends on preserved:
 
 The kernel's lists, :class:`ArenaNeighborLists`, take every tile
 through one masked path: each row gets a cut, one compare extracts the
-candidates below it, and only those are merged. A warm row's cut is its
+candidates at or below it, and only those are merged. A warm row's cut is its
 threshold. A cold row (no finite threshold yet — its first tile) is cut
 at the ``k``-th smallest of :func:`cut_bins` strided bin minima, which
 TPU-KNN's PartialReduce shows is at or above the row's ``k``-th
@@ -31,9 +31,14 @@ paper's §2.3 epilogue applied to the few candidates that can still
 enter a list instead of the whole tile. :func:`finalize_sq_l2` is the
 epilogue Var#5 applies to its whole float64 tiles.
 
-Semantics are identical to per-row heap selection: after any sequence of
-updates each row holds the k smallest (distance, id) pairs seen so far.
-Ties are broken arbitrarily, exactly like the heap.
+Semantics are those of per-row heap selection under one total order:
+after any sequence of updates each row holds the ``k`` smallest
+``(distance, id)`` pairs seen so far, and :meth:`BatchedNeighborLists.sorted`
+lists them in that order. A tie on distance breaks on the smaller id
+(:func:`topk_lex`, :func:`sort_lex`), so which of two equal distances a
+row keeps does not depend on the order its tiles arrived in, and lists
+built over disjoint parts of the references merge (:func:`merge_lists`)
+into the lists one pass over all of them builds.
 """
 
 from __future__ import annotations
@@ -55,7 +60,11 @@ __all__ = [
     "cut_bins",
     "finalize_sq_l2",
     "merge_block",
+    "merge_lists",
+    "sort_lex",
+    "topk_lex",
 ]
+
 
 def cut_bins(k: int, width: int) -> int:
     """Strided bins ``L`` whose minima cut a cold row of a ``width`` tile.
@@ -72,6 +81,75 @@ def cut_bins(k: int, width: int) -> int:
     if width < k:
         return 0
     return min(width, max(4 * k, 128))
+
+
+def topk_lex(values: np.ndarray, ids: np.ndarray, k: int) -> np.ndarray:
+    """Column positions of each row's ``k`` smallest ``(value, id)`` pairs.
+
+    ``values`` and ``ids`` are ``(rows, width)`` with ``width > k``; the
+    positions come back ``(rows, k)``, unordered, except that column
+    ``k - 1`` holds each row's largest pick. One argpartition on the
+    values settles every row whose ``k``-th value is not repeated
+    outside its picks; a row where it is (an exact tie at the boundary)
+    is lexsorted on ``(value, id)`` instead. Rows whose ``k``-th value is
+    +inf hold fewer than ``k`` real candidates and their ``(+inf, -1)``
+    padding, so every real one is picked either way.
+    """
+    part = np.argpartition(values, k - 1, axis=1)[:, :k]
+    kth = np.take_along_axis(values, part[:, k - 1 :], axis=1)
+    crowded = np.count_nonzero(values <= kth, axis=1) > k
+    crowded &= np.isfinite(kth[:, 0])
+    if crowded.any():
+        rows = np.flatnonzero(crowded)
+        order = np.lexsort((ids[rows], values[rows]), axis=1)
+        part[rows] = order[:, :k]
+    return part
+
+
+def sort_lex(values: np.ndarray, ids: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """``(values, ids)`` with each row ascending by ``(value, id)``; new arrays.
+
+    A stable sort on the values, then a lexsort of only the rows where
+    two equal values list their ids out of order.
+    """
+    order = np.argsort(values, axis=1, kind="stable")
+    values = np.take_along_axis(values, order, axis=1)
+    ids = np.take_along_axis(ids, order, axis=1)
+    tied = (values[:, 1:] == values[:, :-1]) & (ids[:, 1:] < ids[:, :-1])
+    rows = np.flatnonzero(tied.any(axis=1))
+    if rows.size:
+        order = np.lexsort((ids[rows], values[rows]), axis=1)
+        values[rows] = np.take_along_axis(values[rows], order, axis=1)
+        ids[rows] = np.take_along_axis(ids[rows], order, axis=1)
+    return values, ids
+
+
+def merge_lists(
+    values: np.ndarray, ids: np.ndarray, k: int, dedup: bool = False
+) -> tuple[np.ndarray, np.ndarray]:
+    """Each row's ``k`` smallest ``(value, id)`` pairs of ``(rows, width)``
+    lists, ascending; new arrays.
+
+    The lists of several workers, side by side. With ``dedup`` an id a
+    row lists twice keeps only its leftmost copy, so the caller puts the
+    copies it trusts first.
+    """
+    if dedup:
+        by_id = np.argsort(ids, axis=1, kind="stable")
+        sorted_ids = np.take_along_axis(ids, by_id, axis=1)
+        rows, cols = np.nonzero(
+            (sorted_ids[:, 1:] == sorted_ids[:, :-1]) & (sorted_ids[:, 1:] >= 0)
+        )
+        if rows.size:
+            values, ids = values.copy(), ids.copy()
+            later = by_id[rows, cols + 1]
+            values[rows, later] = np.inf
+            ids[rows, later] = -1
+    order = np.lexsort((ids, values), axis=1)[:, :k]
+    return (
+        np.take_along_axis(values, order, axis=1),
+        np.take_along_axis(ids, order, axis=1),
+    )
 
 
 def finalize_sq_l2(raw: np.ndarray, offset: np.ndarray) -> np.ndarray:
@@ -93,6 +171,8 @@ def merge_block(
 ) -> tuple[np.ndarray, np.ndarray]:
     """Merge candidate columns into (m, k) neighbor lists; returns new arrays.
 
+    Each row keeps its ``k`` smallest ``(value, id)`` pairs (:func:`topk_lex`).
+
     ``cand_ids`` may be 1-D of length ``n_b`` (shared across rows — the
     common case where a tile of the distance matrix shares its reference
     columns) or 2-D of shape ``(m, n_b)``.
@@ -112,7 +192,7 @@ def merge_block(
     merged_values = np.concatenate([values, cand_values], axis=1)
     merged_ids = np.concatenate([ids, cand_ids], axis=1)
     if k < merged_values.shape[1]:
-        part = np.argpartition(merged_values, k - 1, axis=1)[:, :k]
+        part = topk_lex(merged_values, merged_ids, k)
     else:
         part = np.broadcast_to(
             np.arange(merged_values.shape[1]), merged_values.shape
@@ -225,7 +305,7 @@ class BatchedNeighborLists:
         # narrow (k + k_b) strip instead of the whole block width.
         k_b = min(self.k, n_b)
         if k_b < n_b:
-            part = np.argpartition(live, k_b - 1, axis=1)[:, :k_b]
+            part = topk_lex(live, np.broadcast_to(cand_ids, live.shape), k_b)
         else:
             part = np.broadcast_to(np.arange(n_b), live.shape)
         sub_rows = np.arange(live.shape[0])[:, None]
@@ -266,10 +346,8 @@ class BatchedNeighborLists:
         self._touched[abs_rows] = True
 
     def sorted(self) -> tuple[np.ndarray, np.ndarray]:
-        """Return (distances, ids), each row ascending by distance."""
-        order = np.argsort(self.values, axis=1, kind="stable")
-        rows = np.arange(self.m)[:, None]
-        return self.values[rows, order], self.ids[rows, order]
+        """Return (distances, ids), each row ascending by (distance, id)."""
+        return sort_lex(self.values, self.ids)
 
     def is_complete(self) -> bool:
         """True when every slot has been filled with a real candidate."""
@@ -291,49 +369,52 @@ class ArenaNeighborLists(BatchedNeighborLists):
       a cut — its threshold when finite, else the bin cut of
       :func:`cut_bins` — and one vectorized ``tile < cut`` compare
       extracts the few surviving ``(row, col)`` pairs; only those are
-      merged. A warm row's survivors are the candidates that beat its
-      list; a cold row keeps about ``k`` of the tile;
+      merged. A warm row's survivors are the candidates at or below its
+      threshold; a cold row keeps about ``k`` of the tile;
     * ``update`` also takes l2 float32 screen tiles and rescores only
       their survivors in float64 (see the module docstring and
       ``docs/PERF.md``);
     * :meth:`worker` hands a row worker a view that shares the lists but
       owns its scratch keys and tallies, so workers updating disjoint
-      rows never touch the same buffer;
+      rows never touch the same buffer; :meth:`own` hands a panel
+      worker lists of its own, cut by the owner's thresholds;
     * ``wholesale=True`` gives Var#5's semantics instead: every tile is
       finished whole and merged through the base class's path, with no
       early discard.
 
-    Equivalence: a candidate at or above its row's threshold can never
-    enter the final k (the threshold upper-bounds the row's kth
-    distance), and neither can one above a cold row's bin cut (``k``
-    distinct candidates sit at or below it), so dropping either before
-    the merge instead of after is lossless; both paths retain the ``k``
-    smallest distances, and the stable final sort makes the output
-    identical whenever distances are tie-free (ties are broken
-    arbitrarily, as documented for the heaps).
+    Equivalence: a candidate above its row's threshold can never enter
+    the final k (the threshold upper-bounds the row's kth distance),
+    and neither can one above a cold row's bin cut (``k`` distinct
+    candidates sit at or below it), so dropping either before the merge
+    instead of after is lossless. A candidate *at* the threshold is
+    kept: it may still displace the row's ``k``-th on a smaller id. Both
+    paths retain the ``k`` smallest ``(distance, id)`` pairs, so the
+    output is identical, ties included.
     """
 
-    def __init__(self, m: int, k: int, arena, wholesale: bool = False) -> None:
+    def __init__(
+        self, m: int, k: int, arena, wholesale: bool = False, suffix: str = ""
+    ) -> None:
         if m < 1 or k < 1:
             raise ValidationError(f"need m >= 1 and k >= 1, got m={m}, k={k}")
         self.m = int(m)
         self.k = int(k)
         self.wholesale = wholesale
         self._arena = arena
-        self.values = arena.take_c("lists.values", (m, k), np.float64)
+        self.values = arena.take_c("lists.values" + suffix, (m, k), np.float64)
         self.values.fill(np.inf)
-        self.ids = arena.take_c("lists.ids", (m, k), np.intp)
+        self.ids = arena.take_c("lists.ids" + suffix, (m, k), np.intp)
         self.ids.fill(-1)
-        self.row_max = arena.take_c("lists.row_max", (m,), np.float64)
+        self.row_max = arena.take_c("lists.row_max" + suffix, (m,), np.float64)
         self.row_max.fill(np.inf)
-        self._touched = arena.take_c("lists.touched", (m,), np.bool_)
+        self._touched = arena.take_c("lists.touched" + suffix, (m,), np.bool_)
         self._touched.fill(False)
         self._dedup = False
         # set when a dedup overwrite actually changed a seeded value —
         # the zero-survivor shortcut must not return the stale seed then
         self._seed_dirty = False
         self.stats = BlockUpdateStats()
-        self.scratch = ""  # suffix of this view's arena scratch keys
+        self.scratch = suffix  # suffix of this view's arena scratch keys
 
     def worker(self, w: int) -> "ArenaNeighborLists":
         """A view for row worker ``w``: the same lists, its own scratch.
@@ -349,6 +430,26 @@ class ArenaNeighborLists(BatchedNeighborLists):
         view._seed_dirty = False
         view.scratch = f"@{w}" if w else ""
         return view
+
+    def own(self, w: int) -> "ArenaNeighborLists":
+        """Lists of their own for panel worker ``w`` (``w >= 1``).
+
+        Every key, lists and scratch, carries the worker's suffix. The
+        lists start empty, not seeded, and cut by this one's thresholds:
+        a warm seed's largest distances bound what any worker can still
+        add. :func:`merge_lists` joins them after the loop.
+        """
+        lists = ArenaNeighborLists(
+            self.m, self.k, self._arena, self.wholesale, suffix=f"@{w}"
+        )
+        lists.row_max[:] = self.row_max
+        return lists
+
+    def take_mask(self, cells: int, pair_bytes: int = 0) -> np.ndarray:
+        """The mask's bytes for a tile of ``cells``: at least a merge
+        round's ``16 (k + 1)`` and a rescore pair's ``pair_bytes``."""
+        room = max(cells, 16 * (self.k + 1), pair_bytes)
+        return self._arena.take_c("lists.mask" + self.scratch, (room,), np.uint8)
 
     def absorb(self, views: list["ArenaNeighborLists"]) -> None:
         """Fold the workers' tallies and seed-dirty flags into this one."""
@@ -392,8 +493,8 @@ class ArenaNeighborLists(BatchedNeighborLists):
         """Fold a tile into rows ``row_start...``, as the base class does.
 
         Without ``screen``, ``cand_values`` holds finished distances: a
-        row with a finite threshold keeps the candidates below it, a row
-        without one those at or below the ``k``-th smallest of
+        row with a finite threshold keeps the candidates at or below it,
+        a row without one those at or below the ``k``-th smallest of
         :func:`cut_bins` strided bin minima. With a
         :class:`~repro.core.screen.TileScreen`, ``cand_values`` is the
         l2 float32 screen tile: the same two cuts are taken on it, each
@@ -446,8 +547,7 @@ class ArenaNeighborLists(BatchedNeighborLists):
             mins = mins.reshape(m_b, groups, bins).min(axis=1)
             mins.partition(self.k - 1, axis=1)
             if screen is None:
-                # `<` against the next value up keeps ties at the cut
-                kth = np.nextafter(mins[:, self.k - 1], np.inf)
+                kth = mins[:, self.k - 1]  # kept at or below
             else:
                 kth = screen.cold_cut(mins[:, self.k - 1])
             cut = kth if all_cold else np.where(cold, kth, cut)
@@ -459,12 +559,15 @@ class ArenaNeighborLists(BatchedNeighborLists):
         # merge round holds at least one row and one survivor, a rescore
         # round one pair.
         key = "lists.mask" + self.scratch
-        room = max(cand_values.size, 16 * (self.k + 1))
-        if screen is not None:
-            room = max(room, screen.pair_bytes)
-        buf = self._arena.take_c(key, (room,), np.uint8)
+        buf = self.take_mask(
+            cand_values.size, 0 if screen is None else screen.pair_bytes
+        )
+        room = buf.size
         mask = buf[: cand_values.size].view(np.bool_).reshape(m_b, n_b)
-        if screen is None or any_cold:
+        if screen is None:
+            # at the threshold too: a tie may still win on its id
+            np.less_equal(cand_values, cut[:, None], out=mask)
+        elif any_cold:
             np.less(cand_values, cut[:, None], out=mask)
         else:
             # a scalar compare runs several times faster than one
@@ -480,12 +583,12 @@ class ArenaNeighborLists(BatchedNeighborLists):
         else:
             # rescore the survivors in float64, then drop the ones the
             # widening let through: what remains is exactly what a
-            # float64 `distance < row_max` compare would keep (cold
-            # rows: `< inf`)
+            # float64 `distance <= row_max` compare would keep (cold
+            # rows: `<= inf`)
             self.stats.candidates_rescored += int(surv_rows.size)
             surv_values = screen.rescore(surv_rows, surv_ids, buf)
             if not all_cold:
-                keep = surv_values < thresholds[surv_rows]
+                keep = surv_values <= thresholds[surv_rows]
                 if not keep.all():
                     surv_rows = surv_rows[keep]
                     surv_ids = surv_ids[keep]
@@ -591,9 +694,10 @@ class ArenaNeighborLists(BatchedNeighborLists):
         """Merge survivors into ``rows``' lists through one buffer at ``key``.
 
         Buffer row ``i`` holds ``rows[i]``'s current ``k`` entries, then
-        ``slots`` survivor cells padded with +inf/-1; one argpartition
-        keeps the ``k`` smallest, and one flat index gathers them back
-        from both halves (a third the cost of ``take_along_axis``).
+        ``slots`` survivor cells padded with +inf/-1; :func:`topk_lex`
+        keeps the ``k`` smallest ``(distance, id)`` pairs, and one flat
+        index gathers them back from both halves (a third the cost of
+        ``take_along_axis``).
         """
         k = self.k
         nrows = rows.size
@@ -609,12 +713,12 @@ class ArenaNeighborLists(BatchedNeighborLists):
         at = strip_rows * width + k + strip_cols
         merged.ravel()[at] = values
         merged_ids.ravel()[at] = ids
-        part = np.argpartition(merged, k - 1, axis=1)[:, :k]
+        part = topk_lex(merged, merged_ids, k)
         part += np.arange(0, cells, width)[:, None]
         new_values = np.take(merged, part)
         self.values[rows] = new_values
         self.ids[rows] = np.take(merged_ids, part)
-        # argpartition leaves a row's k-th smallest, its new maximum, last
+        # topk_lex leaves a row's k-th smallest, its new maximum, last
         self.row_max[rows] = np.minimum(
             self.row_max[rows], new_values[:, k - 1]
         )

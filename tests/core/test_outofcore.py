@@ -135,6 +135,52 @@ class TestCacheVsStreamDecision:
         assert plan.memory_budget.peak_bytes <= plan.memory_budget.limit_bytes
         plan.release()
 
+    @pytest.mark.parametrize("budget", ["400KiB", "500KiB"])
+    def test_cached_panels_leave_the_query_side_its_half(
+        self, table, monkeypatch, budget
+    ):
+        """At 500 KiB the plan used to cache 208 KiB of screen panels
+        beside 128 x 128 blocks, leaving its 400 query rows too little:
+        ``MemoryBudgetError`` at ``arena:lists.mask``. 400 KiB streamed
+        and succeeded. Panels are now cached only when they fit beside
+        one pass in half the budget."""
+        ram, mm = table
+        monkeypatch.setattr(workers, "host_threads", lambda: (1, 1))
+        q, r = np.arange(400, dtype=np.intp), np.arange(0, 4096, 2)
+        plan = GsknnPlan(mm, r, memory_budget=budget)
+        got = plan.execute(q, 10)
+        want = ref_knn(ram, q, r, 10)
+        np.testing.assert_array_equal(got.indices, want.indices)
+        np.testing.assert_allclose(
+            got.distances, want.distances, rtol=1e-12, atol=1e-12
+        )
+        assert plan.memory_budget.peak_bytes <= plan.memory_budget.limit_bytes
+        plan.release()
+
+    @pytest.mark.parametrize("cores", [1, 2])
+    def test_a_larger_budget_never_fails_where_a_smaller_one_ran(
+        self, table, monkeypatch, cores
+    ):
+        ram, mm = table
+        monkeypatch.setattr(workers, "host_threads", lambda: (cores, 1))
+        q, r = np.arange(400, dtype=np.intp), np.arange(0, 4096, 2)
+        want = ref_knn(ram, q, r, 10)
+        ran = []
+        for kib in range(150, 1400, 25):
+            plan = None
+            try:
+                plan = GsknnPlan(mm, r, memory_budget=f"{kib}KiB")
+                got = plan.execute(q, 10)
+            except MemoryBudgetError:
+                assert not ran, f"{kib} KiB failed where {ran[0]} KiB ran"
+                continue
+            finally:
+                if plan is not None:
+                    plan.release()
+            np.testing.assert_array_equal(got.indices, want.indices)
+            ran.append(kib)
+        assert ran and ran[-1] == 1375
+
     def test_block_autofit_under_tight_budget(self, table):
         _, mm = table
         r = np.arange(4096, dtype=np.intp)

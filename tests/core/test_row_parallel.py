@@ -165,9 +165,10 @@ class TestWorkerCount:
         p, attrs = workers.row_workers(8)
         assert p == 2
         assert attrs == {
-            "workers": 2, "row_blocks": 8, "cores": 2, "blas_threads": 1,
+            "workers": 2, "split": "rows", "reason": "cores",
+            "row_blocks": 8, "cores": 2, "blas_threads": 1,
         }
-        assert workers.row_workers(1)[0] == 1  # one row block: serial
+        assert workers.row_workers(1)[0] == 1  # one row block, no panels
 
     def test_unknown_blas_stays_serial(self, monkeypatch):
         monkeypatch.setattr(workers, "_usable_cores", lambda: 4)
@@ -200,17 +201,18 @@ class TestWorkerCount:
 
 
 class _PoolSpy:
-    """Counts the kernel thread pools built while patched in."""
+    """Counts the kernel calls that fanned out to helper threads while
+    patched in (the helpers themselves live across calls)."""
 
     def __init__(self, monkeypatch):
         self.built = 0
-        real = workers.ThreadPoolExecutor
+        real = workers.RowWorkers.__init__
 
-        def build(*args, **kwargs):
-            self.built += 1
-            return real(*args, **kwargs)
+        def build(deal, blocks, p, *args, **kwargs):
+            self.built += p > 1
+            real(deal, blocks, p, *args, **kwargs)
 
-        monkeypatch.setattr(workers, "ThreadPoolExecutor", build)
+        monkeypatch.setattr(workers.RowWorkers, "__init__", build)
 
 
 class TestNoNestedFanOut:
@@ -237,9 +239,10 @@ class TestNoNestedFanOut:
     def test_serial_kernels_scope(self, monkeypatch):
         _force(monkeypatch, 2)
         with workers.serial_kernels():
-            assert workers.row_workers(8) == (
-                1, {"workers": 1, "row_blocks": 8, "nested": True}
-            )
+            assert workers.row_workers(8, panels=8) == (1, {
+                "workers": 1, "split": "rows", "reason": "nested",
+                "row_blocks": 8, "nested": True,
+            })
         assert workers.row_workers(8)[0] == 2
 
     def test_process_worker_mark_lasts_for_the_thread(self, monkeypatch):

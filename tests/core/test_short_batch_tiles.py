@@ -6,6 +6,11 @@ A batch of ``m < block_m`` rows is one row block. Its tiles take
 panel's GEMM keeps its operands and its shape, so the oracle is the same
 solve through a plan with ``block_m = m``, where every tile is one
 panel: ids and distance bits must be identical.
+
+The tests that count tiles, GEMMs or discards run at one worker: with
+two, a one-row-block call splits its panels between the workers
+(``tests/core/test_panel_split.py``), and each worker's thresholds
+tighten on its own panels only.
 """
 
 from __future__ import annotations
@@ -16,7 +21,7 @@ import numpy as np
 import pytest
 
 from repro import gsknn
-from repro.core import GsknnPlan
+from repro.core import GsknnPlan, workers
 from repro.core.neighbors import KnnResult
 from repro.obs.trace import Tracer, set_tracer
 from repro.select import ArenaNeighborLists, cut_bins
@@ -42,6 +47,11 @@ def table():
 
 def _queries(m: int) -> np.ndarray:
     return np.random.default_rng(m).choice(N_TABLE, m, replace=False)
+
+
+@pytest.fixture
+def one_worker(monkeypatch):
+    monkeypatch.setattr(workers, "host_threads", lambda: (1, 1))
 
 
 @pytest.fixture
@@ -116,7 +126,8 @@ def _expected_surviving(tiles, initial, folded):
 
     A row's threshold is the ``K``-th smallest distance it has seen,
     capped by a complete seed row's largest; a folded seed counts as
-    seen, and its listed ids never survive twice. While the threshold
+    seen, and its listed ids never survive twice. A warm row keeps what
+    is at or below its threshold (a tie may win on its id). While the threshold
     is +inf the row is cut at the ``K``-th smallest of the tile's
     ``cut_bins`` strided bin minima, taken on the tile as handed over,
     and keeps what is at or below it. An l2 tile is the float32 screen:
@@ -169,7 +180,7 @@ def _expected_surviving(tiles, initial, folded):
                 else:
                     total += row.size
             else:
-                hit = dist < thr
+                hit = dist <= thr
                 if folded:
                     hit &= ~np.isin(ids, listed)
                 total += int(hit.sum())
@@ -186,7 +197,7 @@ def _expected_surviving(tiles, initial, folded):
 @pytest.mark.parametrize("variant", [1, 5])
 @pytest.mark.parametrize("m", M_CASES)
 def test_grouped_tiles_match_one_panel_tiles(
-    table, m, variant, norm, storage, seed, monkeypatch
+    table, m, variant, norm, storage, seed, monkeypatch, one_worker
 ):
     X, r, r_rep = table
     refs = r if seed == "folded" else r_rep
@@ -255,15 +266,17 @@ def _update_spans(tracer):
     return [s for s in tracer.find("heap") if "stage" not in s.attrs]
 
 
-def test_four_rows_select_once_per_64_panels(table, tracer):
+def test_four_rows_select_once_per_64_panels(table, tracer, one_worker):
     X, _, _ = table
     plan = GsknnPlan(
         X, np.arange(64 * BLOCK_N), block_m=BLOCK_M, block_n=BLOCK_N
     )
     plan.execute(_queries(4), K)
-    # one GEMM per panel; an l2 screen panel is 2 x BLOCK_N wide
-    assert len(tracer.find("rank_update")) == 32
-    assert len(_update_spans(tracer)) <= 3
+    # one rank_update span per tile, over one GEMM per panel; an l2
+    # screen panel is 2 x BLOCK_N wide
+    gemms = tracer.find("rank_update")
+    assert sum(span.attrs["panels"] for span in gemms) == 32
+    assert len(gemms) == len(_update_spans(tracer)) <= 3
 
 
 @pytest.mark.parametrize("m, panels", [(4, 64), (100, 2), (BLOCK_M, 1)])
