@@ -23,7 +23,6 @@ the kernel (fused with packing), never as a separate caller-side pass.
 
 from __future__ import annotations
 
-import time
 from dataclasses import dataclass
 
 import numpy as np
@@ -196,7 +195,7 @@ def gsknn(
     # this call only, so nothing outlives the call. Callers with
     # repeated queries build a GsknnPlan and keep it.
     from ..obs.context import coerce_request, request_scope
-    from .plan import GsknnPlan, _record_kernel_stats
+    from .plan import GsknnPlan
     from .table import as_table
 
     table = as_table(X, X2)
@@ -222,20 +221,8 @@ def gsknn(
         cache_panels=False,
         memory_budget=memory_budget,
     )
-    m, n, d = q_idx.size, r_idx.size, table.d
-    var = plan._resolve_variant(m, k, None)
-    stats = GsknnStats(variant=var, m=m, n=n, d=d)
-
     with request_scope(coerce_request(request)):
-        t0 = time.perf_counter()
-        with _trace.span(
-            "gsknn", variant=int(var), m=m, n=n, d=d, k=k
-        ):
-            with plan.arena_pool.borrow() as arena:
-                result = plan._execute_impl(
-                    q_idx, k, var, initial, arena, stats
-                )
-        _record_kernel_stats(stats, k, t0)
+        result, stats = plan._solve(None, q_idx, k, None, initial, "gsknn")
     if return_stats:
         return result, stats
     return result

@@ -17,11 +17,12 @@ thread one optional parameter without caring which form the caller
 used.
 
 Scope: the budget caps *workspace* — panels, distance tiles, neighbor
-lists, gather buffers — not the memmapped table itself (the OS pages
-that in and out beneath us; that is the point) and not small O(m) or
-O(k) bookkeeping outside the arena. Accounting is byte-exact for every
-arena-managed buffer, which is where all the asymptotically large
-allocations live.
+lists, packed queries, gather buffers, every buffer an execute's
+:class:`~repro.core.workspace.Workspace` lists — not the memmapped table
+itself (the OS pages that in and out beneath us; that is the point),
+not the results a call returns (they are the caller's), and not the
+short-lived survivor arrays of a selection. Accounting is byte-exact
+for every arena-managed buffer.
 """
 
 from __future__ import annotations

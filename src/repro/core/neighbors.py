@@ -16,6 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from ..errors import ValidationError
+from ..select.vectorized import merge_lists
 
 __all__ = [
     "KnnResult",
@@ -160,38 +161,22 @@ def merge_topk(
     the same coordinate table). ``-1`` marks empty slots; rows shorter
     than ``k`` distinct candidates pad with ``(+inf, -1)``.
 
-    Strategy: concatenate, sort each row by id so duplicates are
-    adjacent, blank repeats (id == previous and not the -1 sentinel) to
-    +inf, then top-k by distance.
+    Rows come back in the (distance, id) order of every kernel result
+    (:func:`~repro.select.vectorized.merge_lists`, which also keeps one
+    copy of each id, the leftmost). A ``-1`` never beats a real
+    candidate, and an infinite distance comes back with id ``-1``.
     """
     if dist_a.shape[0] != dist_b.shape[0]:
         raise ValidationError(
             f"cannot merge candidate lists with {dist_a.shape[0]} and "
             f"{dist_b.shape[0]} rows"
         )
-    cat_dist = np.concatenate([dist_a, dist_b], axis=1)
     cat_idx = np.concatenate([idx_a, idx_b], axis=1)
-    m, width = cat_dist.shape
-    rows = np.arange(m)[:, None]
-
-    by_id = np.argsort(cat_idx, axis=1, kind="stable")
-    id_sorted = cat_idx[rows, by_id]
-    dist_sorted = cat_dist[rows, by_id]
-    dup = np.zeros_like(id_sorted, dtype=bool)
-    dup[:, 1:] = (id_sorted[:, 1:] == id_sorted[:, :-1]) & (id_sorted[:, 1:] >= 0)
-    dist_sorted = np.where(dup, np.inf, dist_sorted)
-    # -1 sentinels must never beat real candidates
-    dist_sorted = np.where(id_sorted < 0, np.inf, dist_sorted)
-
-    if k < width:
-        part = np.argpartition(dist_sorted, k - 1, axis=1)[:, :k]
-        top_dist = dist_sorted[rows, part]
-        top_idx = id_sorted[rows, part]
-    else:
-        top_dist, top_idx = dist_sorted, id_sorted
-    order = np.argsort(top_dist, axis=1, kind="stable")
-    out_dist = top_dist[rows, order]
-    out_idx = np.where(np.isinf(out_dist), -1, top_idx[rows, order])
+    cat_dist = np.concatenate([dist_a, dist_b], axis=1)
+    cat_dist[cat_idx < 0] = np.inf
+    width = cat_dist.shape[1]
+    out_dist, out_idx = merge_lists(cat_dist, cat_idx, min(k, width), dedup=True)
+    out_idx[np.isinf(out_dist)] = -1
     if k > width:
         pad = k - width
         out_dist = np.pad(out_dist, ((0, 0), (0, pad)), constant_values=np.inf)

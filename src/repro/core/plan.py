@@ -21,7 +21,9 @@ A :class:`GsknnPlan` hoists all of that to construction time:
 * **a workspace arena** (:mod:`repro.core.arena`) — distance tiles,
   survivor masks, and the neighbor-list state are ``out=``-written into
   grow-only buffers, so the warm steady state performs no large
-  allocations per call (pinned by a tracemalloc regression test);
+  allocations per call (pinned by a tracemalloc regression test); each
+  execute takes them through one :class:`~repro.core.workspace.Workspace`
+  that lists them all;
 * **resolved blocking/variant decisions** — tuned block sizes load
   once; the Var#1/Var#6 choice is memoized per ``(m, k)``.
 
@@ -76,6 +78,7 @@ from ..select.vectorized import (
     finalize_sq_l2,
     merge_lists,
     sort_lex,
+    topk_lex,
 )
 from ..tune.decision import apply_blocking, decide_variant
 from ..validation import as_index_array, check_finite, check_k
@@ -89,6 +92,7 @@ from .screen import ScreenFrame, ScreenQueries, TileScreen
 from .table import ALL_ROWS, TableHandle
 from .variants import Variant, VARIANT_INFO, resolve_variant
 from .workers import RowWorkers, row_workers
+from .workspace import FIT_K, Workspace, panel_store, store_nbytes
 
 __all__ = ["GsknnPlan", "PlanCache"]
 
@@ -121,14 +125,15 @@ class GsknnPlan:
         between calls.
     memory_budget:
         A :class:`~repro.core.membudget.MemoryBudget` (or byte count /
-        spec like ``"64MiB"``) capping the plan's workspace. A budgeted
-        plan charges every arena buffer against the cap, *streams*
-        reference panels per-tile from ``X`` (a memmap works unchanged —
-        this is the out-of-core path, one sequential read per pass)
-        whenever caching them whole would eat more than half the
-        budget, and refuses Var#6 when its full scores matrix cannot
-        fit. Streamed and cached executions are bit-identical at equal
-        block sizes. See docs/MEMORY.md.
+        spec like ``"64MiB"``) capping the plan's workspace
+        (:mod:`repro.core.workspace`). A budgeted plan fits its blocking
+        to one row block's workspace, *streams* reference panels per
+        tile from ``X`` (a memmap works unchanged — the out-of-core path,
+        one sequential read per pass) when caching them would not fit
+        beside it, runs a batch whose workspace does not fit in groups
+        of row blocks, and refuses Var#6 when its full scores matrix
+        cannot fit. Streamed, cached and grouped executions are
+        bit-identical at equal block sizes. See docs/MEMORY.md.
     """
 
     def __init__(
@@ -186,26 +191,9 @@ class GsknnPlan:
         self.arena_pool = arena_pool
         self._cache_panels = bool(cache_panels)
         # scratch sets the budget affords a (row, panel) split; None: no cap
-        self._budget_workers: tuple[int, int] | None = None
+        self._worker_caps: tuple[int, int] | None = None
         if self.memory_budget is not None:
-            self.block_m, self.block_n = self._fit_blocks(
-                self.block_m, self.block_n
-            )
-            # Cache panels whole only when they fit beside one pass in
-            # half the budget, so the query side keeps the other half
-            # whether or not they are cached; otherwise stream them
-            # per-block from X inside the pass loop (the out-of-core
-            # mode — the fused kernel packs panels once per pass, so
-            # streaming costs one sequential read per pass, nothing hot).
-            share = self.memory_budget.limit_bytes // 2
-            if self._cache_panels and (
-                self._cache_nbytes() + self._pass_nbytes() > share
-            ):
-                self._cache_panels = False
-                registry = _get_registry()
-                if registry.enabled:
-                    registry.inc("budget.panels_streamed")
-            self._budget_workers = self._fit_workers()
+            self._fit_budget()
         # cached panels by kind: True for float32 screen panels
         self._panels: dict[bool, list] = {}
         self._panels_nbytes = 0
@@ -242,146 +230,67 @@ class GsknnPlan:
 
     # -- budget fitting --------------------------------------------------------
 
-    def _fit_blocks(self, block_m: int, block_n: int) -> tuple[int, int]:
-        """Shrink block sizes until one pass's tile state fits the budget.
+    def _fit_budget(self) -> None:
+        """Fit the blocking, the cache decision and the worker caps to
+        the budget, from the workspace of one row block (:meth:`_probes`).
 
-        The per-pass footprint a block size controls — the distance tile
-        and its survivor mask (:meth:`_cell_nbytes` a ``block_m x
-        block_n`` cell) and, when streaming, the gathered depth-major
-        panel with its staging rows — must fit *half* the budget; the
-        other half is headroom for the O(m) query-side state (the ``Qa``
-        rows, the screen operand, neighbor lists) that no block size can
-        shrink.
-        Halves the larger dimension first, never below 64: results stay
-        exact at any block size, only GEMM efficiency trades down.
-        Callers comparing runs bit-for-bit should read the fitted sizes
-        back from ``plan.block_m`` / ``plan.block_n``.
+        Its pass state (what no row count changes) must fit half the
+        budget beside the cached panels, and its whole workspace all of
+        it. Blocks halve the larger dimension first, never below 64;
+        panels are cached only when the probe still fits beside them,
+        else streamed per execute (the out-of-core mode). The fit never
+        asks for ``m`` or the host's cores, so neither changes the
+        blocking or any result bit; each execute sizes its row groups
+        and workers to what is left (:meth:`_group`). Compare runs
+        bit-for-bit at the fitted ``plan.block_m`` / ``plan.block_n``.
         """
-        share = self.memory_budget.limit_bytes // 2
-        fitted_m, fitted_n = int(block_m), int(block_n)
-        while self._pass_nbytes(fitted_m, fitted_n) > share and (
-            fitted_m > 64 or fitted_n > 64
-        ):
-            if fitted_n >= fitted_m and fitted_n > 64:
-                fitted_n //= 2
+        registry = _get_registry()
+        requested = block_m, block_n = self.block_m, self.block_n
+        while not self._fits(False) and (block_m > 64 or block_n > 64):
+            if block_n >= block_m and block_n > 64:
+                block_n //= 2
             else:
-                fitted_m //= 2
-        fitted_m, fitted_n = max(fitted_m, 1), max(fitted_n, 1)
-        if (fitted_m, fitted_n) != (block_m, block_n):
-            registry = _get_registry()
+                block_m //= 2
+            self.block_m, self.block_n = block_m, block_n
+        if (self.block_m, self.block_n) != requested and registry.enabled:
+            registry.inc("budget.block_autofits")
+        if self._cache_panels and not self._fits(True):
+            self._cache_panels = False
             if registry.enabled:
-                registry.inc("budget.block_autofits")
-        return fitted_m, fitted_n
-
-    def _pass_nbytes(
-        self, block_m: int | None = None, block_n: int | None = None
-    ) -> int:
-        """One pass's tile state at a blocking (the plan's by default): a
-        worker's tile and mask, and a streamed panel with its staging."""
-        block_m = self.block_m if block_m is None else block_m
-        block_n = self.block_n if block_n is None else block_n
-        stream = _stream_nbytes(block_n, self.d, self._screens)
-        return block_m * block_n * self._cell_nbytes() + stream
-
-    def _fit_workers(self) -> tuple[int, int]:
-        """Workers whose scratch fits half the budget: ``(rows, panels)``.
-
-        Blocks are fitted for one worker first, so the blocking — and
-        with it every result bit — never depends on the host's cores.
-        Each worker then needs its own tile and survivor mask,
-        ``block_m x block_n x`` :meth:`_cell_nbytes` bytes, beside the
-        cached panels or one streamed panel. Splitting rows, the workers
-        share that panel; splitting panels, each streams its own (its
-        own lists are charged per execute, :meth:`_afford_workers`). The
-        workers a budget cannot afford are simply not started. See
-        docs/MEMORY.md.
-        """
+                registry.inc("budget.panels_streamed")
+        # the most workers whose full-block pass state fits half the
+        # budget, splitting rows (one shared streamed panel) or panels
+        # (one each)
+        cached = self._cache_panels
         share = self.memory_budget.limit_bytes // 2
-        scratch = self.block_m * self.block_n * self._cell_nbytes()
-        stream = _stream_nbytes(self.block_n, self.d, self._screens)
-        if self._cache_panels:
-            both = max(1, (share - self._cache_nbytes()) // scratch)
-            return both, both
-        return (
-            max(1, (share - stream) // scratch),
-            max(1, share // (scratch + stream)),
+        share -= store_nbytes(self) if cached else 0
+        one = max(ws.pass_nbytes for ws in self._probes(cached))
+        caps = []
+        for split in (False, True):
+            two = max(ws.pass_nbytes for ws in self._probes(cached, 2, split))
+            caps.append(max(1, (share - 2 * one + two) // max(two - one, 1)))
+        self._worker_caps = caps[0], caps[1]
+
+    def _probes(self, cached: bool, p: int = 1, split: bool = False):
+        """Under each variant the fit serves, the workspace of ``p`` full
+        row blocks at ``k = FIT_K`` (one block ``p`` panel workers split)."""
+        for var in (Variant.VAR1, Variant.VAR5):
+            screen = var is Variant.VAR1 and self._screens
+            count = -(-self.n // self._panel_n(screen)) if split else 0
+            rows = self.block_m * (1 if split else p)
+            streamed = not cached or screen != self._cache_screen
+            yield Workspace(
+                self, var, min(FIT_K, self.n), rows, p, count, 1, streamed
+            )
+
+    def _fits(self, cached: bool) -> bool:
+        """Whether one row block's workspace fits at the current blocks."""
+        limit = self.memory_budget.limit_bytes
+        store = store_nbytes(self) if cached else 0
+        return all(
+            ws.pass_nbytes + store <= limit // 2 and ws.nbytes + store <= limit
+            for ws in self._probes(cached)
         )
-
-    def _afford_workers(
-        self,
-        arena,
-        m: int,
-        k: int,
-        panels: int,
-        screen: ScreenQueries | None,
-        p: int,
-        split_panels: bool,
-    ) -> int:
-        """Cap ``p`` at the workers the budget can still pay for once the
-        queries are packed.
-
-        :meth:`_fit_workers` leaves the query side half the budget but
-        cannot know ``m``; a long batch's packed queries and lists can
-        take more. What the lists, a streamed panel and the workers'
-        tiles and masks would newly charge — a buffer the arena already
-        holds at that size costs nothing — must fit the budget's
-        remaining bytes. A panel worker also charges its own lists, its
-        own copy of the screen operand and its own streamed panel. At
-        least one worker runs (and raises :class:`MemoryBudgetError` if
-        even it does not fit).
-        """
-        m_b = min(m, self.block_m)
-        width = self._panel_n(screen is not None)
-        count = -(-self.n // width)
-        streamed = not self._panels.get(screen is not None)
-
-        def lists(suffix: str) -> dict:
-            needs = {
-                "lists.values" + suffix: m * k * 8,
-                "lists.ids" + suffix: m * k * np.dtype(np.intp).itemsize,
-                "lists.row_max" + suffix: m * 8,
-                "lists.touched" + suffix: m,
-            }
-            if streamed:
-                n_b = min(width, self.n)
-                if screen is not None:
-                    needs["Ra" + suffix] = (self.d + 2) * n_b * 4
-                else:
-                    needs["Ra" + suffix] = (self.d + self._norm_cols) * n_b * 8
-                needs["Ra.rows" + suffix] = min(n_b, self.block_n) * self.d * 8
-            if suffix and screen is not None:
-                needs["Q32" + suffix] = screen.Q32.nbytes
-            return needs
-
-        def needs(q: int) -> dict:
-            """What ``q`` workers take: their tile regions, and per worker
-            a mask (whose bytes also hold a merge round and, for a screen
-            tile, a rescore pair)."""
-            total = lists("")
-            # each worker's widest tile: `panels` panels, or as many of
-            # its own as it has (see _run_blocked)
-            cols = [panels * width] * q
-            if split_panels:
-                cols = [min(panels, (w + 1) * count // q - w * count // q) * width
-                        for w in range(q)]
-            cells = [m_b * min(c, self.n) for c in cols]
-            total["tile"] = sum(cells) * (8 if screen is None else 4)
-            for w in range(q):
-                suffix = f"@{w}" if w else ""  # the workers' arena keys
-                total["lists.mask" + suffix] = max(
-                    cells[w], 16 * (k + 1), 0 if screen is None else 16 * self.d
-                )
-                if self.norm.is_cosine:
-                    total["denom" + suffix] = m_b * self.block_n * 8
-                    total["denom_zero" + suffix] = m_b * self.block_n
-                if w and split_panels:
-                    total.update(lists(suffix))
-            return total
-
-        left = self.memory_budget.remaining_bytes
-        while p > 1 and arena.shortfall(needs(p)) > left:
-            p -= 1
-        return p
 
     def _panel_n(self, screen: bool) -> int:
         """Columns of a panel: ``2 block_n`` for float32 screen panels.
@@ -392,26 +301,7 @@ class GsknnPlan:
         """
         return 2 * self.block_n if screen else self.block_n
 
-    def _cell_nbytes(self) -> int:
-        """A row worker's tile bytes per ``block_m x block_n`` cell.
-
-        9 for a float64 tile and its survivor mask; 10 for l2, whose
-        float32 screen tile is ``2 block_n`` wide (4 bytes and a mask
-        byte per candidate, the mask's bytes then holding the rescore
-        and merge scratch); 18 for cosine, which adds a denominator tile
-        and its zero mask.
-        """
-        if self.norm.is_cosine:
-            return 18
-        return 10 if self._screens else 9
-
     # -- panels ----------------------------------------------------------------
-
-    def _cache_nbytes(self) -> int:
-        """Bytes of the panels a plan caches when built (float32 for l2)."""
-        if self._cache_screen:
-            return self.n * (self.d + 2) * 4
-        return self.n * (self.d + self._norm_cols) * 8
 
     def _screen_frame(self) -> ScreenFrame:
         """The plan's screen frame, from one pass over its references.
@@ -438,19 +328,21 @@ class GsknnPlan:
         ):
             rows = np.empty((min(self.n, self.block_n), self.d), np.float64)
             frame = self._screen_frame() if screen else None
+            # one array holds every panel, each a C-contiguous view of it
+            store = np.empty(*panel_store(self, screen))
+            depth = store.size // self.n
             panels, rho = [], 0.0
             for j_c, n_b in iter_blocks(self.n, self._panel_n(screen)):
                 r_block = self.r_idx[j_c : j_c + n_b]
+                RaT = store[j_c * depth : (j_c + n_b) * depth].reshape(depth, n_b)
                 if screen:
-                    RaT = np.empty((self.d + 2, n_b), np.float32)
                     rho = max(rho, frame.gather(self.X, r_block, RaT, rows))
                 else:
-                    RaT = np.empty((self.d + self._norm_cols, n_b), np.float64)
                     self._gather_panel(r_block, RaT, rows[:n_b])
                 panels.append((j_c, n_b, RaT))
             if screen:
                 frame.rho = rho
-            panel_nbytes = sum(RaT.nbytes for _, _, RaT in panels)
+            panel_nbytes = store.nbytes
         with self._lock:
             if not self._cache_panels:
                 return panels
@@ -497,24 +389,29 @@ class GsknnPlan:
                 f"Var#{int(var)} is not executable: {VARIANT_INFO[var].notes}"
             )
         if self.memory_budget is not None:
-            var = self._budget_variant(var, m, inferred)
+            var = self._budget_variant(var, m, k, inferred)
         if memo_key is not None:
             self._variant_memo[memo_key] = var
         return var
 
-    def _budget_variant(self, var: Variant, m: int, inferred: bool) -> Variant:
-        """Veto Var#6 when its intermediates cannot fit the budget.
+    def _budget_variant(
+        self, var: Variant, m: int, k: int, inferred: bool
+    ) -> Variant:
+        """Veto Var#6 when its workspace cannot fit the budget.
 
-        Var#6 materializes the full (m, n) scores matrix plus an
-        equally-sized argpartition index array — ``2 m n 8`` bytes no
-        budget-aware blocking can shrink. An *inferred* choice (see
+        Var#6 materializes the full (m, n) scores matrix and selects from
+        it through an equally-sized index array (its
+        :class:`~repro.core.workspace.Workspace`'s ``nbytes`` and
+        ``transient_nbytes``), which no blocking can shrink. An
+        *inferred* choice (see
         :func:`~repro.tune.decision.decide_variant`) is deflected to the
         blocked Var#1, which computes the same answer in O(block) space;
         an explicit ``variant=6`` is refused.
         """
         if var is not Variant.VAR6:
             return var
-        var6_nbytes = 2 * m * self.n * 8
+        ws = Workspace(self, var, k, m, streamed=not self._panels.get(False))
+        var6_nbytes = ws.nbytes + ws.transient_nbytes
         if var6_nbytes <= self.memory_budget.limit_bytes:
             return var
         if not inferred:
@@ -581,36 +478,14 @@ class GsknnPlan:
             ):
                 initial = prev[2]
                 auto_warm = True
-        var = self._resolve_variant(q_idx.size, k, variant)
-        m = q_idx.size
-        stats = GsknnStats(variant=var, m=m, n=self.n, d=self.d)
-        with self._lock:
-            first = self._executes == 0
-            self._executes += 1
-        t0 = time.perf_counter()
-        with _trace.span(
-            "plan.execute",
-            variant=int(var),
-            m=m,
-            n=self.n,
-            d=self.d,
-            k=k,
-            warm=initial is not None,
-        ):
-            with self.arena_pool.borrow() as arena:
-                result = self._execute_impl(
-                    q_idx, k, var, initial, arena, stats
-                )
+        result, stats = self._solve(
+            None, q_idx, k, variant, initial, warm=initial is not None
+        )
         if warm_start:
             with self._lock:
                 self._prev = (np.array(q_idx, copy=True), k, result)
-        if registry.enabled:
-            registry.inc("plan.executes")
-            if not first:
-                registry.inc("plan.reuse_hits")
-            if auto_warm:
-                registry.inc("plan.warm_starts")
-        _record_kernel_stats(stats, k, t0)
+        if auto_warm and registry.enabled:
+            registry.inc("plan.warm_starts")
         if return_stats:
             return result, stats
         return result
@@ -647,8 +522,28 @@ class GsknnPlan:
             check_finite(Q, name="Q")
             k = check_k(k, self.r_idx.size)
         self.table.check()
+        result, stats = self._solve(Q, None, k, variant, None, warm=False, rows=True)
         registry = _get_registry()
-        m = Q.shape[0]
+        if registry.enabled:
+            registry.inc("plan.row_executes")
+        if return_stats:
+            return result, stats
+        return result
+
+    def _solve(
+        self,
+        Q: np.ndarray | None,
+        q_idx: np.ndarray | None,
+        k: int,
+        variant: int | str | Variant | None,
+        initial: KnnResult | None,
+        root: str = "plan.execute",
+        **attrs,
+    ) -> tuple[KnnResult, GsknnStats]:
+        """One kernel call on the rows ``Q`` (or ``X[q_idx]``) under a
+        ``root`` span carrying ``attrs``: a plan execute, or a one-shot
+        :func:`~repro.core.gsknn.gsknn` call (``root="gsknn"``)."""
+        m = q_idx.size if Q is None else Q.shape[0]
         var = self._resolve_variant(m, k, variant)
         stats = GsknnStats(variant=var, m=m, n=self.n, d=self.d)
         with self._lock:
@@ -656,53 +551,26 @@ class GsknnPlan:
             self._executes += 1
         t0 = time.perf_counter()
         with _trace.span(
-            "plan.execute",
-            variant=int(var),
-            m=m,
-            n=self.n,
-            d=self.d,
-            k=k,
-            warm=False,
-            rows=True,
+            root, variant=int(var), m=m, n=self.n, d=self.d, k=k, **attrs
         ):
             with self.arena_pool.borrow() as arena:
-                packed = self._pack_queries(Q, None, var, arena)
-                result = self._dispatch(*packed, k, var, None, arena, stats)
-        if registry.enabled:
+                result = self._dispatch(Q, q_idx, k, var, initial, arena, stats)
+        registry = _get_registry()
+        if registry.enabled and root == "plan.execute":
             registry.inc("plan.executes")
-            registry.inc("plan.row_executes")
             if not first:
                 registry.inc("plan.reuse_hits")
         _record_kernel_stats(stats, k, t0)
-        if return_stats:
-            return result, stats
-        return result
-
-    def _execute_impl(
-        self,
-        q_idx: np.ndarray,
-        k: int,
-        var: Variant,
-        initial: KnnResult | None,
-        arena,
-        stats: GsknnStats,
-    ) -> KnnResult:
-        """The loop nest shared by plan executes and one-shot kernel calls.
-
-        Emits the kernel's span tree (``pack``/``rank_update``/``heap``);
-        the caller owns the root span (``gsknn`` or ``plan.execute``).
-        """
-        packed = self._pack_queries(None, q_idx, var, arena)
-        return self._dispatch(*packed, k, var, initial, arena, stats)
+        return result, stats
 
     def _pack_queries(
         self,
         rows: np.ndarray | None,
         q_idx: np.ndarray | None,
         var: Variant,
-        arena,
+        buffers,
     ) -> tuple[np.ndarray | None, np.ndarray | None, ScreenQueries | None]:
-        """Pack the query block into the arena; returns ``(Q, Q2, screen)``.
+        """Pack the query block into the workspace; returns ``(Q, Q2, screen)``.
 
         Copies the literal ``rows``, or gathers ``X[q_idx]`` when ``rows``
         is None. An l2 Var#1 block is only its float32 screen operand
@@ -723,12 +591,11 @@ class GsknnPlan:
                 source, ids, X2 = rows, np.arange(m), None
             with _trace.span("pack", which="Q", rows=m):
                 screen = ScreenQueries(
-                    self._screen_frame(), source, ids, X2, arena
+                    self._screen_frame(), source, ids, X2, buffers
                 )
             return None, screen.q2, screen
-        fold = int(self.norm.is_l2 and var is not Variant.VAR6)
         with _trace.span("pack", which="Q", rows=m):
-            buf = arena.take_c("Q", (m, d + fold), np.float64)
+            buf = buffers.take("Q")
             Q = buf[:, :d]
             if rows is None:
                 np.take(self.X, q_idx, axis=0, out=Q)
@@ -737,78 +604,158 @@ class GsknnPlan:
             Q2 = None
             if self._norm_cols:
                 X2 = self.table.X2
+                Q2 = buffers.take("Q2")
                 if X2 is not None and rows is None:
-                    Q2 = X2[q_idx]
+                    np.take(X2, q_idx, out=Q2)
                 else:
-                    Q2 = arena.take_c("Q2", (m,), np.float64)
                     np.einsum("ij,ij->i", Q, Q, out=Q2)
-            if fold:
+            if buf.shape[1] > d:  # Var#5's folded l2 column
                 np.multiply(Q, -2.0, out=Q)
                 buf[:, d] = 1.0
         return buf, Q2, None
 
     def _dispatch(
         self,
-        Q: np.ndarray | None,
-        Q2: np.ndarray | None,
-        screen: ScreenQueries | None,
+        rows: np.ndarray | None,
+        q_idx: np.ndarray | None,
         k: int,
         var: Variant,
         initial: KnnResult | None,
         arena,
         stats: GsknnStats,
     ) -> KnnResult:
-        """Run the variant's loop nest with its row blocks or its panels
+        """Run the variant's loop nest over the query ``rows`` (or
+        ``X[q_idx]``), in row groups, with its row blocks or its panels
         on the workers.
 
-        The split, the worker count and its inputs are recorded on the
-        caller's root span (``gsknn`` or ``plan.execute``); see
-        :mod:`repro.core.workers`.
+        Each group's buffers are a :class:`~repro.core.workspace.Workspace`
+        the kernel takes through; an unbudgeted call, or one whose
+        workspace fits, is one group (:meth:`_group`). Every group runs
+        the tiles the whole call would, with the call's panels per tile
+        and cut bins. The split, the worker count, its inputs and the
+        rows per group are recorded on the caller's root span (``gsknn``
+        or ``plan.execute``); see :mod:`repro.core.workers`.
         """
-        m = Q.shape[0] if screen is None else screen.ids.size
-        blocks = list(iter_blocks(m, self.block_m))
+        m = q_idx.size if rows is None else rows.shape[0]
+        screen = var is Variant.VAR1 and self._screens
+        grid = self._panel_list(screen)
+        streamed = grid[0][2] is None
         # a batch shorter than block_m is one row block; its tiles take
         # block_m // m panels, so each holds about block_m x block_n
         # candidates (Var#6 keeps its (block_m, n_b) score tiles), or
         # twice that in a float32 screen tile
         panels = 1 if var is Variant.VAR6 else max(1, self.block_m // m)
-        width = self._panel_n(screen is not None)
-        splittable = 0 if var is Variant.VAR6 else -(-self.n // width)
-        caps = self._budget_workers or (None, None)
-        tiles = m * self.n // (self.block_m * self.block_n)
-        p, attrs = row_workers(
-            len(blocks), caps[0], splittable, caps[1], tiles
+        splittable = 0 if var is Variant.VAR6 else len(grid)
+        group, p, attrs = self._group(
+            m, k, var, panels, splittable, streamed, arena
         )
-        split_panels = attrs["split"] == "panels"
-        if p > 1 and self.memory_budget is not None and var is not Variant.VAR6:
-            afford = self._afford_workers(
-                arena, m, k, panels, screen, p, split_panels
-            )
-            if afford < p:
-                p = attrs["workers"] = afford
-                attrs["reason"] = "budget"
+        split = splittable if attrs["split"] == "panels" else 0
         # strided bins cutting each row block's first (cold) Var#1 tile;
         # 0 where no cut forms and those rows keep every candidate
         bins = 0
         if var is Variant.VAR1:
-            bins = cut_bins(k, min(panels * width, self.n))
+            bins = cut_bins(k, min(panels * self._panel_n(screen), self.n))
         _trace.get_tracer().annotate(
-            **attrs, panels_per_tile=panels, cut_bins=bins,
-            screen_dtype="float64" if screen is None else "float32",
+            **attrs, panels_per_tile=panels, cut_bins=bins, group_rows=group,
+            screen_dtype="float32" if screen else "float64",
         )
-        workers = RowWorkers(blocks, p, splittable if split_panels else 0)
-        if var is Variant.VAR6:
-            result = self._run_var6(Q, Q2, k, stats, arena, workers)
-            shortcut = False
-        else:
-            result, shortcut = self._run_blocked(
-                Q, Q2, screen, k, var is Variant.VAR1, initial, arena,
-                stats, workers, panels,
+        parts = []
+        for lo in range(0, m, group):
+            hi = min(lo + group, m)
+            if not split:  # the last group may hold fewer row blocks
+                p = min(p, -(-(hi - lo) // self.block_m))
+            ws = Workspace(self, var, k, hi - lo, p, split, panels, streamed)
+            workers, buffers = ws.workers, ws.bind(arena)
+            Q, Q2, queries = self._pack_queries(
+                None if rows is None else rows[lo:hi],
+                None if q_idx is None else q_idx[lo:hi],
+                var, buffers,
             )
-        if initial is not None and not shortcut:
-            with _trace.span("heap", stage="warm_merge"):
-                result = merge_neighbor_lists_fast(result, initial)
-        return result
+            seed = initial
+            if initial is not None and group < m:
+                seed = KnnResult(
+                    initial.distances[lo:hi], initial.indices[lo:hi]
+                )
+            if var is Variant.VAR6:
+                result = self._run_var6(Q, Q2, k, stats, buffers, workers)
+                shortcut = False
+            else:
+                result, shortcut = self._run_blocked(
+                    Q, Q2, queries, k, var is Variant.VAR1, seed, buffers,
+                    stats, workers, panels, ws, grid,
+                )
+            if seed is not None and not shortcut:
+                with _trace.span("heap", stage="warm_merge"):
+                    result = merge_neighbor_lists_fast(result, seed)
+            parts.append(result)
+        if len(parts) == 1:
+            return parts[0]
+        return KnnResult(
+            np.concatenate([part.distances for part in parts]),
+            np.concatenate([part.indices for part in parts]),
+        )
+
+    def _group(
+        self,
+        m: int,
+        k: int,
+        var: Variant,
+        panels: int,
+        splittable: int,
+        streamed: bool,
+        arena,
+    ) -> tuple[int, int, dict]:
+        """``(rows per group, p, worker attributes)`` for one call.
+
+        Unbudgeted, and for Var#6 (refused up front when it cannot fit),
+        the call is one group. Budgeted, when the whole call's workspace
+        at one worker would newly charge more than the budget has left,
+        the call runs in groups of the most whole row blocks that fit,
+        and raises :class:`MemoryBudgetError` if even one block does
+        not; then ``p`` is lowered until the workers' workspace fits.
+        """
+        block_m = self.block_m
+        caps = self._worker_caps or (None, None)
+        budget = self.memory_budget
+        fitted = budget is not None and var is not Variant.VAR6
+        left = budget.remaining_bytes if fitted else 0
+
+        def need(rows: int, p: int = 1, split: int = 0) -> int:
+            """What a group of ``rows`` at ``p`` workers newly charges."""
+            ws = Workspace(self, var, k, rows, p, split, panels, streamed)
+            return ws.shortfall(arena)
+
+        group = m
+        if fitted and need(m) > left:
+            # the most whole row blocks that fit: need() grows with rows
+            lo, hi = 0, -(-m // block_m) - 1
+            while lo < hi:
+                mid = (lo + hi + 1) // 2
+                lo, hi = (mid, hi) if need(mid * block_m) <= left else (lo, mid - 1)
+            if lo == 0:
+                requested = need(min(m, block_m))
+                raise MemoryBudgetError(
+                    f"one row block's workspace would charge {requested} "
+                    f"bytes; the {budget.limit_bytes}-byte budget has "
+                    f"{left} left",
+                    limit=budget.limit_bytes,
+                    requested=requested,
+                    used=budget.used_bytes,
+                    site="plan.workspace",
+                )
+            group = lo * block_m
+        tiles = group * self.n // (block_m * self.block_n)
+        p, attrs = row_workers(
+            -(-group // block_m), caps[0], splittable, caps[1], tiles
+        )
+        split = splittable if attrs["split"] == "panels" else 0
+        afford = p
+        while fitted and afford > 1 and need(group, afford, split) > left:
+            afford -= 1
+        if afford < p:
+            p = attrs["workers"] = afford
+            attrs["reason"] = "budget"
+        return group, p, attrs
 
     def _panel_list(self, screen: bool = False) -> list:
         """The 6th loop's panels as ``(j_c, n_b, RaT)``, ``RaT`` None
@@ -834,10 +781,10 @@ class GsknnPlan:
         ]
 
     def _load_panel(
-        self, arena, panel: tuple, screen: bool, suffix: str = "", parent=None
+        self, buffers, panel: tuple, screen: bool, suffix: str = "", parent=None
     ) -> tuple:
         """``panel`` with its ``RaT``: a cached one as it is, a streamed one
-        gathered into the arena buffers ``"Ra" + suffix``.
+        gathered into the workspace buffers ``"Ra" + suffix``.
 
         Streaming gathers each panel into one reusable buffer per worker
         by the same code the cached build uses, so a memmapped table is
@@ -851,33 +798,19 @@ class GsknnPlan:
         r_block = self.r_idx[j_c : j_c + n_b]
         tracer = _trace.get_tracer()
         with tracer.span_under(parent, "pack", which="R", rows=n_b, j_c=j_c):
-            RaT, rows = self._panel_buffers(arena, n_b, screen, suffix)
+            rows = buffers.take("Ra.rows" + suffix)[:n_b]
+            RaT = _first_cols(buffers.take("Ra" + suffix), n_b)
             if screen:
                 self._screen_frame().gather(self.X, r_block, RaT, rows)
             else:
                 self._gather_panel(r_block, RaT, rows)
         return j_c, n_b, RaT
 
-    def _panel_buffers(
-        self, arena, n_b: int, screen: bool, suffix: str = ""
-    ) -> tuple[np.ndarray, np.ndarray]:
-        """``(RaT, rows)``: a streamed panel's arena buffers and the
-        float64 rows it is staged through."""
-        rows = arena.take_c(
-            "Ra.rows" + suffix, (min(n_b, self.block_n), self.d), np.float64
-        )
-        if screen:
-            return arena.take_c("Ra" + suffix, (self.d + 2, n_b), np.float32), rows
-        RaT = arena.take_c(
-            "Ra" + suffix, (self.d + self._norm_cols, n_b), np.float64
-        )
-        return RaT, rows
-
-    def _iter_panels(self, arena, screen: bool = False):
+    def _iter_panels(self, buffers, screen: bool = False):
         """Yield every panel ``(j_c, n_b, RaT)``, cached or streamed into
         one buffer (:meth:`_panel_list`, :meth:`_load_panel`)."""
         for panel in self._panel_list(screen):
-            yield self._load_panel(arena, panel, screen)
+            yield self._load_panel(buffers, panel, screen)
 
     def _gather_panel(
         self, r_block: np.ndarray, RaT: np.ndarray, rows: np.ndarray
@@ -921,12 +854,15 @@ class GsknnPlan:
         k: int,
         use_filter: bool,
         initial: KnnResult | None,
-        arena,
+        buffers,
         stats: GsknnStats,
         workers: RowWorkers,
         panels: int,
+        ws: Workspace,
+        grid: list,
     ) -> tuple[KnnResult, bool]:
-        """Var#1 (root-filtered) / Var#5 (slab) fused path.
+        """Var#1 (root-filtered) / Var#5 (slab) fused path over the
+        panels ``grid``, in the buffers of ``ws``.
 
         A tile is ``panels`` consecutive reference panels wide (more than
         one only for a batch of a single row block, see :meth:`_dispatch`).
@@ -949,7 +885,7 @@ class GsknnPlan:
         the lists) and must not be merged with it again.
         """
         m = Q.shape[0] if screen is None else screen.ids.size
-        lists = ArenaNeighborLists(m, k, arena, wholesale=not use_filter)
+        lists = ArenaNeighborLists(m, k, buffers, wholesale=not use_filter)
         folded = False
         if use_filter and initial is not None:
             finite = np.isfinite(initial.distances)
@@ -980,14 +916,12 @@ class GsknnPlan:
         # a panel worker folds its rows' cuts into its own screen operand
         screens = [screen] * workers.p
         if split and screen is not None:
-            screens[1:] = [screen.own_cuts(arena, views[w].scratch)
+            screens[1:] = [screen.own_cuts(buffers, views[w].scratch)
                            for w in range(1, workers.p)]
         fold = self.norm.is_l2
-        tile_dtype = np.float64 if screen is None else np.float32
         tracer = _trace.get_tracer()
         parent = tracer.current_span_id()
 
-        grid = self._panel_list(screen is not None)
         if split or workers.p == 1:
             # one pass per worker over its own panels, in tiles of
             # `panels` panels from its first
@@ -1003,14 +937,8 @@ class GsknnPlan:
         # every worker's tiles are views of its region of one buffer,
         # taken here, so p workers splitting panels hold the bytes (and
         # make the allocation) one worker's tiles do
-        regions = [
-            workers.runs[w][0][1]
-            * max(members[-1][0] + members[-1][1] - members[0][0]
-                  for members in chunks[w])
-            for w in range(workers.p)
-        ]
-        flat = arena.take_c("tile", (sum(regions),), tile_dtype)
-        starts = np.cumsum([0] + regions)
+        flat = buffers.take("tile")
+        starts = np.cumsum([0] + ws.regions)
 
         def sweep(w: int, tiles: list) -> None:
             """Worker ``w``'s row blocks over ``tiles``, each a list of
@@ -1022,7 +950,8 @@ class GsknnPlan:
                 width = members[-1][0] + members[-1][1] - first
                 if len(members) == 1:  # loaded once for every row block
                     members = [self._load_panel(
-                        arena, members[0], scr is not None, view.scratch, parent
+                        buffers, members[0], scr is not None, view.scratch,
+                        parent,
                     )]
                 r_tile = self.r_idx[first : first + width]
                 for i_c, m_b in workers.runs[w]:  # 4th loop
@@ -1049,7 +978,7 @@ class GsknnPlan:
                         for j_c, n_b, RaT in members:
                             if RaT is None:
                                 j_c, n_b, RaT = self._load_panel(
-                                    arena, (j_c, n_b, RaT), scr is not None,
+                                    buffers, (j_c, n_b, RaT), scr is not None,
                                     view.scratch, parent,
                                 )
                             cols = tile[:, j_c - first : j_c - first + n_b]
@@ -1057,7 +986,7 @@ class GsknnPlan:
                                 np.matmul(A, RaT, out=cols)
                             else:
                                 self._tile_into_arena(
-                                    Q[rows], q2c, RaT, arena, view.scratch,
+                                    Q[rows], q2c, RaT, buffers, view.scratch,
                                     cols,
                                 )
                     with tracer.span_under(
@@ -1078,20 +1007,17 @@ class GsknnPlan:
             # here, in the calling thread, like their tiles and lists: what
             # a helper thread allocates stays in its own malloc arena's
             # pages after the call
-            pair = 0 if screen is None else 2 * self.d * 8
             for w in range(1, workers.p):
-                views[w].take_mask(regions[w], pair)
-                if grid[0][2] is None:  # streamed
-                    self._panel_buffers(
-                        arena, grid[0][1], screen is not None, views[w].scratch
-                    )
+                for key in ("lists.mask", "Ra", "Ra.rows"):
+                    if key + views[w].scratch in buffers:
+                        buffers.take(key + views[w].scratch)
         if split or workers.p == 1:
             workers.run(lambda w: sweep(w, chunks[w]))
         else:
             # each panel is loaded once, into the shared buffer, for all
             # the workers
             for panel in grid:  # 6th loop
-                panel = self._load_panel(arena, panel, screen is not None)
+                panel = self._load_panel(buffers, panel, screen is not None)
                 workers.run(lambda w: sweep(w, [[panel]]))
         # blocks count block_n-wide panels, whatever a panel spans
         stats.blocks += workers.row_blocks * sum(
@@ -1104,8 +1030,8 @@ class GsknnPlan:
                 screen_rescored=lists.stats.candidates_rescored,
                 screen_widening=screen.widening(row_max),
             )
-        stats.candidates_offered = lists.stats.candidates_offered
-        stats.candidates_discarded = (
+        stats.candidates_offered += lists.stats.candidates_offered
+        stats.candidates_discarded += (
             lists.stats.candidates_offered - lists.stats.candidates_surviving
         )
         if (
@@ -1149,7 +1075,7 @@ class GsknnPlan:
         Q2: np.ndarray | None,
         k: int,
         stats: GsknnStats,
-        arena,
+        buffers,
         workers: RowWorkers,
     ) -> KnnResult:
         """Var#6: materialize the full ``m x n`` matrix, select at the end.
@@ -1157,17 +1083,18 @@ class GsknnPlan:
         Scores are computed per fixed ``(block_m, n_b)`` tile, like
         Var#1's (a GEMM split by rows is not bit-stable, so the tile is
         the unit whatever the worker count), and each worker then
-        selects the rows of its own blocks. The final sort is numpy's
-        default (SIMD on x86), about 4x faster than a stable one at
-        large k; exact ties may list their ids in any fixed order.
+        selects the rows of its own blocks: :func:`topk_lex` picks each
+        row's ``k`` smallest ``(distance, id)`` pairs and
+        :func:`sort_lex` orders them, so ids follow the (distance, id)
+        contract, ties included, as every other variant's do.
         """
         m, n = Q.shape[0], self.n
         r_idx = self.r_idx
-        if self.memory_budget is not None and n > self.block_n:
-            # route the scores matrix through the arena so its bytes are
-            # charged (and the variant guard already vetoed any (m, n)
-            # that cannot fit)
-            C = arena.take_c("var6_scores", (m, n), np.float64)
+        if "var6_scores" in buffers:
+            # a budgeted plan routes the scores matrix through the arena
+            # so its bytes are charged (the variant guard already vetoed
+            # any (m, n) that cannot fit)
+            C = buffers.take("var6_scores")
         else:
             C = np.empty((m, n), dtype=np.float64)
         tracer = _trace.get_tracer()
@@ -1195,7 +1122,7 @@ class GsknnPlan:
                             Q[rows], Rc, self.norm, q2b, R2c
                         )
 
-        for panel in self._iter_panels(arena):
+        for panel in self._iter_panels(buffers):
             workers.run(lambda w: score_rows(w, panel))
             stats.blocks += workers.row_blocks
         stats.candidates_offered = m * n
@@ -1209,13 +1136,11 @@ class GsknnPlan:
             )
             with span:
                 if k < n:
-                    part = np.argpartition(Cw, k - 1, axis=1)[:, :k]
+                    part = topk_lex(Cw, np.broadcast_to(r_idx, Cw.shape), k)
+                    best = np.take_along_axis(Cw, part, axis=1)
+                    parts[w] = sort_lex(best, r_idx[part])
                 else:
-                    part = np.broadcast_to(np.arange(n), Cw.shape).copy()
-                rows = np.arange(len(Cw))[:, None]
-                best = Cw[rows, part]
-                order = np.argsort(best, axis=1)
-                parts[w] = (best[rows, order], r_idx[part[rows, order]])
+                    parts[w] = sort_lex(Cw, np.broadcast_to(r_idx, Cw.shape))
 
         workers.run(select_rows)
         if len(parts) == 1:
@@ -1230,7 +1155,7 @@ class GsknnPlan:
         Qb: np.ndarray,
         q2c: np.ndarray | None,
         RaT: np.ndarray,
-        arena,
+        buffers,
         scratch: str,
         T: np.ndarray,
     ) -> None:
@@ -1247,14 +1172,14 @@ class GsknnPlan:
         Rc, R2c = self._panel_views(RaT)
         m_b, n_b = T.shape
         if norm.is_cosine:
-            D = arena.take_c("denom" + scratch, (m_b, n_b), np.float64)
+            D = buffers.take("denom" + scratch)[: m_b * n_b].reshape(m_b, n_b)
             np.multiply(q2c[:, None], R2c[None, :], out=D)
             np.maximum(D, 0.0, out=D)
             np.sqrt(D, out=D)
             np.matmul(Qb, Rc.T, out=T)
             with np.errstate(divide="ignore", invalid="ignore"):
                 np.divide(T, D, out=T)
-            Z = arena.take_c("denom_zero" + scratch, (m_b, n_b), np.bool_)
+            Z = buffers.take("denom_zero" + scratch)[: m_b * n_b].reshape(m_b, n_b)
             np.less_equal(D, 0.0, out=Z)
             T[Z] = 0.0
             np.clip(T, -1.0, 1.0, out=T)
@@ -1277,6 +1202,12 @@ class GsknnPlan:
         finalize_tile(T, None, None, norm, out=T)
 
 
+def _first_cols(buf: np.ndarray, cols: int) -> np.ndarray:
+    """The C-contiguous ``(len(buf), cols)`` view over ``buf``'s first
+    bytes: a streamed panel narrower than the widest one."""
+    return buf.reshape(-1)[: len(buf) * cols].reshape(len(buf), cols)
+
+
 def _names_dense_variant(spec) -> bool:
     """True when ``spec`` names Var#5 or Var#6, not a rule like ``"auto"``."""
     if isinstance(spec, str) and spec.lower() in ("auto", "model", "paper"):
@@ -1285,19 +1216,6 @@ def _names_dense_variant(spec) -> bool:
         return resolve_variant(spec) in (Variant.VAR5, Variant.VAR6)
     except ValidationError:
         return False  # refused when the plan executes it
-
-
-def _stream_nbytes(block_n: int, d: int, screens: bool = False) -> int:
-    """Bytes of one streamed panel plus its staged float64 rows.
-
-    A float64 ``[Rc | R2c]^T`` panel; with ``screens`` (an l2 plan)
-    also a float32 screen panel ``2 block_n`` wide, staged ``block_n``
-    rows at a time, whichever is larger.
-    """
-    nbytes = block_n * (2 * d + 1) * 8
-    if screens:
-        nbytes = max(nbytes, block_n * (8 * d + 8 * (d + 2)))
-    return nbytes
 
 
 def _record_kernel_stats(stats: GsknnStats, k: int, t0: float) -> None:

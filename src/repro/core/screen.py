@@ -39,6 +39,7 @@ import math
 import numpy as np
 
 from ..config import iter_blocks
+from .workspace import pair_nbytes
 
 __all__ = ["ScreenFrame", "ScreenQueries", "TileScreen"]
 
@@ -60,8 +61,6 @@ _FIT_NORM2 = 2.0**100
 #: (at most about ``2^51``), far below float32's largest.
 _CUT_CAP = 2.0**100
 _TINY32 = float(np.finfo(np.float32).tiny)
-#: Query rows centred per step while packing the screen operand.
-_PACK_ROWS = 256
 
 
 def _gamma(n: int, u: float) -> float:
@@ -218,11 +217,11 @@ class ScreenQueries:
     ) -> None:
         m, d = ids.size, source.shape[1]
         self.source, self.ids = source, ids
-        self.q2 = arena.take_c("Q2", (m,), np.float64)
-        self.Q32 = arena.take_c("Q32", (m, d + 2), np.float32)
-        qc2 = np.empty(m)
-        step = min(m, _PACK_ROWS)
-        staging = arena.take_c("Q.screen", (step, d), np.float64)
+        self.q2 = arena.take("Q2")
+        self.Q32 = arena.take("Q32")
+        qc2 = arena.take("Q.qc2")
+        staging = arena.take("Q.screen")
+        step = len(staging)
         for lo in range(0, m, step):
             hi = min(lo + step, m)
             rows = staging[: hi - lo]
@@ -246,7 +245,9 @@ class ScreenQueries:
         w32 = _gamma(d + 4, _U32) * (2 * qc * rho + rho * rho)
         w32 += (d + 3) * _ETA32 * (1 + qc + rho)
         w64 = _gamma(d + 4, _U64) * (2 * qn * reach + qn * qn + reach * reach)
-        self.widen = 2 * (w32 + w64)
+        self.widen = arena.take("Q.widen")
+        np.add(w32, w64, out=self.widen)
+        self.widen *= 2
         if not fits.all():
             self.Q32[~fits, :d] = 0.0
             qc2[~fits] = 0.0
@@ -261,7 +262,7 @@ class ScreenQueries:
         twin = object.__new__(ScreenQueries)
         for name in self.__slots__:
             setattr(twin, name, getattr(self, name))
-        twin.Q32 = arena.take_c("Q32" + suffix, self.Q32.shape, np.float32)
+        twin.Q32 = arena.take("Q32" + suffix)
         twin.Q32[...] = self.Q32
         return twin
 
@@ -318,7 +319,7 @@ class TileScreen:
         X2: np.ndarray | None,
     ) -> None:
         #: scratch one rescored pair stages: its q and r rows
-        self.pair_bytes = 2 * X.shape[1] * 8
+        self.pair_bytes = pair_nbytes(X.shape[1])
         self.source, self.qids = queries.source, queries.ids[rows]
         self.q2 = queries.q2[rows]
         self.X, self.X2 = X, X2

@@ -32,9 +32,9 @@ usable cores come from ``os.sched_getaffinity`` and BLAS threads from
 the loaded OpenBLAS where it can be asked, and at most the row blocks
 or panels being split. An unknown BLAS counts as using every core, so
 such a host stays serial. A budgeted plan caps ``p`` further at the
-scratch sets its budget affords, and each execute at the ones that
-still fit once its queries are packed. The kernel's root span records
-the split, ``p`` and the reason for ``p``.
+scratch sets its budget affords, and each execute at the workers whose
+workspace still fits (:mod:`repro.core.workspace`). The kernel's root
+span records the split, ``p`` and the reason for ``p``.
 
 A kernel reached from a fan-out of its own — a ``ThreadRung`` item
 (a task-parallel schedule's task, a simulated rank) or a shard or rank

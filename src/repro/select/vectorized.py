@@ -49,6 +49,7 @@ from typing import TYPE_CHECKING
 
 import numpy as np
 
+from ..core.workspace import MERGE_CELL
 from ..errors import ValidationError
 
 if TYPE_CHECKING:
@@ -109,10 +110,10 @@ def topk_lex(values: np.ndarray, ids: np.ndarray, k: int) -> np.ndarray:
 def sort_lex(values: np.ndarray, ids: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """``(values, ids)`` with each row ascending by ``(value, id)``; new arrays.
 
-    A stable sort on the values, then a lexsort of only the rows where
-    two equal values list their ids out of order.
+    numpy's default sort on the values (SIMD on x86), then a lexsort of
+    only the rows where two equal values list their ids out of order.
     """
-    order = np.argsort(values, axis=1, kind="stable")
+    order = np.argsort(values, axis=1)
     values = np.take_along_axis(values, order, axis=1)
     ids = np.take_along_axis(ids, order, axis=1)
     tied = (values[:, 1:] == values[:, :-1]) & (ids[:, 1:] < ids[:, :-1])
@@ -132,7 +133,8 @@ def merge_lists(
 
     The lists of several workers, side by side. With ``dedup`` an id a
     row lists twice keeps only its leftmost copy, so the caller puts the
-    copies it trusts first.
+    copies it trusts first. :func:`topk_lex` narrows wide rows to their
+    ``k`` picks before :func:`sort_lex` orders them.
     """
     if dedup:
         by_id = np.argsort(ids, axis=1, kind="stable")
@@ -145,11 +147,11 @@ def merge_lists(
             later = by_id[rows, cols + 1]
             values[rows, later] = np.inf
             ids[rows, later] = -1
-    order = np.lexsort((ids, values), axis=1)[:, :k]
-    return (
-        np.take_along_axis(values, order, axis=1),
-        np.take_along_axis(ids, order, axis=1),
-    )
+    if k < values.shape[1]:
+        part = topk_lex(values, ids, k)
+        values = np.take_along_axis(values, part, axis=1)
+        ids = np.take_along_axis(ids, part, axis=1)
+    return sort_lex(values, ids)
 
 
 def finalize_sq_l2(raw: np.ndarray, offset: np.ndarray) -> np.ndarray:
@@ -362,8 +364,9 @@ class ArenaNeighborLists(BatchedNeighborLists):
     it. Differences from the base class, none observable in the results
     on tie-free data:
 
-    * all state (``values``/``ids``/``row_max``/``_touched``) lives in a
-      :class:`~repro.core.arena.WorkspaceArena`, so a plan's repeated
+    * all state (``values``/``ids``/``row_max``/``_touched``) and the
+      mask are taken whole from the call's
+      :class:`~repro.core.workspace.Workspace`, so a plan's repeated
       executions reuse the same buffers instead of reallocating per call;
     * ``update`` never copies and partitions a whole tile. Each row gets
       a cut — its threshold when finite, else the bin cut of
@@ -401,13 +404,13 @@ class ArenaNeighborLists(BatchedNeighborLists):
         self.k = int(k)
         self.wholesale = wholesale
         self._arena = arena
-        self.values = arena.take_c("lists.values" + suffix, (m, k), np.float64)
+        self.values = arena.take("lists.values" + suffix)
         self.values.fill(np.inf)
-        self.ids = arena.take_c("lists.ids" + suffix, (m, k), np.intp)
+        self.ids = arena.take("lists.ids" + suffix)
         self.ids.fill(-1)
-        self.row_max = arena.take_c("lists.row_max" + suffix, (m,), np.float64)
+        self.row_max = arena.take("lists.row_max" + suffix)
         self.row_max.fill(np.inf)
-        self._touched = arena.take_c("lists.touched" + suffix, (m,), np.bool_)
+        self._touched = arena.take("lists.touched" + suffix)
         self._touched.fill(False)
         self._dedup = False
         # set when a dedup overwrite actually changed a seeded value —
@@ -444,12 +447,6 @@ class ArenaNeighborLists(BatchedNeighborLists):
         )
         lists.row_max[:] = self.row_max
         return lists
-
-    def take_mask(self, cells: int, pair_bytes: int = 0) -> np.ndarray:
-        """The mask's bytes for a tile of ``cells``: at least a merge
-        round's ``16 (k + 1)`` and a rescore pair's ``pair_bytes``."""
-        room = max(cells, 16 * (self.k + 1), pair_bytes)
-        return self._arena.take_c("lists.mask" + self.scratch, (room,), np.uint8)
 
     def absorb(self, views: list["ArenaNeighborLists"]) -> None:
         """Fold the workers' tallies and seed-dirty flags into this one."""
@@ -553,16 +550,12 @@ class ArenaNeighborLists(BatchedNeighborLists):
             cut = kth if all_cold else np.where(cold, kth, cut)
 
         # The mask's bytes also hold the rescore scratch and the merge
-        # buffer below (the mask is dead once `flat` is taken), so they
-        # cost no workspace beyond the tile and mask bytes the budget fit
-        # counts. Only a tile of fewer than 16 (k + 1) cells gets more: a
-        # merge round holds at least one row and one survivor, a rescore
-        # round one pair.
+        # buffer below (the mask is dead once `flat` is taken): the
+        # workspace sizes it for the widest tile, one merge round and
+        # one rescored pair.
         key = "lists.mask" + self.scratch
-        buf = self.take_mask(
-            cand_values.size, 0 if screen is None else screen.pair_bytes
-        )
-        room = buf.size
+        buf = self._arena.take(key)
+        room = buf.nbytes
         mask = buf[: cand_values.size].view(np.bool_).reshape(m_b, n_b)
         if screen is None:
             # at the threshold too: a tie may still win on its id
@@ -649,14 +642,14 @@ class ArenaNeighborLists(BatchedNeighborLists):
         Live row ``i`` (absolute row ``rows[i]``) has ``counts[i]``
         survivors, grouped in row order; ``strip_rows`` holds each
         survivor's ``i`` and ``pos`` numbers it within its row. A round's
-        ``(rows, k + slots)`` buffer takes 16 bytes a cell and must fit
-        ``room``: a row with more survivors than ``slots`` merges them
-        in several rounds, in column order, and when the live rows' lists
-        alone crowd the buffer, rows take turns.
+        ``(rows, k + slots)`` buffer takes ``MERGE_CELL`` bytes a cell
+        and must fit ``room``: a row with more survivors than ``slots``
+        merges them in several rounds, in column order, and when the live
+        rows' lists alone crowd the buffer, rows take turns.
         """
         k = self.k
         nlive = counts.size
-        cap = room // 16
+        cap = room // MERGE_CELL
         most = int(counts.max())
         slots = min(most, max(cap // nlive - k, k), cap - k)
         per = min(nlive, cap // (k + slots))  # rows per round
@@ -694,7 +687,8 @@ class ArenaNeighborLists(BatchedNeighborLists):
         """Merge survivors into ``rows``' lists through one buffer at ``key``.
 
         Buffer row ``i`` holds ``rows[i]``'s current ``k`` entries, then
-        ``slots`` survivor cells padded with +inf/-1; :func:`topk_lex`
+        ``slots`` survivor cells padded with +inf/-1, each cell
+        :data:`~repro.core.workspace.MERGE_CELL` bytes; :func:`topk_lex`
         keeps the ``k`` smallest ``(distance, id)`` pairs, and one flat
         index gathers them back from both halves (a third the cost of
         ``take_along_axis``).
@@ -703,7 +697,7 @@ class ArenaNeighborLists(BatchedNeighborLists):
         nrows = rows.size
         width = k + slots
         cells = nrows * width
-        buf = self._arena.take_c(key, (16 * cells,), np.uint8)
+        buf = self._arena.take(key)[: MERGE_CELL * cells]
         merged = buf[: 8 * cells].view(np.float64).reshape(nrows, width)
         merged_ids = buf[8 * cells :].view(np.intp).reshape(nrows, width)
         merged[:, :k] = self.values[rows]

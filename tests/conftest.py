@@ -85,3 +85,20 @@ def assert_knn_equal(result, truth_dist, truth_ids, X=None, atol=1e-9):
         for i in range(result.m):
             for dist, ident in zip(result.distances[i], result.indices[i]):
                 assert ident >= 0
+
+
+def lists_workspace(m, k, width, norm="l1", d=3):
+    """The kernel's Var#1 workspace for one ``m``-row block over tiles
+    up to ``width`` wide, bound to a fresh arena: what
+    ``ArenaNeighborLists`` (and, for l2, ``ScreenQueries``) take from."""
+    from repro.core.arena import WorkspaceArena
+    from repro.core.plan import GsknnPlan
+    from repro.core.table import ALL_ROWS
+    from repro.core.variants import Variant
+    from repro.core.workspace import Workspace
+
+    plan = GsknnPlan(
+        np.zeros((width, d)), ALL_ROWS, norm=norm, block_m=m, block_n=width,
+        cache_panels=False,
+    )
+    return Workspace(plan, Variant.VAR1, k, m).bind(WorkspaceArena())

@@ -9,6 +9,7 @@ from repro.core.neighbors import (
     KnnResult,
     merge_neighbor_lists,
     merge_neighbor_lists_fast,
+    merge_topk,
     recall,
 )
 from repro.errors import ValidationError
@@ -102,6 +103,28 @@ class TestMergeFastAgreesWithSlow:
         fast = merge_neighbor_lists_fast(a, b)
         np.testing.assert_array_equal(np.sort(fast.indices), [[1, 2, 3]])
         np.testing.assert_allclose(np.sort(fast.distances), dist)
+
+
+class TestMergeTopkOrder:
+    def test_ties_list_in_distance_id_order(self):
+        """Exact ties come back ordered by id, whichever list held them:
+        the order every kernel result follows."""
+        dist, idx = merge_topk(
+            np.array([[1.0, 2, 2, 2]]), np.array([[5, 9, 7, 3]]),
+            np.array([[2.0, 2, 0.5, 3]]), np.array([[1, 8, 4, 6]]), 4,
+        )
+        np.testing.assert_array_equal(idx, [[4, 5, 1, 3]])
+        np.testing.assert_array_equal(dist, [[0.5, 1, 2, 2]])
+
+    def test_sentinels(self):
+        """An id of -1 never beats a real candidate, an infinite distance
+        returns id -1, and a row short of k pads with (+inf, -1)."""
+        dist, idx = merge_topk(
+            np.array([[0.0, np.inf]]), np.array([[-1, 4]]),
+            np.array([[0.5]]), np.array([[2]]), 4,
+        )
+        np.testing.assert_array_equal(idx, [[2, -1, -1, -1]])
+        np.testing.assert_array_equal(dist, [[0.5, np.inf, np.inf, np.inf]])
 
 
 class TestRecall:

@@ -157,20 +157,43 @@ class TestCacheVsStreamDecision:
         assert plan.memory_budget.peak_bytes <= plan.memory_budget.limit_bytes
         plan.release()
 
-    @pytest.mark.parametrize("cores", [1, 2])
+    @pytest.mark.parametrize(
+        "d,norm,variant,k,cores",
+        [
+            (None, "l2", "auto", 10, 1),
+            (None, "l2", "auto", 10, 2),
+            (24, "l1", "auto", 50, 2),
+            (64, "l2", 5, 50, 2),
+            (64, "l1", 5, 50, 2),
+        ],
+    )
     def test_a_larger_budget_never_fails_where_a_smaller_one_ran(
-        self, table, monkeypatch, cores
+        self, table, monkeypatch, d, norm, variant, k, cores
     ):
+        """Budgets in steps over one shape, 400 query rows against every
+        second row. The k = 50 shapes (a 6000-row table, 2 cores) ran at
+        600-650, 800-850 and 800 KiB and then failed at 700 KiB
+        (``arena:lists.mask``), 900 KiB and 850-900 KiB (``arena:Ra``):
+        each time the fitted blocking doubled, the room left for the
+        batch's query side dropped. Execute groups row blocks to fit.
+        The first shape (``d=None``) is the memmapped table's, 24 wide."""
         ram, mm = table
+        kibs = range(150, 1400, 25)
+        if d is not None:
+            ram = mm = np.random.default_rng(7).random((6000, d))
+            kibs = range(100, 1551, 50)
         monkeypatch.setattr(workers, "host_threads", lambda: (cores, 1))
-        q, r = np.arange(400, dtype=np.intp), np.arange(0, 4096, 2)
-        want = ref_knn(ram, q, r, 10)
+        q, r = np.arange(400, dtype=np.intp), np.arange(0, ram.shape[0], 2)
+        want = ref_knn(ram, q, r, k, norm=norm)
         ran = []
-        for kib in range(150, 1400, 25):
+        for kib in kibs:
             plan = None
             try:
-                plan = GsknnPlan(mm, r, memory_budget=f"{kib}KiB")
-                got = plan.execute(q, 10)
+                plan = GsknnPlan(
+                    mm, r, norm=norm, variant=variant,
+                    memory_budget=f"{kib}KiB",
+                )
+                got = plan.execute(q, k)
             except MemoryBudgetError:
                 assert not ran, f"{kib} KiB failed where {ran[0]} KiB ran"
                 continue
@@ -179,7 +202,7 @@ class TestCacheVsStreamDecision:
                     plan.release()
             np.testing.assert_array_equal(got.indices, want.indices)
             ran.append(kib)
-        assert ran and ran[-1] == 1375
+        assert ran and ran[-1] == kibs[-1]
 
     def test_block_autofit_under_tight_budget(self, table):
         _, mm = table

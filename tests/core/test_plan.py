@@ -13,6 +13,8 @@ from repro.core.neighbors import KnnResult, merge_neighbor_lists_fast
 from repro.core.plan import GsknnPlan, PlanCache
 from repro.core.ref_kernel import ref_knn
 from repro.core.table import ALL_ROWS, TableHandle
+from repro.core.variants import Variant
+from repro.core.workspace import Workspace
 from repro.errors import ValidationError
 from repro.obs.metrics import MetricsRegistry, get_registry, set_registry
 
@@ -400,7 +402,8 @@ class TestPanelLayout:
         for plan in (cached, streamed):
             with plan.arena_pool.borrow() as arena:
                 widths = []
-                for j_c, n_b, RaT in plan._iter_panels(arena):
+                buffers = Workspace(plan, Variant.VAR5, 1, 1).bind(arena)
+                for j_c, n_b, RaT in plan._iter_panels(buffers):
                     assert RaT.shape == (12 + norm_cols, n_b)
                     assert RaT.flags.c_contiguous
                     Rc, R2c = plan._panel_views(RaT)
@@ -422,7 +425,8 @@ class TestPanelLayout:
         for plan in (cached, streamed):
             with plan.arena_pool.borrow() as arena:
                 widths = []
-                for j_c, n_b, RaT in plan._iter_panels(arena, screen=True):
+                buffers = Workspace(plan, Variant.VAR1, 1, 1).bind(arena)
+                for j_c, n_b, RaT in plan._iter_panels(buffers, screen=True):
                     assert RaT.shape == (12 + 2, n_b)
                     assert RaT.dtype == np.float32 and RaT.flags.c_contiguous
                     rows = (X[r[j_c : j_c + n_b]] - frame.centre) * frame.scale

@@ -27,16 +27,18 @@ import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.core.arena import WorkspaceArena
 from repro.core.norms import pairwise_block, resolve_norm
 from repro.core.screen import ScreenFrame, ScreenQueries, TileScreen
 from repro.select import ArenaNeighborLists, BatchedNeighborLists, cut_bins
 
+from ..conftest import lists_workspace
+
 D = 3
 
 
-def _tiles(rng, m, widths, kind, scale, norm):
-    """One ``hand(lists, ids)`` per tile, from real points.
+def _tiles(rng, m, widths, kind, scale, norm, buffers):
+    """One ``hand(lists, ids)`` per tile, from real points; an l2 screen
+    operand takes its buffers from ``buffers``.
 
     ``hand`` returns ``(handed, finished, screen)``: what the kernel
     gives selection (the float32 screen tile for l2, cut by the lists'
@@ -59,7 +61,7 @@ def _tiles(rng, m, widths, kind, scale, norm):
     # the plan's screen over a table of every tile's references
     table = np.vstack(Rs)
     frame = ScreenFrame.of_references(table, np.arange(len(table)), 4096)
-    queries = ScreenQueries(frame, Q, np.arange(m), None, WorkspaceArena())
+    queries = ScreenQueries(frame, Q, np.arange(m), None, buffers)
     rows = slice(0, m)
 
     def hand(lists, ids):
@@ -145,10 +147,11 @@ def test_bin_cut_equals_finish_then_update(
 ):
     rng = np.random.default_rng(seed)
     widths = [data.draw(_widths(k)) for _ in range(data.draw(st.integers(1, 2)))]
-    tiles = _tiles(rng, m, widths, kind, scale, norm)
+    buffers = lists_workspace(m, k, max(widths), norm, D)
+    tiles = _tiles(rng, m, widths, kind, scale, norm, buffers)
     init = _unfolded_seed(rng, m, k) if seeded else None
 
-    got = ArenaNeighborLists(m, k, WorkspaceArena())
+    got = ArenaNeighborLists(m, k, buffers)
     want = BatchedNeighborLists(m, k)
     if seeded:
         # what the plan does with an unfolded seed: thresholds only
@@ -174,7 +177,7 @@ def test_bin_cut_equals_finish_then_update(
     # tile cell, or one row's k list entries and one survivor (one
     # rescored pair) on a tiny tile
     room = max(m * max(widths), 16 * (k + 1), 2 * D * 8)
-    assert got._arena._buffers["lists.mask"].nbytes <= room
+    assert buffers._arena._buffers["lists.mask"].nbytes <= room
     _assert_lossless(
         _merged(got.values, got.ids, init),
         _merged(want.values, want.ids, init),
@@ -189,8 +192,9 @@ def test_ties_fall_at_the_cut():
     k, width = 5, 2 * 128 + 37
     ties = 0
     for _ in range(20):
-        (hand,) = _tiles(rng, 4, [width], "duplicates", 1.0, "l2")
-        raw, _, _ = hand(ArenaNeighborLists(4, k, WorkspaceArena()), np.arange(width))
+        buffers = lists_workspace(4, k, width, "l2", D)
+        (hand,) = _tiles(rng, 4, [width], "duplicates", 1.0, "l2", buffers)
+        raw, _, _ = hand(ArenaNeighborLists(4, k, buffers), np.arange(width))
         bins = cut_bins(k, width)
         groups = width // bins
         mins = raw[:, : groups * bins].reshape(4, groups, bins).min(axis=1)

@@ -5,10 +5,11 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from repro.core.arena import WorkspaceArena
 from repro.errors import ValidationError
 from repro.select import ArenaNeighborLists, BatchedNeighborLists, merge_block
 from repro.select.heap import BinaryMaxHeap
+
+from ..conftest import lists_workspace
 
 
 class TestMergeBlock:
@@ -125,16 +126,17 @@ class TestBatchedNeighborLists:
 
 class TestArenaNeighborLists:
     @staticmethod
-    def _pair(m, k):
+    def _pair(m, k, width):
+        """Legacy lists, and arena lists over tiles up to ``width`` wide."""
         return BatchedNeighborLists(m, k), ArenaNeighborLists(
-            m, k, WorkspaceArena()
+            m, k, lists_workspace(m, k, width)
         )
 
     def test_streaming_matches_batched(self, rng):
         """Cold rows fall back, warm rows take the masked path — the final
         lists must match the legacy structure on tie-free data."""
         m, k, n = 9, 4, 160
-        legacy, masked = self._pair(m, k)
+        legacy, masked = self._pair(m, k, 23)
         for start in range(0, n, 23):
             ids = np.arange(start, min(start + 23, n))
             tile = rng.random((m, ids.size))
@@ -150,7 +152,7 @@ class TestArenaNeighborLists:
         lists seeded the same way."""
         m, k = 6, 3
         warm = np.full(m, 0.25)
-        legacy, masked = self._pair(m, k)
+        legacy, masked = self._pair(m, k, 40)
         for lists in (legacy, masked):
             lists.row_max[:] = warm
             lists._touched[:] = True
@@ -166,7 +168,7 @@ class TestArenaNeighborLists:
         row, so every survivor past the first merges in a later round;
         the lists still match the legacy structure."""
         m, k = 8, 6
-        legacy, masked = self._pair(m, k)
+        legacy, masked = self._pair(m, k, 20)
         for lists in (legacy, masked):
             lists.row_max[:] = 0.9
             lists._touched[:] = True
@@ -180,11 +182,11 @@ class TestArenaNeighborLists:
         np.testing.assert_array_equal(md, ld)
         np.testing.assert_array_equal(mi, li)
         # beyond the lists themselves the arena holds only the mask
-        assert masked._arena.nbytes - m * (16 * k + 9) <= tile.size
+        assert masked._arena._arena.nbytes - m * (16 * k + 9) <= tile.size
 
     def test_zero_survivors_merge_nothing(self):
         m, k = 3, 2
-        _, masked = self._pair(m, k)
+        _, masked = self._pair(m, k, 5)
         masked.row_max[:] = 0.1
         masked._touched[:] = True
         masked.update(0, np.full((m, 5), 9.0), np.arange(5))
@@ -194,7 +196,7 @@ class TestArenaNeighborLists:
     def test_partial_row_update_falls_back(self, rng):
         """Rows outside the update window stay cold; the fallback must keep
         them untouched exactly like the legacy structure."""
-        legacy, masked = self._pair(10, 2)
+        legacy, masked = self._pair(10, 2, 5)
         tile = rng.random((4, 5))
         legacy.update(3, tile, np.arange(5))
         masked.update(3, tile, np.arange(5))

@@ -29,6 +29,18 @@ def assert_bit_identical(got, want):
 
 
 class TestBitIdenticality:
+    def test_var6_ties_follow_distance_then_id(self):
+        """At k = 300 both sides run Var#6; on a table of small-integer
+        rows each repeated 3 times, exact ties crowd every row, and the
+        shards' merge and the single solve must list them alike."""
+        base = np.random.default_rng(3).integers(0, 4, (129, 5))
+        X = np.repeat(base.astype(np.float64), 3, axis=0)
+        q = np.arange(0, X.shape[0], 3)
+        with ShardedAllKnn(X, 2, transport="local") as router:
+            assert_bit_identical(
+                router.solve(q, 300), router.solve_reference(q, 300)
+            )
+
     @pytest.mark.parametrize("n_shards", [1, 2, 3, 5])
     def test_solve_matches_reference(self, table, n_shards):
         with make(table, n_shards) as router:
